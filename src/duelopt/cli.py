@@ -31,7 +31,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import policy as policy_mod
 from .core import ParamVector, RngState
-from .errors import ConfigError, MissingFieldError, RangeError
+from .errors import ConfigError, DueloptError, MissingFieldError, RangeError
 from .optimizer import PracticalConfig, Trajectory, run_basic, run_practical, schedule_from_theorem
 from .oracles import compare_preference
 
@@ -42,14 +42,6 @@ MODES = ("basic", "practical", "pipeline", "bench-lemma", "bench-proposition", "
 PRESETS = {
     "mistral-7b": {"r": 0.0005, "m": 1600, "lambda_g": 0.00022, "skip_threshold": 0.2, "delta": 3.0},
     "llama-3-8b": {"r": 0.00075, "m": 1800, "lambda_g": 0.00008, "skip_threshold": 0.2, "delta": 3.0},
-}
-
-# published single-pair (log-lik preferred, log-lik dispreferred) before/after
-# one gamma=1 refinement pass at large scale; documentation only, desk-scale
-# runs target the direction of the change, never these magnitudes
-REFERENCE_DISPLACEMENT = {
-    "llama-3-8b": {"initial": (-46.761, -47.410), "after_gamma_1": (-46.728, -47.520)},
-    "gemma-2-9b": {"initial": (-133.122, -134.557), "after_gamma_1": (-133.059, -134.562)},
 }
 
 # operating points the bench modes default to when the config leaves them unset
@@ -175,12 +167,16 @@ def parse_config(path: str | Path, preset: str | None = None) -> RunConfig:
     in the file, then file values, then the ``preset`` argument (command-line
     override). Unknown keys are rejected.
     """
+    return build_config(_read_config_file(path), cli_preset=preset)
+
+
+def _read_config_file(path: str | Path) -> dict:
     with open(path, "r", encoding="utf8") as handle:
         text = handle.read().strip()
     raw = json.loads(text) if text else {}
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    return build_config(raw, cli_preset=preset)
+    return raw
 
 
 def build_config(raw: dict, cli_preset: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -386,6 +382,17 @@ def _make_objective(config: RunConfig) -> bench_mod.SyntheticObjective:
     return factory(config.d, config.s, seed=config.objective_seed)
 
 
+def _make_policy(config: RunConfig) -> policy_mod.ToyPolicy:
+    return policy_mod.make_toy_policy(
+        vocab_size=config.vocab_size,
+        feature_dim=config.feature_dim,
+        max_context=config.max_context,
+        feature_seed=config.feature_seed,
+        weight_seed=config.ref_weight_seed,
+        weight_scale=config.ref_weight_scale,
+    )
+
+
 def _run_basic_mode(config: RunConfig, out_dir: Path):
     objective = _make_objective(config)
     theta0, Delta = bench_mod.start_with_gap(objective, config.Delta)
@@ -429,24 +436,9 @@ def _run_practical_mode(config: RunConfig, out_dir: Path):
     artifacts = {}
     if config.dataset is not None:
         pairs = policy_mod.load_preference_dataset(config.dataset)
-        policy = policy_mod.make_toy_policy(
-            vocab_size=config.vocab_size,
-            feature_dim=config.feature_dim,
-            max_context=config.max_context,
-            feature_seed=config.feature_seed,
-            weight_seed=config.ref_weight_seed,
-            weight_scale=config.ref_weight_scale,
-        )
-        mask = (
-            np.asarray(config.scope_mask, dtype=np.intp)
-            if config.scope_mask is not None
-            else None
-        )
-        theta0 = ParamVector(policy.flat_params, mask)
+        policy = _make_policy(config)
         oracle = partial(compare_preference, policy.log_likelihood_at)
-        traj = run_practical(
-            oracle, theta0, practical, data_stream=pairs, rng=RngState(config.seed)
-        )
+        traj = run_practical(oracle, ParamVector(policy.flat_params), practical, data_stream=pairs)
         final_policy = policy.with_flat_params(traj.final_theta.values)
         report = policy_mod.likelihood_report(policy, final_policy, pairs)
         artifacts["likelihood_report"] = export_results(
@@ -459,16 +451,10 @@ def _run_practical_mode(config: RunConfig, out_dir: Path):
     else:
         objective = _make_objective(config)
         theta0_values, _ = bench_mod.start_with_gap(objective, config.Delta)
-        mask = (
-            np.asarray(config.scope_mask, dtype=np.intp)
-            if config.scope_mask is not None
-            else None
-        )
         traj = run_practical(
             objective.comparison_oracle(),
-            ParamVector(theta0_values, mask),
+            ParamVector(theta0_values),
             practical,
-            rng=RngState(config.seed),
             objective=objective,
         )
         summary = {"min_grad_norm": traj.min_grad_norm}
@@ -486,21 +472,8 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path):
             beta=config.beta, learning_rate=config.learning_rate, epochs=config.dpo_epochs
         ),
         refine_epochs=config.refine_epochs,
-        vocab_size=config.vocab_size,
-        feature_dim=config.feature_dim,
-        max_context=config.max_context,
-        feature_seed=config.feature_seed,
-        ref_weight_seed=config.ref_weight_seed,
-        ref_weight_scale=config.ref_weight_scale,
     )
-    ref_policy = policy_mod.make_toy_policy(
-        vocab_size=config.vocab_size,
-        feature_dim=config.feature_dim,
-        max_context=config.max_context,
-        feature_seed=config.feature_seed,
-        weight_seed=config.ref_weight_seed,
-        weight_scale=config.ref_weight_scale,
-    )
+    ref_policy = _make_policy(config)
     artifacts = {}
     if config.dataset is not None:
         dataset = policy_mod.load_preference_dataset(config.dataset)
@@ -659,23 +632,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_split(args)
-    except ConfigError as exc:
+    except (DueloptError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf8") as handle:
-        text = handle.read().strip()
-    raw = json.loads(text) if text else {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    config = build_config(raw, cli_preset=args.preset, overrides=overrides)
+    config = build_config(
+        _read_config_file(args.config), cli_preset=args.preset, overrides=overrides
+    )
     manifest = run_experiment(config)
     print(json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True))
     return 0 if manifest.passed is not False else 1

@@ -1,13 +1,15 @@
 """Iteration loops for comparison-driven descent, plus trajectory telemetry.
 
-``run_basic`` is the analyzable scheme: per iteration it takes m sphere
-measurements, solves the exact l1/l2-constrained direction problem, and steps
-with a fixed stepsize derived from the smoothness/gap schedule.
+Both schemes run the same step (``_step``): take m one-bit sphere
+measurements, estimate a direction, and move against it by a stepsize that
+is a function of rho, the fraction of improving responses, unless rho is at
+or below a skip threshold. The schemes differ only in those three choices:
 
-``run_practical`` is the cheap scheme: measurements restricted to the scope
-mask, a normalize-then-clip direction estimate, a stepsize proportional to the
-fraction of improving responses, and a skip rule that discards
-uninformative batches.
+* ``run_basic``, the analyzable scheme: the exact l1/l2-constrained direction
+  solver, the fixed stepsize eta of the smoothness/gap schedule, no skip.
+* ``run_practical``, the cheap scheme: measurements restricted to the scope
+  mask, a normalize-then-clip estimate, stepsize ``gamma * rho``, and a skip
+  rule that discards uninformative batches.
 """
 
 from __future__ import annotations
@@ -208,6 +210,59 @@ def _diagnostics(objective, theta: ParamVector) -> tuple[float | None, float | N
     return f_val, float(np.linalg.norm(grad))
 
 
+def _step(
+    oracle,
+    theta: ParamVector,
+    radius: float,
+    m: int,
+    rng: RngState,
+    iteration: int,
+    estimate: Callable,
+    stepsize: Callable[[float], float],
+    skip_threshold: float,
+    diagnostics: tuple[float | None, float | None],
+    store_snapshots: bool,
+) -> tuple[ParamVector, IterationRecord]:
+    """One measure -> estimate -> step iteration shared by both schemes.
+
+    Steps by ``stepsize(rho)`` along the negative of ``estimate(batch)`` when
+    the improving fraction rho strictly exceeds ``skip_threshold``; otherwise,
+    and on a degenerate batch, the iterate is returned unchanged and the
+    iteration is flagged as skipped.
+    """
+    try:
+        batch = measure_bits(oracle, theta, radius, m, rng)
+    except OracleError as exc:
+        raise OracleError(f"iteration {iteration}: {exc}") from exc
+    rho = batch.negative_fraction()
+    skipped = degenerate = False
+    step = 0.0
+    if rho > skip_threshold:
+        try:
+            direction = estimate(batch).direction
+            step = stepsize(rho)
+            theta = theta.with_scope_values(theta.scope_values() - step * direction)
+        except DegenerateMeasurementError:
+            skipped = degenerate = True
+            step = 0.0
+    else:
+        skipped = True
+    f_val, grad_norm = diagnostics
+    record = IterationRecord(
+        iteration=iteration,
+        oracle_calls=batch.oracle_calls,
+        negative_fraction=rho,
+        stepsize_applied=step,
+        skipped=skipped,
+        degenerate=degenerate,
+        theta_hash=theta.content_hash(),
+        theta_snapshot=theta.values.copy() if store_snapshots else None,
+        f_value=f_val,
+        grad_norm=grad_norm,
+    )
+    return theta, record
+
+
 def run_basic(
     oracle,
     theta0: ParamVector,
@@ -216,7 +271,6 @@ def run_basic(
     objective=None,
     stop_grad_norm: float | None = None,
     store_snapshots: bool = False,
-    workers: int = 1,
 ) -> Trajectory:
     """Fixed-stepsize descent driven by the exact direction solver.
 
@@ -228,37 +282,19 @@ def run_basic(
     traj = Trajectory()
     theta = theta0
     for t in range(1, schedule.T + 1):
-        f_val, grad_norm = _diagnostics(objective, theta)
+        diagnostics = _diagnostics(objective, theta)
+        grad_norm = diagnostics[1]
         if stop_grad_norm is not None and grad_norm is not None and grad_norm < stop_grad_norm:
             break
-        try:
-            batch = measure_bits(oracle, theta, schedule.r, schedule.m, rng, workers=workers)
-        except OracleError as exc:
-            raise OracleError(f"iteration {t}: {exc}") from exc
-        skipped = degenerate = False
-        step = 0.0
-        try:
-            estimate = solve_1bge_exact(batch, schedule.s)
-            theta = theta.with_scope_values(
-                theta.scope_values() - schedule.eta * estimate.direction
-            )
-            step = schedule.eta
-        except DegenerateMeasurementError:
-            skipped = degenerate = True
-        traj.records.append(
-            IterationRecord(
-                iteration=t,
-                oracle_calls=batch.oracle_calls,
-                negative_fraction=batch.negative_fraction(),
-                stepsize_applied=step,
-                skipped=skipped,
-                degenerate=degenerate,
-                theta_hash=theta.content_hash(),
-                theta_snapshot=theta.values.copy() if store_snapshots else None,
-                f_value=f_val,
-                grad_norm=grad_norm,
-            )
+        theta, record = _step(
+            oracle, theta, schedule.r, schedule.m, rng, t,
+            estimate=lambda batch: solve_1bge_exact(batch, schedule.s),
+            stepsize=lambda rho: schedule.eta,
+            skip_threshold=-math.inf,  # the basic scheme uses every batch
+            diagnostics=diagnostics,
+            store_snapshots=store_snapshots,
         )
+        traj.records.append(record)
     traj.final_theta = theta
     traj.final_f, traj.final_grad_norm = _diagnostics(objective, theta)
     return traj
@@ -270,7 +306,6 @@ def step_practical(
     config: PracticalConfig,
     rng: RngState,
     objective=None,
-    workers: int = 1,
 ) -> PracticalState:
     """One iteration of the practical scheme.
 
@@ -280,41 +315,16 @@ def step_practical(
     happens only when rho strictly exceeds the skip threshold; otherwise (and
     on a degenerate batch) the iterate is returned unchanged.
     """
-    theta = state.theta
-    f_val, grad_norm = _diagnostics(objective, theta)
-    try:
-        batch = measure_bits(oracle, theta, config.radius, config.m, rng, workers=workers)
-    except OracleError as exc:
-        raise OracleError(f"iteration {state.iteration + 1}: {exc}") from exc
-    rho = batch.negative_fraction()
-    skipped = degenerate = False
-    step = 0.0
-    new_theta = theta
-    if rho > config.skip_threshold:
-        try:
-            estimate = estimate_normalized_clip(batch, config.lambda_g)
-            step = config.gamma * rho
-            new_theta = theta.with_scope_values(
-                theta.scope_values() - step * estimate.direction
-            )
-        except DegenerateMeasurementError:
-            skipped = degenerate = True
-            step = 0.0
-    else:
-        skipped = True
-    record = IterationRecord(
-        iteration=state.iteration + 1,
-        oracle_calls=batch.oracle_calls,
-        negative_fraction=rho,
-        stepsize_applied=step,
-        skipped=skipped,
-        degenerate=degenerate,
-        theta_hash=new_theta.content_hash(),
-        theta_snapshot=new_theta.values.copy() if config.store_snapshots else None,
-        f_value=f_val,
-        grad_norm=grad_norm,
+    iteration = state.iteration + 1
+    theta, record = _step(
+        oracle, state.theta, config.radius, config.m, rng, iteration,
+        estimate=lambda batch: estimate_normalized_clip(batch, config.lambda_g),
+        stepsize=lambda rho: config.gamma * rho,
+        skip_threshold=config.skip_threshold,
+        diagnostics=_diagnostics(objective, state.theta),
+        store_snapshots=config.store_snapshots,
     )
-    return PracticalState(theta=new_theta, iteration=state.iteration + 1, record=record)
+    return PracticalState(theta=theta, iteration=iteration, record=record)
 
 
 def run_practical(
@@ -324,23 +334,18 @@ def run_practical(
     data_stream: Sequence | None = None,
     rng: RngState | None = None,
     objective=None,
-    workers: int = 1,
 ) -> Trajectory:
     """Iterate the practical scheme for ``config.iterations`` steps.
 
     With a preference ``data_stream``, iteration t binds the oracle to the
     next ``pairs_per_batch`` pairs in round-robin order (one epoch = one pass),
     and ``oracle`` must accept ``(theta, theta_prime, pairs)``. Without one,
-    ``oracle`` is called as ``(theta, theta_prime)`` directly; passing a
-    synthetic objective as the stream routes it to diagnostics instead.
+    ``oracle`` is called as ``(theta, theta_prime)`` directly.
     """
     if rng is None:
         rng = RngState(config.seed)
     if config.scope_mask is not None:
         theta0 = ParamVector(theta0.values, np.asarray(config.scope_mask, dtype=np.intp))
-    if data_stream is not None and hasattr(data_stream, "value") and hasattr(data_stream, "gradient"):
-        objective = data_stream if objective is None else objective
-        data_stream = None
     pairs = list(data_stream) if data_stream is not None else None
     if pairs is not None and not pairs:
         raise InvalidScheduleError("data stream must contain at least one pair")
@@ -348,11 +353,8 @@ def run_practical(
     traj = Trajectory()
     state = PracticalState(theta=theta0)
     for t in range(config.iterations):
-        if pairs is not None:
-            bound = _bind_pairs(oracle, pairs, t, config.pairs_per_batch)
-        else:
-            bound = oracle
-        state = step_practical(state, bound, config, rng, objective=objective, workers=workers)
+        bound = oracle if pairs is None else _bind_pairs(oracle, pairs, t, config.pairs_per_batch)
+        state = step_practical(state, bound, config, rng, objective=objective)
         traj.records.append(state.record)
     traj.final_theta = state.theta
     traj.final_f, traj.final_grad_norm = _diagnostics(objective, state.theta)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,13 +140,11 @@ def measure_bits(
     radius: float,
     m: int,
     rng: RngState,
-    workers: int = 1,
 ) -> BitMeasurementBatch:
     """Collect m one-bit measurements around ``theta``.
 
     Direction i comes from the substream ``(seed, block, i)``, so the batch is
-    identical no matter how the oracle queries are scheduled; ``workers > 1``
-    fans the queries out to a thread pool and collects results by index.
+    identical no matter how the oracle queries are scheduled.
     """
     if m < 1:
         raise InvalidBatchError(f"m must be >= 1, got {m}")
@@ -163,11 +160,7 @@ def measure_bits(
         perturbed = embed_perturbation(theta, UnitVector(directions[i]), radius)
         return int(oracle(theta, perturbed))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            signs = np.fromiter(pool.map(query, range(m)), dtype=np.int8, count=m)
-    else:
-        signs = np.fromiter((query(i) for i in range(m)), dtype=np.int8, count=m)
+    signs = np.fromiter((query(i) for i in range(m)), dtype=np.int8, count=m)
     return BitMeasurementBatch(
         directions=directions, signs=signs, radius=radius, iteration=block, oracle_calls=m
     )

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ParamVector, RngState
+from .core import ParamVector
 from .errors import InvalidBatchError, VocabularyError
 from .optimizer import PracticalConfig, Trajectory, run_practical
 from .oracles import compare_preference
@@ -430,12 +430,6 @@ class PipelineConfig:
     delta: float = 3.0
     dpo: DpoConfig = field(default_factory=DpoConfig)
     refine_epochs: int = 1
-    vocab_size: int = 8
-    feature_dim: int = 16
-    max_context: int = 16
-    feature_seed: int = 7
-    ref_weight_seed: int = 11
-    ref_weight_scale: float = 1.0
 
 
 @dataclass
@@ -451,7 +445,7 @@ class PipelineResult:
 def run_pipeline(
     dataset: Sequence[PreferencePair],
     config: PipelineConfig,
-    ref_policy: ToyPolicy | None = None,
+    ref_policy: ToyPolicy,
 ) -> PipelineResult:
     """Split by margin, train the baseline on clean pairs, refine on noisy ones.
 
@@ -459,15 +453,6 @@ def run_pipeline(
     equal to the reference; no noisy pairs ends the pipeline after stage two
     with a warning record.
     """
-    if ref_policy is None:
-        ref_policy = make_toy_policy(
-            vocab_size=config.vocab_size,
-            feature_dim=config.feature_dim,
-            max_context=config.max_context,
-            feature_seed=config.feature_seed,
-            weight_seed=config.ref_weight_seed,
-            weight_scale=config.ref_weight_scale,
-        )
     warnings: list[str] = []
     split = split_by_margin(ref_policy, dataset, config.delta)
 
@@ -492,19 +477,9 @@ def run_pipeline(
     practical = dataclasses.replace(
         config.practical, iterations=max(1, config.refine_epochs * per_pass)
     )
-    mask = (
-        np.asarray(practical.scope_mask, dtype=np.intp)
-        if practical.scope_mask is not None
-        else None
-    )
-    theta0 = ParamVector(dpo_clean.flat_params, mask)
     oracle = partial(compare_preference, dpo_clean.log_likelihood_at)
     trajectory = run_practical(
-        oracle,
-        theta0,
-        practical,
-        data_stream=list(split.noisy),
-        rng=RngState(practical.seed),
+        oracle, ParamVector(dpo_clean.flat_params), practical, data_stream=list(split.noisy)
     )
     final_policy = dpo_clean.with_flat_params(trajectory.final_theta.values)
     return PipelineResult(

@@ -135,21 +135,20 @@ def _threshold_for_ratio(mags: np.ndarray, s: float) -> float:
         l2_sq = prefix_sq[j - 1] - 2.0 * prefix_sum[j - 1] * tau + j * tau * tau
         return l1 * l1 / l2_sq
 
-    lo = hi = None
-    j_active = 0
     for j in range(1, k + 1):
-        t_lo = float(a[j]) if j < k else 0.0
-        t_hi = float(a[j - 1])
-        if t_lo >= t_hi:  # tied magnitudes produce an empty interval
-            continue
-        if ratio_sq(t_lo, j) >= s >= ratio_sq(t_hi, j):
-            lo, hi, j_active = t_lo, t_hi, j
+        lo = float(a[j]) if j < k else 0.0
+        hi = float(a[j - 1])
+        # Tied magnitudes give empty intervals. The ratio falls as tau rises,
+        # so the first nonempty interval starting at or above s holds the
+        # crossing. Its end is not tested: rounding at a breakpoint can leave
+        # the previous interval's end a hair above s. If rounding puts even
+        # tau = 0 below s, the scan ends on the last interval and the
+        # bisection returns a tau near 0.
+        if lo < hi and ratio_sq(lo, j) >= s:
             break
-    if lo is None:  # unreachable given the branch guards in the caller
-        raise DegenerateMeasurementError("no threshold interval found")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if ratio_sq(mid, j_active) > s:
+        if ratio_sq(mid, j) > s:
             lo = mid
         else:
             hi = mid

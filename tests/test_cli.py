@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import duelopt
 from duelopt import ParamVector, RngState, Trajectory
 from duelopt.cli import (
     build_config,
@@ -19,7 +23,8 @@ from duelopt.optimizer import PracticalConfig, run_practical
 from duelopt.oracles import Sign
 
 
-BUNDLED_DATASET = Path(__file__).resolve().parents[1] / "src" / "duelopt" / "data" / "toy_pairs.jsonl"
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_DATASET = ROOT / "src" / "duelopt" / "data" / "toy_pairs.jsonl"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -255,11 +260,57 @@ def test_config_rejects_non_object(tmp_path):
 
 
 def test_console_script_help():
-    import subprocess
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf8"))
+    assert pyproject["project"]["scripts"] == {"duelopt": "duelopt.cli:main"}
 
+    # run the package the way the tests import it, with no install step
+    src = str(Path(duelopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        ["duelopt", "--help"], capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "duelopt", "--help"],
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert out.returncode == 0
     for sub in ("run", "bench", "split"):
         assert sub in out.stdout
+
+
+# ----- error boundary ------------------------------------------------------
+
+
+def one_line_error(capsys, argv) -> str:
+    code = main(argv)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def test_cli_scope_mask_out_of_range_is_an_error(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "mode": "pipeline", "dataset": str(BUNDLED_DATASET), "scope_mask": [5000],
+        "dpo_epochs": 1, "m": 8, "out_dir": str(tmp_path / "out"),
+    })
+    assert "scope mask" in one_line_error(capsys, ["run", "--config", str(path)])
+
+
+def test_cli_malformed_config_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"mode": "basic",')
+    one_line_error(capsys, ["run", "--config", str(path)])
+
+
+def test_cli_missing_config_is_an_error(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert str(path) in one_line_error(capsys, ["run", "--config", str(path)])
+
+
+def test_cli_dataset_token_outside_vocabulary_is_an_error(tmp_path, capsys):
+    dataset = tmp_path / "pairs.jsonl"
+    dataset.write_text('{"prompt":[1,2],"preferred":[99],"dispreferred":[3]}\n')
+    path = write_config(tmp_path, {
+        "mode": "pipeline", "dataset": str(dataset), "vocab_size": 8,
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert "outside vocabulary" in one_line_error(capsys, ["run", "--config", str(path)])

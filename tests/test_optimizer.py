@@ -23,7 +23,7 @@ from duelopt.errors import InvalidScheduleError
 
 
 def scripted_oracle(signs):
-    """Oracle returning a fixed sign sequence in query order (serial workers)."""
+    """Oracle returning a fixed sign sequence in query order."""
     signs = list(signs)
     calls = {"i": 0}
 
@@ -230,17 +230,6 @@ def test_run_practical_mask_stays_constant_across_run():
     outside = np.setdiff1d(np.arange(10), np.array(mask))
     assert traj.final_theta.values[outside].tobytes() == theta0.values[outside].tobytes()
     assert traj.total_oracle_calls == 8 * 8
-
-
-def test_run_practical_accepts_objective_as_stream():
-    obj = make_sparse_quadratic(6, 3, seed=7)
-    theta0 = ParamVector(np.ones(6))
-    config = practical_config(iterations=3, m=8, skip_threshold=0.0, radius=0.05)
-    traj = run_practical(
-        obj.comparison_oracle(), theta0, config, data_stream=obj, rng=RngState(2)
-    )
-    assert all(rec.f_value is not None for rec in traj.records)
-    assert traj.final_grad_norm is not None
 
 
 def test_run_practical_round_robin_binding():

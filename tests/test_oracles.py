@@ -152,16 +152,6 @@ def test_measure_bits_constant_objective_all_plus():
     assert batch.negative_fraction() == 0.0
 
 
-def test_measure_bits_deterministic_across_worker_counts():
-    obj = make_sparse_quadratic(12, 3, seed=5)
-    theta = ParamVector(np.ones(12))
-    serial = measure_bits(obj.comparison_oracle(), theta, 0.01, 40, RngState(42), workers=1)
-    threaded = measure_bits(obj.comparison_oracle(), theta, 0.01, 40, RngState(42), workers=4)
-    assert serial.directions.tobytes() == threaded.directions.tobytes()
-    assert np.array_equal(serial.signs, threaded.signs)
-    assert serial.iteration == threaded.iteration
-
-
 def test_measure_bits_sign_agreement_bound():
     # smooth sparse objective at unit gradient norm, radius on the smoothness
     # schedule: measured signs agree with the linearization well above 0.69

@@ -247,8 +247,7 @@ def pipeline_config(**kw):
         gamma=1.0, radius=0.01, m=kw.pop("m", 150), lambda_g=0.01,
         skip_threshold=0.05, iterations=1, seed=kw.pop("seed", 0),
     )
-    defaults = dict(practical=practical, delta=3.0, dpo=DpoConfig(epochs=25), vocab_size=8,
-                    feature_dim=16)
+    defaults = dict(practical=practical, delta=3.0, dpo=DpoConfig(epochs=25))
     defaults.update(kw)
     return PipelineConfig(**defaults)
 

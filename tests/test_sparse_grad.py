@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelopt import (
     BitMeasurementBatch,
@@ -8,6 +10,7 @@ from duelopt import (
     solve_1bge_exact,
 )
 from duelopt.errors import DegenerateMeasurementError
+from duelopt.sparse_grad import _threshold_for_ratio
 
 from reference_solvers import dual_upper_bound, maximize_linear_brute_batch
 
@@ -116,6 +119,50 @@ def test_exact_feasible_on_random_inputs():
             continue
         assert est.l1_norm <= np.sqrt(s) + 1e-9
         assert est.l2_norm <= 1.0 + 1e-9
+
+
+@st.composite
+def exact_solver_cases(draw):
+    """A measurement batch and a sparsity level s <= k."""
+    k = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        # signed standard-basis rows: the signed sum is integer-valued, so
+        # tied magnitudes and breakpoint crossings are common
+        directions = np.eye(k)[draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))]
+    else:
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        directions = gen.standard_normal((m, k))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m))
+    return batch_from(directions, signs), draw(st.integers(1, k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exact_solver_cases())
+def test_exact_feasible_and_dual_certified_property(case):
+    batch, s = case
+    c = batch.signed_direction_sum()
+    try:
+        est = solve_1bge_exact(batch, s)
+    except DegenerateMeasurementError:
+        assert not c.any()
+        return
+    assert est.l1_norm <= np.sqrt(s) + 1e-9
+    assert est.l2_norm <= 1.0 + 1e-9
+    value = float(np.dot(c, est.direction))
+    assert abs(dual_upper_bound(c, s, grid=1000) - value) <= 1e-6
+
+
+def test_threshold_scan_finds_a_crossing_on_a_breakpoint():
+    # at tau = 0.1 the squared l1/l2 ratio is exactly 2, and rounding put s
+    # between the end values of two adjacent breakpoint intervals
+    mags = np.abs([0.1, 1.3, -0.4, 0.4])
+    tau = _threshold_for_ratio(mags, 2.0)
+    shrunk = np.maximum(mags - tau, 0.0)
+    direction = shrunk / np.linalg.norm(shrunk)
+    assert tau == pytest.approx(0.1, abs=1e-12)
+    assert abs(direction.sum() - np.sqrt(2.0)) <= 1e-12
 
 
 def test_exact_recovers_planted_direction_small():
