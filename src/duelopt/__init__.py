@@ -10,9 +10,7 @@ comparison-driven refinement on the noisy pairs).
 from .core import (
     ParamVector,
     RngState,
-    UnitVector,
     embed_perturbation,
-    sample_unit_sphere,
     sample_unit_sphere_batch,
 )
 from .oracles import (
@@ -73,8 +71,7 @@ from .bench import (
 from . import errors
 
 __all__ = [
-    "ParamVector", "RngState", "UnitVector", "embed_perturbation",
-    "sample_unit_sphere", "sample_unit_sphere_batch",
+    "ParamVector", "RngState", "embed_perturbation", "sample_unit_sphere_batch",
     "BitMeasurementBatch", "Sign", "compare_function", "compare_preference",
     "measure_bits",
     "GradientEstimate", "clip_small_entries", "estimate_normalized_clip",

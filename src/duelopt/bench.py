@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ParamVector, RngState, sample_unit_sphere_batch
+from .core import ParamVector, RngState, _sphere_rows, sample_unit_sphere_batch
 from .errors import DegenerateMeasurementError, InvalidTestError
 from .optimizer import run_basic, schedule_from_theorem
 from .oracles import BitMeasurementBatch, compare_function
@@ -254,8 +254,7 @@ def check_estimator_error(
         while np.linalg.norm(v) == 0.0:  # retry a degenerate draw
             v = gen.standard_normal(s)
         planted[np.sort(gen.choice(d, size=s, replace=False))] = v / np.linalg.norm(v)
-        Z = gen.standard_normal((m, d))
-        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        Z = _sphere_rows(gen, m, d)
         signs = np.where(Z @ planted < 0.0, -1, 1)
         flips = np.where(gen.random(m) < flip_prob, -1, 1)
         batch = BitMeasurementBatch(

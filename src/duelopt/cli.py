@@ -264,6 +264,18 @@ def _validate_config(config: RunConfig) -> None:
         raise RangeError("flip_prob", config.flip_prob, "[0, 0.5)")
     at_least("trials", 1)
     at_least("n_samples", 1)
+    at_least("vocab_size", 2)
+    at_least("feature_dim", 1)
+    at_least("max_context", 1)
+    at_least("refine_epochs", 1)
+    at_least("dpo_epochs", 0)
+    if config.scope_mask is not None:
+        # ParamVector's own checks, at the dimension of the vector the mode optimizes
+        uses_policy = config.mode == "pipeline" or (
+            config.mode == "practical" and config.dataset is not None
+        )
+        dim = config.vocab_size * config.feature_dim if uses_policy else config.d
+        ParamVector(np.zeros(dim), config.scope_mask)
     if not config.dims:
         raise RangeError("dims", config.dims, "nonempty list")
     if not config.bench_seeds:
@@ -295,12 +307,7 @@ def results_json_dict(result) -> dict:
     """Canonical JSON form of a trajectory or bench report."""
     if isinstance(result, Trajectory):
         return {
-            "records": [
-                _to_jsonable(
-                    {k: v for k, v in dataclasses.asdict(rec).items() if k != "theta_snapshot"}
-                )
-                for rec in result.records
-            ],
+            "records": [_to_jsonable(dataclasses.asdict(rec)) for rec in result.records],
             "final_f": result.final_f,
             "final_grad_norm": result.final_grad_norm,
             "total_oracle_calls": result.total_oracle_calls,
@@ -620,10 +627,11 @@ def main(argv: list[str] | None = None) -> int:
     p_split.add_argument("--dataset", required=True)
     p_split.add_argument("--delta", type=float, required=True)
     p_split.add_argument("--out", default=None)
-    p_split.add_argument("--vocab-size", type=int, default=8)
-    p_split.add_argument("--feature-dim", type=int, default=16)
-    p_split.add_argument("--feature-seed", type=int, default=7)
-    p_split.add_argument("--ref-weight-seed", type=int, default=11)
+    # unset policy flags keep the run config's defaults
+    p_split.add_argument("--vocab-size", type=int, default=None)
+    p_split.add_argument("--feature-dim", type=int, default=None)
+    p_split.add_argument("--feature-seed", type=int, default=None)
+    p_split.add_argument("--ref-weight-seed", type=int, default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -667,14 +675,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    overrides = {"delta": args.delta}
+    for name in ("vocab_size", "feature_dim", "feature_seed", "ref_weight_seed"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    config = build_config({"mode": "pipeline"}, overrides=overrides)
     pairs = policy_mod.load_preference_dataset(args.dataset)
-    ref_policy = policy_mod.make_toy_policy(
-        vocab_size=args.vocab_size,
-        feature_dim=args.feature_dim,
-        feature_seed=args.feature_seed,
-        weight_seed=args.ref_weight_seed,
-    )
-    split = policy_mod.split_by_margin(ref_policy, pairs, args.delta)
+    split = policy_mod.split_by_margin(_make_policy(config), pairs, config.delta)
     out_dir = Path(args.out or os.environ.get("DUELOPT_OUT", "duelopt_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = export_results(split, out_dir / "split_report.csv", "csv")

@@ -4,6 +4,9 @@ Randomness is counter-based: every consumer derives an independent Philox
 substream from ``(seed, block, index)``, so the i-th perturbation of block t
 is reproducible regardless of the order (or concurrency) in which substreams
 are actually drawn.
+
+Perturbation directions are plain float64 rows from ``_sphere_rows``;
+``oracles.BitMeasurementBatch`` is the one place that checks they are unit.
 """
 
 from __future__ import annotations
@@ -46,28 +49,6 @@ class RngState:
         block = self.counter
         self.counter += 1
         return block
-
-
-@dataclass(frozen=True)
-class UnitVector:
-    """A vector on the Euclidean unit sphere (norm within 1e-12 of 1)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise DimensionError("unit vector must be a nonempty 1-D array")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"norm {norm!r} is not within 1e-12 of 1")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -138,24 +119,8 @@ class ParamVector:
         return hashlib.sha256(np.ascontiguousarray(self.values).tobytes()).hexdigest()
 
 
-def sample_unit_sphere(dim: int, rng: RngState) -> UnitVector:
-    """Draw one point uniformly from the unit sphere in ``dim`` dimensions.
-
-    Generates ``dim`` standard normals from the next counter block and
-    normalizes; rotational invariance of the Gaussian makes the result
-    uniform on the sphere. Advances ``rng`` by one block.
-    """
-    if dim < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dim}")
-    gen = rng.substream(rng.next_block())
-    return UnitVector(_sphere_rows(gen, 1, dim)[0])
-
-
 def sample_unit_sphere_batch(dim: int, count: int, rng: RngState) -> np.ndarray:
-    """Draw ``count`` sphere points as a (count, dim) matrix from one block.
-
-    Bulk variant for Monte-Carlo checks; consumes a single counter block.
-    """
+    """Draw ``count`` uniform sphere points as a (count, dim) matrix from one block."""
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
     if count < 1:
@@ -165,6 +130,7 @@ def sample_unit_sphere_batch(dim: int, count: int, rng: RngState) -> np.ndarray:
 
 
 def _sphere_rows(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    # normalized Gaussian rows are uniform on the sphere by rotational invariance
     rows = gen.standard_normal((count, dim))
     norms = np.linalg.norm(rows, axis=1)
     # a zero draw has probability zero but would poison the normalization
@@ -175,20 +141,21 @@ def _sphere_rows(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def embed_perturbation(theta: ParamVector, z: UnitVector, radius: float) -> ParamVector:
+def embed_perturbation(theta: ParamVector, z: np.ndarray, radius: float) -> ParamVector:
     """Add ``radius * z`` to the in-scope coordinates of ``theta``.
 
-    Coordinates outside the scope mask are returned bit-identical.
+    ``z`` is a 1-D array of length ``theta.scope_dim``. Coordinates outside
+    the scope mask are returned bit-identical.
     """
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    if z.dim != theta.scope_dim:
+    if z.shape != (theta.scope_dim,):
         raise DimensionError(
-            f"perturbation dim {z.dim} does not match scope dim {theta.scope_dim}"
+            f"perturbation shape {z.shape} does not match scope dim {theta.scope_dim}"
         )
     out = theta.values.copy()
     if theta.scope_mask is None:
-        out += radius * z.values
+        out += radius * z
     else:
-        out[theta.scope_mask] += radius * z.values
+        out[theta.scope_mask] += radius * z
     return ParamVector(out, theta.scope_mask)

@@ -99,7 +99,6 @@ class PracticalConfig:
     scope_mask: tuple[int, ...] | None = None
     seed: int = 0
     pairs_per_batch: int = 1
-    store_snapshots: bool = False
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -136,7 +135,6 @@ class IterationRecord:
     skipped: bool
     degenerate: bool
     theta_hash: str
-    theta_snapshot: np.ndarray | None = None
     f_value: float | None = None
     grad_norm: float | None = None
 
@@ -221,7 +219,6 @@ def _step(
     stepsize: Callable[[float], float],
     skip_threshold: float,
     diagnostics: tuple[float | None, float | None],
-    store_snapshots: bool,
 ) -> tuple[ParamVector, IterationRecord]:
     """One measure -> estimate -> step iteration shared by both schemes.
 
@@ -256,7 +253,6 @@ def _step(
         skipped=skipped,
         degenerate=degenerate,
         theta_hash=theta.content_hash(),
-        theta_snapshot=theta.values.copy() if store_snapshots else None,
         f_value=f_val,
         grad_norm=grad_norm,
     )
@@ -270,7 +266,6 @@ def run_basic(
     rng: RngState,
     objective=None,
     stop_grad_norm: float | None = None,
-    store_snapshots: bool = False,
 ) -> Trajectory:
     """Fixed-stepsize descent driven by the exact direction solver.
 
@@ -292,7 +287,6 @@ def run_basic(
             stepsize=lambda rho: schedule.eta,
             skip_threshold=-math.inf,  # the basic scheme uses every batch
             diagnostics=diagnostics,
-            store_snapshots=store_snapshots,
         )
         traj.records.append(record)
     traj.final_theta = theta
@@ -322,7 +316,6 @@ def step_practical(
         stepsize=lambda rho: config.gamma * rho,
         skip_threshold=config.skip_threshold,
         diagnostics=_diagnostics(objective, state.theta),
-        store_snapshots=config.store_snapshots,
     )
     return PracticalState(theta=theta, iteration=iteration, record=record)
 

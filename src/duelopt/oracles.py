@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamVector, RngState, UnitVector, embed_perturbation, _sphere_rows
+from .core import ParamVector, RngState, _sphere_rows, embed_perturbation
 from .errors import DimensionError, InvalidBatchError, OracleError
 
 
@@ -39,7 +39,8 @@ class BitMeasurementBatch:
 
     ``directions`` is an (m, k) matrix of unit rows; ``signs`` the matching
     +/-1 responses. ``iteration`` records which counter block produced the
-    directions, and ``oracle_calls`` equals m.
+    directions, and ``oracle_calls`` equals m. Construction is the one place
+    that checks the rows are unit (within 1e-9), the signs and the shapes.
     """
 
     directions: np.ndarray
@@ -73,9 +74,6 @@ class BitMeasurementBatch:
     @property
     def m(self) -> int:
         return self.directions.shape[0]
-
-    def direction(self, i: int) -> UnitVector:
-        return UnitVector(self.directions[i])
 
     def negative_fraction(self) -> float:
         """Fraction of queries where the perturbed point was strictly better."""
@@ -143,8 +141,9 @@ def measure_bits(
 ) -> BitMeasurementBatch:
     """Collect m one-bit measurements around ``theta``.
 
-    Direction i comes from the substream ``(seed, block, i)``, so the batch is
-    identical no matter how the oracle queries are scheduled.
+    Direction i is a unit row drawn from the substream ``(seed, block, i)``, so
+    the batch is identical no matter how the oracle queries are scheduled;
+    ``signs[i]`` is the oracle's answer at ``embed_perturbation(theta, row i, radius)``.
     """
     if m < 1:
         raise InvalidBatchError(f"m must be >= 1, got {m}")
@@ -153,14 +152,10 @@ def measure_bits(
     block = rng.next_block()
     k = theta.scope_dim
     directions = np.empty((m, k), dtype=np.float64)
+    signs = np.empty(m, dtype=np.int8)
     for i in range(m):
-        directions[i] = _sphere_rows(rng.substream(block, i), 1, k)[0]
-
-    def query(i: int) -> int:
-        perturbed = embed_perturbation(theta, UnitVector(directions[i]), radius)
-        return int(oracle(theta, perturbed))
-
-    signs = np.fromiter((query(i) for i in range(m)), dtype=np.int8, count=m)
+        z = directions[i] = _sphere_rows(rng.substream(block, i), 1, k)[0]
+        signs[i] = oracle(theta, embed_perturbation(theta, z, radius))
     return BitMeasurementBatch(
         directions=directions, signs=signs, radius=radius, iteration=block, oracle_calls=m
     )

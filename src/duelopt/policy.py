@@ -71,6 +71,8 @@ class ToyPolicy:
             raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
         if feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
+        if max_context < 1:
+            raise ValueError(f"max_context must be >= 1, got {max_context}")
         self.vocab_size = int(vocab_size)
         self.feature_dim = int(feature_dim)
         self.max_context = int(max_context)
@@ -474,9 +476,7 @@ def run_pipeline(
         )
 
     per_pass = math.ceil(len(split.noisy) / config.practical.pairs_per_batch)
-    practical = dataclasses.replace(
-        config.practical, iterations=max(1, config.refine_epochs * per_pass)
-    )
+    practical = dataclasses.replace(config.practical, iterations=config.refine_epochs * per_pass)
     oracle = partial(compare_preference, dpo_clean.log_likelihood_at)
     trajectory = run_practical(
         oracle, ParamVector(dpo_clean.flat_params), practical, data_stream=list(split.noisy)
@@ -523,16 +523,16 @@ def save_preference_dataset(pairs: Sequence[PreferencePair], path: str | Path) -
             handle.write(_pair_json(pair) + "\n")
 
 
+# inclusive length ranges of synthesized prompts, responses, and the extra
+# length of a clean pair's dispreferred response
+PROMPT_LEN = (2, 4)
+RESPONSE_LEN = (2, 5)
+CLEAN_LEN_GAP = (3, 6)
+MAX_ATTEMPTS_PER_PAIR = 500
+
+
 def generate_preference_data(
-    ref_policy: ToyPolicy,
-    n_clean: int,
-    n_noisy: int,
-    delta: float,
-    gen: np.random.Generator,
-    prompt_len: tuple[int, int] = (2, 4),
-    response_len: tuple[int, int] = (2, 5),
-    clean_len_gap: tuple[int, int] = (3, 6),
-    max_attempts_per_pair: int = 500,
+    ref_policy: ToyPolicy, n_clean: int, n_noisy: int, delta: float, gen: np.random.Generator
 ) -> list[PreferencePair]:
     """Synthesize pairs with controllable clean/noisy proportions.
 
@@ -553,13 +553,13 @@ def generate_preference_data(
     out: list[PreferencePair] = []
     for want_noisy, quota in ((True, n_noisy), (False, n_clean)):
         for _ in range(quota):
-            for attempt in range(max_attempts_per_pair):
-                prompt = rand_seq(int(gen.integers(prompt_len[0], prompt_len[1] + 1)))
-                base_len = int(gen.integers(response_len[0], response_len[1] + 1))
+            for attempt in range(MAX_ATTEMPTS_PER_PAIR):
+                prompt = rand_seq(int(gen.integers(PROMPT_LEN[0], PROMPT_LEN[1] + 1)))
+                base_len = int(gen.integers(RESPONSE_LEN[0], RESPONSE_LEN[1] + 1))
                 if want_noisy:
                     other_len = base_len
                 else:
-                    gap = int(gen.integers(clean_len_gap[0], clean_len_gap[1] + 1))
+                    gap = int(gen.integers(CLEAN_LEN_GAP[0], CLEAN_LEN_GAP[1] + 1))
                     other_len = base_len + gap
                 preferred = rand_seq(base_len)
                 dispreferred = rand_seq(other_len)
@@ -573,7 +573,7 @@ def generate_preference_data(
                 kind = "noisy" if want_noisy else "clean"
                 raise RuntimeError(
                     f"could not synthesize a {kind} pair within "
-                    f"{max_attempts_per_pair} attempts (delta={delta})"
+                    f"{MAX_ATTEMPTS_PER_PAIR} attempts (delta={delta})"
                 )
     order = gen.permutation(len(out))
     return [out[i] for i in order]

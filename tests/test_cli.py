@@ -18,7 +18,7 @@ from duelopt.cli import (
     results_json_dict,
     run_experiment,
 )
-from duelopt.errors import ConfigError, MissingFieldError, RangeError
+from duelopt.errors import ConfigError, DimensionError, MissingFieldError, RangeError
 from duelopt.optimizer import PracticalConfig, run_practical
 from duelopt.oracles import Sign
 
@@ -293,6 +293,48 @@ def test_cli_scope_mask_out_of_range_is_an_error(tmp_path, capsys):
         "dpo_epochs": 1, "m": 8, "out_dir": str(tmp_path / "out"),
     })
     assert "scope mask" in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()  # rejected when read, before any stage ran
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vocab_size", 1), ("feature_dim", 0), ("max_context", 0), ("max_context", -2),
+    ("refine_epochs", 0), ("dpo_epochs", -1),
+])
+def test_cli_policy_field_out_of_range_is_an_error(tmp_path, capsys, field, value):
+    path = write_config(tmp_path, {
+        "mode": "pipeline", "dataset": str(BUNDLED_DATASET), field: value,
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert repr(field) in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"mode": "practical", "d": 10, "scope_mask": [10]},
+    {"mode": "practical", "d": 10, "scope_mask": [3, 3]},
+    {"mode": "practical", "d": 10, "scope_mask": []},
+    {"mode": "practical", "dataset": "pairs.jsonl", "scope_mask": [128]},
+    {"mode": "pipeline", "d": 1000, "scope_mask": [128]},
+])
+def test_scope_mask_checked_against_the_mode_dimension(payload):
+    with pytest.raises(DimensionError, match="scope mask"):
+        build_config(payload)
+
+
+def test_scope_mask_within_the_mode_dimension_is_accepted():
+    # the policy has vocab_size * feature_dim = 8 * 16 = 128 weights
+    assert build_config({"mode": "pipeline", "d": 10, "scope_mask": [127]}).scope_mask == (127,)
+    assert build_config({"mode": "practical", "d": 200, "scope_mask": [199]}).scope_mask == (199,)
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--delta", "-1"], "delta"),
+    (["--delta", "3.0", "--vocab-size", "1"], "vocab_size"),
+])
+def test_cli_split_bad_input_is_an_error(tmp_path, capsys, flags, field):
+    argv = ["split", "--dataset", str(BUNDLED_DATASET), "--out", str(tmp_path / "out")] + flags
+    assert repr(field) in one_line_error(capsys, argv)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_malformed_config_is_an_error(tmp_path, capsys):

@@ -4,9 +4,7 @@ import pytest
 from duelopt import (
     ParamVector,
     RngState,
-    UnitVector,
     embed_perturbation,
-    sample_unit_sphere,
     sample_unit_sphere_batch,
 )
 from duelopt.errors import DimensionError
@@ -14,7 +12,7 @@ from duelopt.errors import DimensionError
 
 def test_sphere_dim1_is_plus_or_minus_one():
     rng = RngState(7)
-    seen = {float(sample_unit_sphere(1, rng).values[0]) for _ in range(64)}
+    seen = {float(sample_unit_sphere_batch(1, 1, rng)[0, 0]) for _ in range(64)}
     assert seen <= {1.0, -1.0}
     assert len(seen) == 2
 
@@ -22,8 +20,8 @@ def test_sphere_dim1_is_plus_or_minus_one():
 def test_sphere_norm_holds_for_consecutive_draws():
     rng = RngState(123)
     for _ in range(10_000):
-        v = sample_unit_sphere(6, rng)
-        assert abs(np.linalg.norm(v.values) - 1.0) <= 1e-12
+        v = sample_unit_sphere_batch(6, 1, rng)[0]
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
 def test_sphere_rotational_symmetry_monte_carlo():
@@ -38,15 +36,15 @@ def test_sphere_rotational_symmetry_monte_carlo():
 
 def test_sphere_rejects_zero_dim():
     with pytest.raises(DimensionError):
-        sample_unit_sphere(0, RngState(0))
+        sample_unit_sphere_batch(0, 1, RngState(0))
 
 
 def test_fixed_seed_gives_identical_sample_trajectory():
     a = RngState(99)
     b = RngState(99)
     for _ in range(20):
-        va = sample_unit_sphere(8, a).values
-        vb = sample_unit_sphere(8, b).values
+        va = sample_unit_sphere_batch(8, 1, a)[0]
+        vb = sample_unit_sphere_batch(8, 1, b)[0]
         assert va.tobytes() == vb.tobytes()
 
 
@@ -61,26 +59,28 @@ def test_substreams_are_order_independent():
 
 def test_embed_with_mask_matches_example():
     theta = ParamVector(np.array([1.0, 2.0, 3.0]), scope_mask=np.array([2]))
-    out = embed_perturbation(theta, UnitVector(np.array([1.0])), 0.5)
+    out = embed_perturbation(theta, np.array([1.0]), 0.5)
     assert np.array_equal(out.values, [1.0, 2.0, 3.5])
 
 
 def test_embed_without_mask_matches_example():
     theta = ParamVector(np.array([1.0, 2.0]))
-    out = embed_perturbation(theta, UnitVector(np.array([0.0, 1.0])), 0.1)
+    out = embed_perturbation(theta, np.array([0.0, 1.0]), 0.1)
     assert np.allclose(out.values, [1.0, 2.1])
 
 
 def test_embed_rejects_zero_radius():
     theta = ParamVector(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        embed_perturbation(theta, UnitVector(np.array([0.0, 1.0])), 0.0)
+        embed_perturbation(theta, np.array([0.0, 1.0]), 0.0)
 
 
 def test_embed_rejects_dim_mismatch():
     theta = ParamVector(np.array([1.0, 2.0, 3.0]), scope_mask=np.array([0, 1]))
     with pytest.raises(DimensionError):
-        embed_perturbation(theta, UnitVector(np.array([1.0])), 0.5)
+        embed_perturbation(theta, np.array([1.0]), 0.5)
+    with pytest.raises(DimensionError):
+        embed_perturbation(theta, np.array([[1.0, 0.0]]), 0.5)  # a (1, k) batch, not a row
 
 
 def test_embed_never_touches_out_of_scope_bits():
@@ -91,7 +91,7 @@ def test_embed_never_touches_out_of_scope_bits():
         k = int(gen.integers(1, d))
         mask = np.sort(gen.choice(d, size=k, replace=False))
         theta = ParamVector(gen.standard_normal(d), scope_mask=mask)
-        z = sample_unit_sphere(k, rng)
+        z = sample_unit_sphere_batch(k, 1, rng)[0]
         out = embed_perturbation(theta, z, float(gen.uniform(0.01, 2.0)))
         outside = np.setdiff1d(np.arange(d), mask)
         assert out.values[outside].tobytes() == theta.values[outside].tobytes()
@@ -112,11 +112,6 @@ def test_param_vector_rejects_bad_masks():
         ParamVector(values, scope_mask=np.array([2, 1]))  # unsorted
     with pytest.raises(DimensionError):
         ParamVector(values, scope_mask=np.array([4]))  # out of range
-
-
-def test_unit_vector_rejects_wrong_norm():
-    with pytest.raises(ValueError):
-        UnitVector(np.array([1.0, 1.0]))
 
 
 def test_scope_roundtrip():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelopt import (
+    BitMeasurementBatch,
     ParamVector,
     PreferencePair,
     RngState,
@@ -15,6 +18,7 @@ from duelopt import (
     measure_bits,
     point_with_gradient_norm,
 )
+from duelopt.core import _sphere_rows
 from duelopt.errors import InvalidBatchError, OracleError
 
 
@@ -174,3 +178,60 @@ def test_measure_bits_validates_inputs():
         measure_bits(lambda a, b: Sign.PLUS, pv(0.0), radius=1.0, m=0, rng=RngState(0))
     with pytest.raises(InvalidBatchError):
         measure_bits(lambda a, b: Sign.PLUS, pv(0.0), radius=0.0, m=4, rng=RngState(0))
+
+
+@st.composite
+def measurement_cases(draw):
+    """A start point (masked or not), radius, m and a counter-based RNG state."""
+    d = draw(st.integers(1, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = None
+    if draw(st.booleans()):
+        mask = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
+    theta = ParamVector(gen.standard_normal(d), scope_mask=mask)
+    weights = gen.standard_normal(d)
+    rng = RngState(draw(st.integers(0, 2**64 - 1)), counter=draw(st.integers(0, 5)))
+    radius = draw(st.floats(1e-3, 2.0))
+    return theta, weights, radius, draw(st.integers(1, 20)), rng
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(measurement_cases())
+def test_measure_bits_rows_and_signs_match_their_substreams(case):
+    theta, weights, radius, m, rng = case
+    seed, block = rng.seed, rng.counter
+
+    def objective(values):
+        return float(np.dot(weights, values) + 0.5 * np.dot(values, values))
+
+    def oracle(a, b):
+        return compare_function(objective, a, b)
+
+    batch = measure_bits(oracle, theta, radius, m, rng)
+    assert batch.iteration == block and rng.counter == block + 1
+    assert batch.directions.shape == (m, theta.scope_dim)
+    in_scope = np.arange(theta.dim) if theta.scope_mask is None else theta.scope_mask
+    for i in range(m):
+        row = _sphere_rows(RngState(seed).substream(block, i), 1, theta.scope_dim)[0]
+        assert batch.directions[i].tobytes() == row.tobytes()
+        values = theta.values.copy()
+        values[in_scope] += radius * row
+        assert batch.signs[i] == oracle(theta, ParamVector(values, theta.scope_mask))
+
+
+def test_bit_measurement_batch_rejects_malformed_batches():
+    rows = np.eye(3)
+    signs = np.array([1, -1, 1])
+
+    def batch(directions=rows, signs=signs, radius=0.5):
+        return BitMeasurementBatch(directions, signs, radius, iteration=0, oracle_calls=3)
+
+    batch()
+    with pytest.raises(InvalidBatchError, match="unit"):
+        batch(directions=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-4], [0.0, 0.0, 1.0]]))
+    with pytest.raises(InvalidBatchError, match="signs must be"):
+        batch(signs=np.array([1, 0, -1]))
+    with pytest.raises(InvalidBatchError, match="length"):
+        batch(signs=np.array([1, -1]))
+    with pytest.raises(InvalidBatchError, match="radius"):
+        batch(radius=0.0)

@@ -22,7 +22,7 @@ from duelopt import (
     split_by_margin,
     train_dpo,
 )
-from duelopt.errors import VocabularyError
+from duelopt.errors import InvalidScheduleError, VocabularyError
 
 from reference_solvers import central_difference_gradient, enumerate_sequence_probs
 
@@ -66,6 +66,16 @@ def test_token_distributions_normalize():
         logp = policy.token_log_probs(prompt, prefix)
         assert np.all(logp <= 0.0)
         assert float(np.exp(logp).sum()) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_toy_policy_rejects_degenerate_shapes():
+    with pytest.raises(ValueError, match="vocab_size"):
+        ToyPolicy(vocab_size=1, feature_dim=3)
+    with pytest.raises(ValueError, match="feature_dim"):
+        ToyPolicy(vocab_size=2, feature_dim=0)
+    # a zero context would slice as ctx[-0:], i.e. the whole context
+    with pytest.raises(ValueError, match="max_context"):
+        ToyPolicy(vocab_size=2, feature_dim=3, max_context=0)
 
 
 def test_out_of_vocab_token_raises():
@@ -296,6 +306,14 @@ def test_pipeline_improves_noisy_margin():
 
         wins += int(mean_margin(result.final_policy) > mean_margin(result.dpo_clean_policy))
     assert wins >= 4
+
+
+def test_pipeline_zero_refine_epochs_is_an_error():
+    ref = make_toy_policy(weight_seed=11)
+    gen = np.random.default_rng(12)
+    pairs = generate_preference_data(ref, n_clean=0, n_noisy=2, delta=3.0, gen=gen)
+    with pytest.raises(InvalidScheduleError, match="iterations"):
+        run_pipeline(pairs, pipeline_config(delta=1e6, refine_epochs=0), ref_policy=ref)
 
 
 def test_pipeline_respects_scope_mask():
