@@ -31,7 +31,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import policy as policy_mod
 from .core import ParamVector, RngState
-from .errors import ConfigError, DueloptError, MissingFieldError, RangeError
+from .errors import ConfigError, DueloptError, MissingFieldError, RangeError, VocabularyError
 from .optimizer import PracticalConfig, Trajectory, run_basic, run_practical, schedule_from_theorem
 from .oracles import compare_preference
 
@@ -228,6 +228,11 @@ def build_config(raw: dict, cli_preset: str | None = None, overrides: dict | Non
 def _validate_config(config: RunConfig) -> None:
     if config.mode not in MODES:
         raise RangeError("mode", config.mode, f"one of {MODES}")
+    # json.loads accepts NaN and Infinity, and NaN passes every `x <= bound` test
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise RangeError(f.name, value, "(-inf, inf)")
 
     def positive(name: str) -> None:
         if getattr(config, name) <= 0:
@@ -348,8 +353,14 @@ def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
 
 
 def run_experiment(config: RunConfig) -> RunManifest:
-    """Dispatch one experiment and write its artifacts and manifest."""
+    """Dispatch one experiment and write its artifacts and manifest.
+
+    A dataset is read and checked first, so a bad one leaves no out dir behind.
+    """
     out_dir = Path(config.out_dir or os.environ.get("DUELOPT_OUT", "duelopt_out"))
+    pairs = None
+    if config.dataset is not None and config.mode in ("practical", "pipeline"):
+        pairs = _load_dataset(config.dataset, config.vocab_size)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     runner = {
@@ -360,7 +371,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
         "bench-proposition": _run_bench_proposition,
         "bench-sweep": _run_bench_sweep,
     }[config.mode]
-    artifacts, passed, summary = runner(config, out_dir)
+    artifacts, passed, summary = runner(config, out_dir, pairs)
     manifest = RunManifest(
         mode=config.mode,
         seed=config.seed,
@@ -378,6 +389,18 @@ def run_experiment(config: RunConfig) -> RunManifest:
         if not Path(p).is_file() or Path(p).stat().st_size == 0:
             raise ConfigError(f"artifact {name} missing or empty at {p}")
     return manifest
+
+
+def _load_dataset(path: str | Path, vocab_size: int) -> list[policy_mod.PreferencePair]:
+    """Read a preference dataset and check every token against the vocabulary."""
+    pairs = policy_mod.load_preference_dataset(path)
+    for i, pair in enumerate(pairs, 1):
+        for tok in pair.prompt + pair.preferred + pair.dispreferred:
+            if not 0 <= tok < vocab_size:
+                raise VocabularyError(
+                    f"{path}: pair {i}: token {tok} outside vocabulary of size {vocab_size}"
+                )
+    return pairs
 
 
 def _make_objective(config: RunConfig) -> bench_mod.SyntheticObjective:
@@ -400,7 +423,7 @@ def _make_policy(config: RunConfig) -> policy_mod.ToyPolicy:
     )
 
 
-def _run_basic_mode(config: RunConfig, out_dir: Path):
+def _run_basic_mode(config: RunConfig, out_dir: Path, _pairs: None):
     objective = _make_objective(config)
     theta0, Delta = bench_mod.start_with_gap(objective, config.Delta)
     schedule = schedule_from_theorem(
@@ -438,11 +461,10 @@ def _practical_config(config: RunConfig) -> PracticalConfig:
     )
 
 
-def _run_practical_mode(config: RunConfig, out_dir: Path):
+def _run_practical_mode(config: RunConfig, out_dir: Path, pairs: list | None):
     practical = _practical_config(config)
     artifacts = {}
-    if config.dataset is not None:
-        pairs = policy_mod.load_preference_dataset(config.dataset)
+    if pairs is not None:
         policy = _make_policy(config)
         oracle = partial(compare_preference, policy.log_likelihood_at)
         traj = run_practical(oracle, ParamVector(policy.flat_params), practical, data_stream=pairs)
@@ -471,7 +493,7 @@ def _run_practical_mode(config: RunConfig, out_dir: Path):
     return artifacts, None, summary
 
 
-def _run_pipeline_mode(config: RunConfig, out_dir: Path):
+def _run_pipeline_mode(config: RunConfig, out_dir: Path, dataset: list | None):
     pipeline_config = policy_mod.PipelineConfig(
         practical=_practical_config(config),
         delta=config.delta,
@@ -482,9 +504,7 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path):
     )
     ref_policy = _make_policy(config)
     artifacts = {}
-    if config.dataset is not None:
-        dataset = policy_mod.load_preference_dataset(config.dataset)
-    else:
+    if dataset is None:
         gen = np.random.Generator(np.random.Philox(key=int(config.seed)))
         dataset = policy_mod.generate_preference_data(
             ref_policy, config.n_clean, config.n_noisy, config.delta, gen
@@ -519,7 +539,7 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path):
     return artifacts, None, summary
 
 
-def _run_bench_lemma(config: RunConfig, out_dir: Path):
+def _run_bench_lemma(config: RunConfig, out_dir: Path, _pairs: None):
     objective = bench_mod.make_sparse_quadratic(config.d, config.s, seed=config.objective_seed)
     rng = RngState(config.seed)
     theta = bench_mod.point_with_gradient_norm(objective, 1.0, rng.substream(rng.next_block()))
@@ -541,7 +561,7 @@ def _run_bench_lemma(config: RunConfig, out_dir: Path):
     return artifacts, passed, summary
 
 
-def _run_bench_proposition(config: RunConfig, out_dir: Path):
+def _run_bench_proposition(config: RunConfig, out_dir: Path, _pairs: None):
     m = config.bench_m
     if m is None:
         m = int(math.ceil(40.0 * config.s * math.log(2.0 * config.d / config.s)))
@@ -571,7 +591,7 @@ def _run_bench_proposition(config: RunConfig, out_dir: Path):
     return artifacts, passed, summary
 
 
-def _run_bench_sweep(config: RunConfig, out_dir: Path):
+def _run_bench_sweep(config: RunConfig, out_dir: Path, _pairs: None):
     report = bench_mod.sweep_convergence(
         list(config.dims),
         config.s,
@@ -680,7 +700,7 @@ def _cmd_split(args) -> int:
         if getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
     config = build_config({"mode": "pipeline"}, overrides=overrides)
-    pairs = policy_mod.load_preference_dataset(args.dataset)
+    pairs = _load_dataset(args.dataset, config.vocab_size)
     split = policy_mod.split_by_margin(_make_policy(config), pairs, config.delta)
     out_dir = Path(args.out or os.environ.get("DUELOPT_OUT", "duelopt_out"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -48,6 +48,15 @@ class PreferencePair:
             raise InvalidBatchError("prompt and both responses must be nonempty")
 
 
+# entries ``ToyPolicy.log_likelihood_at`` memoizes before it clears its table
+LOGLIK_MEMO_SIZE = 256
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    peak = logits.max()
+    return logits - (peak + math.log(np.exp(logits - peak).sum()))
+
+
 class ToyPolicy:
     """Linear-softmax policy over fixed random context features.
 
@@ -56,6 +65,16 @@ class ToyPolicy:
     derived by hashing the token sequence together with ``feature_seed``.
     Instances sharing (vocab_size, feature_dim, max_context, feature_seed)
     share the same feature map and differ only in weights.
+
+    Two memos save recomputing likelihoods; neither changes a result bit.
+    ``sequence_log_likelihood`` at the policy's own weights caches its value
+    per (prompt, response): the weights are a read-only copy and
+    ``with_weights`` builds a new instance, so the value can never go stale.
+    ``log_likelihood_at`` caches per (parameter bytes, prompt, response): it
+    is a pure function of its arguments' contents, never of their identity,
+    and its table is cleared whenever it holds ``LOGLIK_MEMO_SIZE`` entries.
+    The per-response context features (tokens checked once) live in a dict
+    that ``with_weights`` shares, like the feature cache itself.
     """
 
     def __init__(
@@ -66,6 +85,7 @@ class ToyPolicy:
         max_context: int = 16,
         feature_seed: int = 7,
         _feature_cache: dict | None = None,
+        _context_cache: dict | None = None,
     ):
         if vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
@@ -85,6 +105,9 @@ class ToyPolicy:
         self.weights = weights.copy()
         self.weights.setflags(write=False)
         self._feature_cache = _feature_cache if _feature_cache is not None else {}
+        self._context_cache = _context_cache if _context_cache is not None else {}
+        self._loglik_memo: dict = {}
+        self._loglik_at_memo: dict = {}
 
     # ----- parameters ---------------------------------------------------
 
@@ -105,6 +128,7 @@ class ToyPolicy:
             max_context=self.max_context,
             feature_seed=self.feature_seed,
             _feature_cache=self._feature_cache,
+            _context_cache=self._context_cache,
         )
 
     def with_flat_params(self, theta: np.ndarray) -> "ToyPolicy":
@@ -143,21 +167,45 @@ class ToyPolicy:
     ) -> np.ndarray:
         """Log-softmax over the vocabulary for the next token."""
         W = self.weights if weights is None else weights
-        logits = W @ self.features(prompt, prefix)
-        peak = logits.max()
-        return logits - (peak + math.log(np.exp(logits - peak).sum()))
+        return _log_softmax(W @ self.features(prompt, prefix))
+
+    def _response_features(
+        self, prompt: Sequence[int], response: Sequence[int]
+    ) -> tuple[tuple[int, np.ndarray], ...]:
+        """``(token, context feature)`` for each response position, tokens checked.
+
+        Depends only on the feature map, so instances built by ``with_weights``
+        share the table.
+        """
+        key = (tuple(prompt), tuple(response))
+        steps = self._context_cache.get(key)
+        if steps is None:
+            for tok in prompt:
+                self._check_token(tok)
+            out = []
+            prefix: tuple[int, ...] = ()
+            for tok in response:
+                self._check_token(tok)
+                out.append((int(tok), self.features(prompt, prefix)))
+                prefix = prefix + (int(tok),)
+            steps = self._context_cache[key] = tuple(out)
+        return steps
 
     def sequence_log_likelihood(
         self, prompt: Sequence[int], response: Sequence[int], weights: np.ndarray | None = None
     ) -> float:
-        for tok in prompt:
-            self._check_token(tok)
+        key = (tuple(prompt), tuple(response))
+        if weights is None and key in self._loglik_memo:
+            return self._loglik_memo[key]
+        W = self.weights if weights is None else weights
         total = 0.0
-        prefix: tuple[int, ...] = ()
-        for tok in response:
-            self._check_token(tok)
-            total += float(self.token_log_probs(prompt, prefix, weights)[tok])
-            prefix = prefix + (int(tok),)
+        for tok, phi in self._response_features(prompt, response):
+            # the one log-softmax entry needed, with token_log_probs' operations
+            logits = W @ phi
+            peak = logits.max()
+            total += float(logits[tok] - (peak + math.log(np.exp(logits - peak).sum())))
+        if weights is None:
+            self._loglik_memo[key] = total
         return total
 
     def log_likelihood_at(
@@ -165,12 +213,20 @@ class ToyPolicy:
     ) -> float:
         """Likelihood evaluator over an arbitrary flat parameter vector.
 
-        This is the adapter handed to the preference comparison oracle.
+        This is the adapter handed to the preference comparison oracle, which
+        asks for the base point's likelihoods once per query; the memo answers
+        all but the first of them.
         """
-        W = np.asarray(theta_values, dtype=np.float64).reshape(
-            self.vocab_size, self.feature_dim
-        )
-        return self.sequence_log_likelihood(prompt, response, weights=W)
+        theta_values = np.asarray(theta_values, dtype=np.float64)
+        key = (theta_values.tobytes(), tuple(prompt), tuple(response))
+        value = self._loglik_at_memo.get(key)
+        if value is None:
+            W = theta_values.reshape(self.vocab_size, self.feature_dim)
+            value = self.sequence_log_likelihood(prompt, response, weights=W)
+            if len(self._loglik_at_memo) >= LOGLIK_MEMO_SIZE:
+                self._loglik_at_memo.clear()
+            self._loglik_at_memo[key] = value
+        return value
 
     def _check_token(self, tok: int) -> None:
         if not (0 <= int(tok) < self.vocab_size):
@@ -221,7 +277,7 @@ def dpo_loss(
     The margin is the reference-adjusted log-likelihood gap between preferred
     and dispreferred responses; equal policies give exactly log 2 per pair.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     if len(batch) == 0:
         raise InvalidBatchError("batch must be nonempty")
@@ -232,37 +288,40 @@ def dpo_loss(
     return total / len(batch)
 
 
-def _loglik_grad(policy: ToyPolicy, prompt, response) -> np.ndarray:
-    """Gradient of the sequence log-likelihood w.r.t. the weight matrix."""
+def _loglik_and_grad(policy: ToyPolicy, prompt, response) -> tuple[float, np.ndarray]:
+    """Sequence log-likelihood and its gradient w.r.t. the weight matrix.
+
+    One log-softmax per token serves both.
+    """
+    total = 0.0
     grad = np.zeros((policy.vocab_size, policy.feature_dim))
-    prefix: tuple[int, ...] = ()
-    for tok in response:
-        phi = policy.features(prompt, prefix)
-        probs = np.exp(policy.token_log_probs(prompt, prefix))
-        coeff = -probs
-        coeff[int(tok)] += 1.0
+    for tok, phi in policy._response_features(prompt, response):
+        logp = _log_softmax(policy.weights @ phi)
+        total += float(logp[tok])
+        coeff = -np.exp(logp)
+        coeff[tok] += 1.0
         grad += np.outer(coeff, phi)
-        prefix = prefix + (int(tok),)
-    return grad
+    return total, grad
 
 
 def dpo_grad(
     policy: ToyPolicy, ref_policy: ToyPolicy, batch: Sequence[PreferencePair], beta: float
 ) -> np.ndarray:
     """Analytic gradient of the margin loss w.r.t. the flattened weights."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     if len(batch) == 0:
         raise InvalidBatchError("batch must be nonempty")
     grad = np.zeros((policy.vocab_size, policy.feature_dim))
     for pair in batch:
-        h = _pair_margin(policy, ref_policy, pair)
+        pos, grad_pos = _loglik_and_grad(policy, pair.prompt, pair.preferred)
+        neg, grad_neg = _loglik_and_grad(policy, pair.prompt, pair.dispreferred)
+        h = (pos - ref_policy.sequence_log_likelihood(pair.prompt, pair.preferred)) - (
+            neg - ref_policy.sequence_log_likelihood(pair.prompt, pair.dispreferred)
+        )
         # d/dh of -log sigmoid(beta h) is -beta * sigmoid(-beta h)
         coeff = -beta / (1.0 + math.exp(beta * h))
-        grad_h = _loglik_grad(policy, pair.prompt, pair.preferred) - _loglik_grad(
-            policy, pair.prompt, pair.dispreferred
-        )
-        grad += coeff * grad_h
+        grad += coeff * (grad_pos - grad_neg)
     return (grad / len(batch)).ravel()
 
 
@@ -329,7 +388,7 @@ def split_by_margin(
     ref_policy: ToyPolicy, dataset: Sequence[PreferencePair], delta: float
 ) -> SplitDataset:
     """Noisy iff ``|log-lik margin under the reference| <= delta`` (boundary noisy)."""
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     clean: list[PreferencePair] = []
     noisy: list[PreferencePair] = []
@@ -495,6 +554,14 @@ def run_pipeline(
 # ----- dataset I/O and synthesis -----------------------------------------
 
 
+def _token_array(rec: dict, name: str) -> tuple[int, ...]:
+    tokens = rec[name]
+    # bool is an int subclass; floats and strings would be truncated or parsed
+    if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):
+        raise TypeError(f"{name!r} must be an array of integers, got {tokens!r}")
+    return tuple(tokens)
+
+
 def load_preference_dataset(path: str | Path) -> list[PreferencePair]:
     """Read line-delimited JSON records with integer token arrays."""
     pairs = []
@@ -507,12 +574,12 @@ def load_preference_dataset(path: str | Path) -> list[PreferencePair]:
                 rec = json.loads(line)
                 pairs.append(
                     PreferencePair(
-                        prompt=tuple(rec["prompt"]),
-                        preferred=tuple(rec["preferred"]),
-                        dispreferred=tuple(rec["dispreferred"]),
+                        prompt=_token_array(rec, "prompt"),
+                        preferred=_token_array(rec, "preferred"),
+                        dispreferred=_token_array(rec, "dispreferred"),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, InvalidBatchError) as exc:
                 raise InvalidBatchError(f"{path}:{line_no}: bad preference record: {exc}")
     return pairs
 

@@ -348,11 +348,74 @@ def test_cli_missing_config_is_an_error(tmp_path, capsys):
     assert str(path) in one_line_error(capsys, ["run", "--config", str(path)])
 
 
-def test_cli_dataset_token_outside_vocabulary_is_an_error(tmp_path, capsys):
+def dataset_argv(tmp_path, command, record):
+    """argv that reads a one-record dataset and would write to ``tmp_path / "out"``."""
+    tmp_path.mkdir(exist_ok=True)
     dataset = tmp_path / "pairs.jsonl"
-    dataset.write_text('{"prompt":[1,2],"preferred":[99],"dispreferred":[3]}\n')
+    dataset.write_text("\n" + record + "\n")
+    out = str(tmp_path / "out")
+    if command == "split":
+        return ["split", "--dataset", str(dataset), "--delta", "3.0", "--out", out]
     path = write_config(tmp_path, {
-        "mode": "pipeline", "dataset": str(dataset), "vocab_size": 8,
-        "out_dir": str(tmp_path / "out"),
+        "mode": command, "dataset": str(dataset), "vocab_size": 8, "m": 8, "T": 1,
+        "out_dir": out,
     })
-    assert "outside vocabulary" in one_line_error(capsys, ["run", "--config", str(path)])
+    return ["run", "--config", str(path)]
+
+
+def test_cli_dataset_token_outside_vocabulary_is_an_error(tmp_path, capsys):
+    record = '{"prompt":[1,2],"preferred":[99],"dispreferred":[3]}'
+    for command in ("pipeline", "practical", "split"):
+        argv = dataset_argv(tmp_path / command, command, record)
+        assert "outside vocabulary" in one_line_error(capsys, argv)
+        # checked when read, before any stage ran
+        assert not (tmp_path / command / "out").exists(), command
+
+
+@pytest.mark.parametrize("token", ["1.7", "true", '"3"'])
+def test_cli_dataset_non_integer_token_is_an_error(tmp_path, capsys, token):
+    record = '{"prompt":[1,2],"preferred":[%s],"dispreferred":[3]}' % token
+    line = one_line_error(capsys, dataset_argv(tmp_path, "pipeline", record))
+    assert "pairs.jsonl:2:" in line and "integers" in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"mode": "practical", "r": NaN}', "r"),
+    ('{"mode": "practical", "gamma": Infinity}', "gamma"),
+])
+def test_cli_non_finite_config_value_is_an_error(tmp_path, capsys, text, field):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert repr(field) in one_line_error(capsys, argv)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_split_nan_delta_is_an_error(tmp_path, capsys):
+    argv = ["split", "--dataset", str(BUNDLED_DATASET), "--delta", "nan",
+            "--out", str(tmp_path / "out")]
+    assert "'delta'" in one_line_error(capsys, argv)
+    assert not (tmp_path / "out").exists()
+
+
+# ----- determinism ---------------------------------------------------------
+
+
+def test_pipeline_artifacts_repeat_byte_for_byte_in_one_process(tmp_path):
+    # policy memos live on instances each run builds afresh; no run may see another's
+    pipeline = {"mode": "pipeline", "n_clean": 6, "n_noisy": 3, "dpo_epochs": 10, "m": 60,
+                "refine_epochs": 2, "seed": 4}
+    unrelated = {"mode": "pipeline", "dataset": str(BUNDLED_DATASET), "dpo_epochs": 3,
+                 "m": 40, "seed": 9}
+
+    def artifacts(raw, name):
+        manifest = run_experiment(build_config(dict(raw, out_dir=str(tmp_path / name))))
+        return {key: Path(p).read_bytes() for key, p in manifest.artifacts.items()}
+
+    first = artifacts(pipeline, "first")
+    second = artifacts(pipeline, "second")
+    artifacts(unrelated, "unrelated")
+    third = artifacts(pipeline, "third")
+    assert {"dataset", "trajectory", "likelihood_report", "final_weights"} <= set(first)
+    assert first == second == third

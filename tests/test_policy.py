@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from duelopt import policy as policy_mod
 from duelopt import (
     DpoConfig,
     PipelineConfig,
@@ -86,6 +89,52 @@ def test_out_of_vocab_token_raises():
         log_likelihood(policy, (9,), (0,))
 
 
+MEMO_PROMPTS = [((0, 1), (2, 3, 1)), ((2,), (0,)), ((3, 3, 0), (1, 2)), ((1,), (3, 0, 0, 2))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["base", "candidate", "masked"]),
+            st.integers(0, 9),
+            st.integers(0, len(MEMO_PROMPTS) - 1),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_log_likelihood_at_memo_matches_a_fresh_policy(seed, calls):
+    gen = np.random.default_rng(seed)
+    policy = make_toy_policy(vocab_size=4, feature_dim=5, weight_seed=seed % 1000)
+    base = policy.flat_params
+    mask = policy.token_row_indices([0, 2])
+    points = {
+        "base": [base + 0.5 * gen.standard_normal(base.size) * (i > 0) for i in range(2)],
+        "candidate": [base + 0.01 * gen.standard_normal(base.size) for _ in range(10)],
+        "masked": [],
+    }
+    for _ in range(10):
+        point = base.copy()
+        point[mask] += 0.01 * gen.standard_normal(mask.size)
+        points["masked"].append(point)
+    # one buffer for every call, so only the contents can tell the points apart
+    buf = np.empty(base.size)
+    bound = 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policy_mod, "LOGLIK_MEMO_SIZE", bound)
+        for kind, i, j in calls:
+            point = points[kind][i % len(points[kind])]
+            prompt, response = MEMO_PROMPTS[j]
+            buf[:] = point
+            fresh = make_toy_policy(vocab_size=4, feature_dim=5, weight_seed=seed % 1000)
+            got = policy.log_likelihood_at(buf, prompt, response)
+            assert got == fresh.log_likelihood_at(point, prompt, response)
+            assert got == fresh.with_flat_params(point).sequence_log_likelihood(prompt, response)
+            assert len(policy._loglik_at_memo) <= bound
+
+
 # ----- margin loss -----------------------------------------------------------
 
 
@@ -150,6 +199,67 @@ def test_dpo_grad_matches_finite_differences_sample():
         numeric = central_difference_gradient(loss_at, policy.flat_params, step=1e-5)
         denom = max(np.linalg.norm(numeric), 1e-12)
         assert np.linalg.norm(analytic - numeric) / denom < 1e-5
+
+
+def reference_log_likelihood(policy, prompt, response):
+    total = 0.0
+    prefix = ()
+    for tok in response:
+        total += float(policy.token_log_probs(prompt, prefix)[tok])
+        prefix = prefix + (tok,)
+    return total
+
+
+def reference_dpo_grad(policy, ref, batch, beta):
+    """Two log-softmax passes per token: one for the margin, one for the gradient."""
+
+    def loglik_grad(prompt, response):
+        grad = np.zeros((policy.vocab_size, policy.feature_dim))
+        prefix = ()
+        for tok in response:
+            coeff = -np.exp(policy.token_log_probs(prompt, prefix))
+            coeff[tok] += 1.0
+            grad += np.outer(coeff, policy.features(prompt, prefix))
+            prefix = prefix + (tok,)
+        return grad
+
+    grad = np.zeros((policy.vocab_size, policy.feature_dim))
+    for pair in batch:
+        h = (
+            reference_log_likelihood(policy, pair.prompt, pair.preferred)
+            - reference_log_likelihood(ref, pair.prompt, pair.preferred)
+        ) - (
+            reference_log_likelihood(policy, pair.prompt, pair.dispreferred)
+            - reference_log_likelihood(ref, pair.prompt, pair.dispreferred)
+        )
+        coeff = -beta / (1.0 + math.exp(beta * h))
+        grad += coeff * (
+            loglik_grad(pair.prompt, pair.preferred) - loglik_grad(pair.prompt, pair.dispreferred)
+        )
+    return (grad / len(batch)).ravel()
+
+
+def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
+    gen = np.random.default_rng(21)
+
+    def seq(lo, hi):
+        return tuple(int(t) for t in gen.integers(0, 5, size=int(gen.integers(lo, hi))))
+
+    for trial in range(25):
+        policy = make_toy_policy(vocab_size=5, feature_dim=7, max_context=4, weight_seed=trial)
+        ref = make_toy_policy(vocab_size=5, feature_dim=7, max_context=4, weight_seed=99 - trial)
+        size = int(gen.integers(1, 4))
+        batch = [PreferencePair(seq(1, 4), seq(1, 6), seq(1, 6)) for _ in range(size)]
+        beta = float(gen.uniform(0.05, 2.0))
+        expected = reference_dpo_grad(policy, ref, batch, beta)
+        # twice: the second call answers the reference likelihoods from the memo
+        for _ in range(2):
+            assert dpo_grad(policy, ref, batch, beta).tobytes() == expected.tobytes()
+        for pair in batch:
+            want = reference_log_likelihood(policy, pair.prompt, pair.preferred)
+            assert policy.sequence_log_likelihood(pair.prompt, pair.preferred) == want
+            got_at = policy.log_likelihood_at(ref.flat_params, pair.prompt, pair.preferred)
+            assert got_at == reference_log_likelihood(ref, pair.prompt, pair.preferred)
 
 
 def test_dpo_grad_batch_mean_of_duplicates():

@@ -72,8 +72,12 @@ def test_install_wraps_caller_names_and_uninstall_restores(tmp_path):
     for name in (
         "cli.run_basic", "policy.run_practical", "sparse_grad.solve_1bge_exact",
         "sparse_grad.estimate_normalized_clip", "bench.compare_function",
-        "policy.compare_preference",
+        "policy.compare_preference", "policy.dpo_grad", "policy.loglik", "policy.features",
     ):
         assert calls.get(name, 0) >= 1, name
     # one measurement batch per loop iteration, counted at the loop entry points
     assert calls["oracles.measure_bits"] == tracer.counts["iterations"] >= 2
+    # one preference query per oracle call the pipeline's trajectory records
+    header, *rows = (tmp_path / "pipeline" / "trajectory.csv").read_text().splitlines()
+    column = header.split(",").index("oracle_calls")
+    assert calls["policy.compare_preference"] == sum(int(r.split(",")[column]) for r in rows)
