@@ -46,10 +46,6 @@ class SyntheticObjective:
     def sparsity(self) -> int:
         return self.support.size
 
-    def gap_bound(self, theta0: np.ndarray) -> float:
-        """Upper bound on the initial objective gap from theta0."""
-        return float(self.value(np.asarray(theta0, dtype=np.float64)) - self.f_min)
-
     def comparison_oracle(self):
         """Two-point comparison oracle backed by this objective."""
 
@@ -157,19 +153,28 @@ def point_with_gradient_norm(
     def norm_at(scale: float) -> float:
         return float(np.linalg.norm(objective.gradient(scale * direction)))
 
+    return _scale_reaching(norm_at, target) * direction
+
+
+def _scale_reaching(fn: Callable[[float], float], target: float) -> float:
+    """Scale at which the increasing ``fn`` first reaches ``target``.
+
+    Doubles from 1 to bracket the crossing, bisects it 200 times and returns
+    the upper end, so ``fn`` at the result is at least ``target``.
+    """
     hi = 1.0
-    while norm_at(hi) < target:
+    while fn(hi) < target:
         hi *= 2.0
         if hi > 1e12:
-            raise InvalidTestError("could not bracket the target gradient norm")
+            raise InvalidTestError(f"could not bracket the target {target}")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if norm_at(mid) < target:
+        if fn(mid) < target:
             lo = mid
         else:
             hi = mid
-    return hi * direction
+    return hi
 
 
 def check_sign_agreement(
@@ -376,14 +381,5 @@ def start_with_gap(objective: SyntheticObjective, gap: float) -> tuple[np.ndarra
     def gap_at(scale: float) -> float:
         return objective.value(scale * direction) - objective.f_min
 
-    hi = 1.0
-    while gap_at(hi) < gap:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap_at(mid) < gap:
-            lo = mid
-        else:
-            hi = mid
+    hi = _scale_reaching(gap_at, gap)
     return hi * direction, gap_at(hi)

@@ -5,10 +5,10 @@ Subcommands:
   bench  -- run the validation suites with their default operating points
   split  -- partition a preference dataset by reference log-likelihood margin
 
-Configs are flat JSON objects; unknown keys are rejected. Named presets fill
-in the practical-scheme hyperparameters used at large scale; everything here
-runs at desk scale regardless. All CSV artifacts are byte-deterministic given
-(config, seed). The DUELOPT_OUT environment variable selects the default
+Configs are flat JSON objects; unknown keys are rejected. A ``"preset"`` key
+fills in the practical-scheme hyperparameters used at large scale; everything
+here runs at desk scale regardless. All CSV artifacts are byte-deterministic
+given (config, seed). The DUELOPT_OUT environment variable selects the default
 output directory.
 """
 
@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from . import bench as bench_mod
 from . import policy as policy_mod
 from .core import ParamVector, RngState
 from .errors import ConfigError, DueloptError, MissingFieldError, RangeError, VocabularyError
-from .optimizer import PracticalConfig, Trajectory, run_basic, run_practical, schedule_from_theorem
+from .optimizer import PracticalConfig, run_basic, run_practical, schedule_from_theorem
 from .oracles import compare_preference
 
 MODES = ("basic", "practical", "pipeline", "bench-lemma", "bench-proposition", "bench-sweep")
@@ -113,25 +113,14 @@ class RunConfig:
     dims: tuple[int, ...] = (200, 400, 800)
     bench_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
-    provenance: dict = field(default_factory=dict, compare=False, repr=False)
-
     def __post_init__(self) -> None:
         for name in ("scope_mask", "dims", "bench_seeds"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, tuple(int(v) for v in value))
 
-    def to_json_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            if f.name == "provenance":
-                continue
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf8")).hexdigest()
 
 
@@ -145,82 +134,44 @@ class RunManifest:
     passed: bool | None
     summary: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "artifacts": dict(self.artifacts),
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "passed": self.passed,
-            "summary": self.summary,
-        }
-
 
 # ----- config parsing ------------------------------------------------------
 
 
-def parse_config(path: str | Path, preset: str | None = None) -> RunConfig:
-    """Load and validate a JSON config, recording where each value came from.
-
-    Layering order: field defaults, then mode defaults, then the preset named
-    in the file, then file values, then the ``preset`` argument (command-line
-    override). Unknown keys are rejected.
-    """
-    return build_config(_read_config_file(path), cli_preset=preset)
-
-
-def _read_config_file(path: str | Path) -> dict:
+def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    """Load a JSON config file and build it with ``build_config``."""
     with open(path, "r", encoding="utf8") as handle:
         text = handle.read().strip()
     raw = json.loads(text) if text else {}
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    return raw
+    return build_config(raw, overrides)
 
 
-def build_config(raw: dict, cli_preset: str | None = None, overrides: dict | None = None) -> RunConfig:
+def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
+    """Validate a flat config dict and layer it over the field defaults.
+
+    Layering order: the mode's defaults, then the preset named by the
+    ``"preset"`` key, then the remaining keys, then ``overrides`` (command-line
+    flags). Unknown keys are rejected.
+    """
     raw = dict(raw)
-    file_preset = raw.pop("preset", None)
-    known = {f.name for f in dataclasses.fields(RunConfig)} - {"provenance"}
-    unknown = set(raw) - known
+    preset = raw.pop("preset", None)
+    unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
     missing = [name for name in REQUIRED_FIELDS if name not in raw]
     if missing:
         raise MissingFieldError(missing)
 
-    values: dict = {}
-    provenance: dict[str, str] = {}
-
-    def apply(source: dict, label: str) -> None:
-        for key, value in source.items():
-            values[key] = value
-            provenance[key] = label
-
-    for f in dataclasses.fields(RunConfig):
-        if f.name == "provenance":
-            continue
-        if f.default is not dataclasses.MISSING:
-            values[f.name] = f.default
-            provenance[f.name] = "default"
-        elif f.default_factory is not dataclasses.MISSING:  # pragma: no cover
-            values[f.name] = f.default_factory()
-            provenance[f.name] = "default"
-    mode = raw.get("mode")
-    if mode in MODE_DEFAULTS:
-        apply(MODE_DEFAULTS[mode], "mode-default")
-    for name, label in ((file_preset, "preset"), (cli_preset, "cli-preset")):
-        if name is not None:
-            if name not in PRESETS:
-                raise RangeError("preset", name, f"one of {sorted(PRESETS)}")
-            apply(PRESETS[name], f"{label}:{name}")
-    apply(raw, "file")
-    if overrides:
-        apply(overrides, "cli")
-
-    config = RunConfig(**values, provenance=provenance)
+    values = dict(MODE_DEFAULTS.get(raw["mode"], {}))
+    if preset is not None:
+        if preset not in PRESETS:
+            raise RangeError("preset", preset, f"one of {sorted(PRESETS)}")
+        values.update(PRESETS[preset])
+    values.update(raw)
+    values.update(overrides or {})
+    config = RunConfig(**values)
     _validate_config(config)
     return config
 
@@ -283,63 +234,34 @@ def _validate_config(config: RunConfig) -> None:
         ParamVector(np.zeros(dim), config.scope_mask)
     if not config.dims:
         raise RangeError("dims", config.dims, "nonempty list")
+    if config.mode == "bench-sweep" and min(config.dims) < config.s:
+        raise RangeError("dims", config.dims, f"entries in [s={config.s}, inf)")
+    if config.bench_m is not None:
+        at_least("bench_m", 1)
     if not config.bench_seeds:
         raise RangeError("bench_seeds", config.bench_seeds, "nonempty list")
-
-
-def export_config(config: RunConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf8") as handle:
-        json.dump(config.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 # ----- result export ---------------------------------------------------
 
 
-def _to_jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    return value
-
-
-def results_json_dict(result) -> dict:
-    """Canonical JSON form of a trajectory or bench report."""
-    if isinstance(result, Trajectory):
-        return {
-            "records": [_to_jsonable(dataclasses.asdict(rec)) for rec in result.records],
-            "final_f": result.final_f,
-            "final_grad_norm": result.final_grad_norm,
-            "total_oracle_calls": result.total_oracle_calls,
-            "min_grad_norm": result.min_grad_norm,
-        }
-    if dataclasses.is_dataclass(result):
-        return _to_jsonable(dataclasses.asdict(result))
-    if isinstance(result, dict):
-        return _to_jsonable(result)
-    raise ConfigError(f"cannot export object of type {type(result).__name__}")
-
-
-def export_results(result, path: str | Path, fmt: str = "csv") -> Path:
-    """Write a trajectory or report to disk as CSV rows or canonical JSON."""
+def export_results(result, path: str | Path) -> Path:
+    """Write a report or trajectory as CSV rows, or a summary dict as JSON, by suffix."""
     path = Path(path)
+    if path.suffix not in (".csv", ".json"):
+        raise RangeError("format", path.suffix, ".csv or .json")
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        if not hasattr(result, "csv_rows"):
-            raise ConfigError(f"{type(result).__name__} has no CSV representation")
-        _write_csv(path, result.csv_rows())
-    elif fmt == "json":
-        with open(path, "w", encoding="utf8") as handle:
-            json.dump(results_json_dict(result), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    if path.suffix == ".json":
+        _write_json(result, path)
     else:
-        raise RangeError("format", fmt, "csv or json")
+        _write_csv(path, result.csv_rows())
     return path
+
+
+def _write_json(obj, path: Path) -> None:
+    with open(path, "w", encoding="utf8") as handle:
+        json.dump(obj, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
@@ -357,7 +279,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
 
     A dataset is read and checked first, so a bad one leaves no out dir behind.
     """
-    out_dir = Path(config.out_dir or os.environ.get("DUELOPT_OUT", "duelopt_out"))
+    out_dir = _out_dir(config.out_dir)
     pairs = None
     if config.dataset is not None and config.mode in ("practical", "pipeline"):
         pairs = _load_dataset(config.dataset, config.vocab_size)
@@ -381,14 +303,15 @@ def run_experiment(config: RunConfig) -> RunManifest:
         passed=passed,
         summary=summary,
     )
-    manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf8") as handle:
-        json.dump(manifest.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(dataclasses.asdict(manifest), out_dir / "manifest.json")
     for name, p in manifest.artifacts.items():
         if not Path(p).is_file() or Path(p).stat().st_size == 0:
             raise ConfigError(f"artifact {name} missing or empty at {p}")
     return manifest
+
+
+def _out_dir(path: str | None) -> Path:
+    return Path(path or os.environ.get("DUELOPT_OUT", "duelopt_out"))
 
 
 def _load_dataset(path: str | Path, vocab_size: int) -> list[policy_mod.PreferencePair]:
@@ -437,7 +360,7 @@ def _run_basic_mode(config: RunConfig, out_dir: Path, _pairs: None):
         objective=objective,
         stop_grad_norm=config.epsilon,
     )
-    artifacts = {"trajectory": export_results(traj, out_dir / "trajectory.csv", "csv")}
+    artifacts = {"trajectory": export_results(traj, out_dir / "trajectory.csv")}
     summary = {
         "schedule": {"T": schedule.T, "eta": schedule.eta, "r": schedule.r, "m": schedule.m},
         "iterations_run": len(traj.records),
@@ -471,7 +394,7 @@ def _run_practical_mode(config: RunConfig, out_dir: Path, pairs: list | None):
         final_policy = policy.with_flat_params(traj.final_theta.values)
         report = policy_mod.likelihood_report(policy, final_policy, pairs)
         artifacts["likelihood_report"] = export_results(
-            report, out_dir / "likelihood_report.csv", "csv"
+            report, out_dir / "likelihood_report.csv"
         )
         summary = {
             "pairs": len(pairs),
@@ -487,7 +410,7 @@ def _run_practical_mode(config: RunConfig, out_dir: Path, pairs: list | None):
             objective=objective,
         )
         summary = {"min_grad_norm": traj.min_grad_norm}
-    artifacts["trajectory"] = export_results(traj, out_dir / "trajectory.csv", "csv")
+    artifacts["trajectory"] = export_results(traj, out_dir / "trajectory.csv")
     summary["total_oracle_calls"] = traj.total_oracle_calls
     summary["skipped_iterations"] = sum(int(r.skipped) for r in traj.records)
     return artifacts, None, summary
@@ -514,22 +437,18 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, dataset: list | None):
         artifacts["dataset"] = dataset_path
 
     result = policy_mod.run_pipeline(dataset, pipeline_config, ref_policy=ref_policy)
-    artifacts["split_report"] = export_results(
-        result.split, out_dir / "split_report.csv", "csv"
-    )
+    artifacts["split_report"] = export_results(result.split, out_dir / "split_report.csv")
     np.save(out_dir / "dpo_clean_weights.npy", result.dpo_clean_policy.weights)
     artifacts["dpo_clean_weights"] = out_dir / "dpo_clean_weights.npy"
     np.save(out_dir / "final_weights.npy", result.final_policy.weights)
     artifacts["final_weights"] = out_dir / "final_weights.npy"
     if result.trajectory is not None:
-        artifacts["trajectory"] = export_results(
-            result.trajectory, out_dir / "trajectory.csv", "csv"
-        )
+        artifacts["trajectory"] = export_results(result.trajectory, out_dir / "trajectory.csv")
         report = policy_mod.likelihood_report(
             result.dpo_clean_policy, result.final_policy, list(result.split.noisy)
         )
         artifacts["likelihood_report"] = export_results(
-            report, out_dir / "likelihood_report.csv", "csv"
+            report, out_dir / "likelihood_report.csv"
         )
     summary = {
         "clean_pairs": len(result.split.clean),
@@ -557,7 +476,7 @@ def _run_bench_lemma(config: RunConfig, out_dir: Path, _pairs: None):
         "threshold": SIGN_AGREEMENT_FLOOR,
         "pass": passed,
     }
-    artifacts = {"summary": export_results(summary, out_dir / "lemma_summary.json", "json")}
+    artifacts = {"summary": export_results(summary, out_dir / "lemma_summary.json")}
     return artifacts, passed, summary
 
 
@@ -585,8 +504,8 @@ def _run_bench_proposition(config: RunConfig, out_dir: Path, _pairs: None):
         "pass": passed,
     }
     artifacts = {
-        "report": export_results(report, out_dir / "proposition_report.csv", "csv"),
-        "summary": export_results(summary, out_dir / "proposition_summary.json", "json"),
+        "report": export_results(report, out_dir / "proposition_report.csv"),
+        "summary": export_results(summary, out_dir / "proposition_summary.json"),
     }
     return artifacts, passed, summary
 
@@ -617,8 +536,8 @@ def _run_bench_sweep(config: RunConfig, out_dir: Path, _pairs: None):
         "pass": passed,
     }
     artifacts = {
-        "report": export_results(report, out_dir / "sweep_report.csv", "csv"),
-        "summary": export_results(summary, out_dir / "sweep_summary.json", "json"),
+        "report": export_results(report, out_dir / "sweep_report.csv"),
+        "summary": export_results(summary, out_dir / "sweep_summary.json"),
     }
     return artifacts, passed, summary
 
@@ -634,7 +553,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--config", required=True, help="path to JSON config")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--out", default=None, help="override output directory")
-    p_run.add_argument("--preset", default=None, choices=sorted(PRESETS))
 
     p_bench = sub.add_parser("bench", help="run validation suites")
     p_bench.add_argument(
@@ -671,17 +589,14 @@ def _cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    config = build_config(
-        _read_config_file(args.config), cli_preset=args.preset, overrides=overrides
-    )
-    manifest = run_experiment(config)
-    print(json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True))
+    manifest = run_experiment(parse_config(args.config, overrides))
+    print(json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True))
     return 0 if manifest.passed is not False else 1
 
 
 def _cmd_bench(args) -> int:
     suites = ("lemma", "proposition", "sweep") if args.suite == "all" else (args.suite,)
-    base = Path(args.out or os.environ.get("DUELOPT_OUT", "duelopt_out"))
+    base = _out_dir(args.out)
     all_passed = True
     for suite in suites:
         mode = f"bench-{suite}"
@@ -702,9 +617,7 @@ def _cmd_split(args) -> int:
     config = build_config({"mode": "pipeline"}, overrides=overrides)
     pairs = _load_dataset(args.dataset, config.vocab_size)
     split = policy_mod.split_by_margin(_make_policy(config), pairs, config.delta)
-    out_dir = Path(args.out or os.environ.get("DUELOPT_OUT", "duelopt_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = export_results(split, out_dir / "split_report.csv", "csv")
+    path = export_results(split, _out_dir(args.out) / "split_report.csv")
     print(
         json.dumps(
             {"clean": len(split.clean), "noisy": len(split.noisy), "report": str(path)},

@@ -64,7 +64,7 @@ def schedule_from_theorem(
         raise InvalidScheduleError(f"epsilon must be in (0, 1), got {epsilon}")
     if not (0.0 < Lambda < 1.0):
         raise InvalidScheduleError(f"Lambda must be in (0, 1), got {Lambda}")
-    if ell <= 0 or Delta <= 0 or c_m <= 0:
+    if not (ell > 0 and Delta > 0 and c_m > 0):
         raise InvalidScheduleError("ell, Delta and c_m must all be > 0")
     if not (1 <= s <= d):
         raise InvalidScheduleError(f"need 1 <= s <= d, got s={s}, d={d}")
@@ -101,13 +101,13 @@ class PracticalConfig:
     pairs_per_batch: int = 1
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise InvalidScheduleError(f"gamma must be > 0, got {self.gamma}")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise InvalidScheduleError(f"radius must be > 0, got {self.radius}")
         if self.m < 1:
             raise InvalidScheduleError(f"m must be >= 1, got {self.m}")
-        if self.lambda_g < 0:
+        if not self.lambda_g >= 0:
             raise InvalidScheduleError(f"lambda_g must be >= 0, got {self.lambda_g}")
         if not (0.0 <= self.skip_threshold < 1.0):
             raise InvalidScheduleError(

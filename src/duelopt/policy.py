@@ -393,12 +393,17 @@ def split_by_margin(
     clean: list[PreferencePair] = []
     noisy: list[PreferencePair] = []
     for pair in dataset:
-        margin = ref_policy.sequence_log_likelihood(
-            pair.prompt, pair.preferred
-        ) - ref_policy.sequence_log_likelihood(pair.prompt, pair.dispreferred)
+        margin = _ref_margin(ref_policy, pair)
         tagged = dataclasses.replace(pair, ref_margin=float(margin))
         (noisy if abs(margin) <= delta else clean).append(tagged)
     return SplitDataset(clean=tuple(clean), noisy=tuple(noisy), delta=float(delta))
+
+
+def _ref_margin(ref_policy: ToyPolicy, pair: PreferencePair) -> float:
+    """Preferred minus dispreferred log-likelihood under the reference policy."""
+    return ref_policy.sequence_log_likelihood(
+        pair.prompt, pair.preferred
+    ) - ref_policy.sequence_log_likelihood(pair.prompt, pair.dispreferred)
 
 
 # ----- likelihood report ------------------------------------------------
@@ -612,11 +617,6 @@ def generate_preference_data(
     def rand_seq(length: int) -> tuple[int, ...]:
         return tuple(int(t) for t in gen.integers(0, V, size=length))
 
-    def margin_of(pair: PreferencePair) -> float:
-        return ref_policy.sequence_log_likelihood(
-            pair.prompt, pair.preferred
-        ) - ref_policy.sequence_log_likelihood(pair.prompt, pair.dispreferred)
-
     out: list[PreferencePair] = []
     for want_noisy, quota in ((True, n_noisy), (False, n_clean)):
         for _ in range(quota):
@@ -633,7 +633,7 @@ def generate_preference_data(
                 if preferred == dispreferred:
                     continue
                 pair = PreferencePair(prompt, preferred, dispreferred)
-                if (abs(margin_of(pair)) <= delta) == want_noisy:
+                if (abs(_ref_margin(ref_policy, pair)) <= delta) == want_noisy:
                     out.append(pair)
                     break
             else:

@@ -78,6 +78,26 @@ def test_schedule_rejects_bad_inputs():
         schedule_from_theorem(0.1, 0.1, 1.0, 1.0, 5, 4)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: practical_config(gamma=NAN),
+        lambda: practical_config(radius=NAN),
+        lambda: practical_config(lambda_g=NAN),
+        lambda: schedule_from_theorem(0.1, 0.1, NAN, 1.0, 1, 4),
+        lambda: schedule_from_theorem(0.1, 0.1, 1.0, NAN, 1, 4),
+        lambda: schedule_from_theorem(0.1, 0.1, 1.0, 1.0, 1, 4, c_m=NAN),
+    ],
+    ids=["gamma", "radius", "lambda_g", "ell", "Delta", "c_m"],
+)
+def test_nan_inputs_are_schedule_errors(build):
+    with pytest.raises(InvalidScheduleError):
+        build()
+
+
 # ----- basic loop -------------------------------------------------------
 
 

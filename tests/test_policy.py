@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from duelopt import policy as policy_mod
 from duelopt import (
     DpoConfig,
+    ParamVector,
     PipelineConfig,
     PracticalConfig,
     PreferencePair,
     ToyPolicy,
+    compare_preference,
     dpo_grad,
     dpo_loss,
     generate_preference_data,
@@ -21,6 +24,7 @@ from duelopt import (
     log_likelihood,
     make_toy_policy,
     run_pipeline,
+    run_practical,
     save_preference_dataset,
     split_by_margin,
     train_dpo,
@@ -440,6 +444,48 @@ def test_pipeline_respects_scope_mask():
     after = result.final_policy.flat_params
     outside = np.setdiff1d(np.arange(before.size), np.asarray(mask))
     assert after[outside].tobytes() == before[outside].tobytes()
+
+
+MASK_PAIRS = [
+    PreferencePair((0, 1), (2, 3, 1), (3, 0)),
+    PreferencePair((2,), (0, 1), (1, 1)),
+    PreferencePair((3, 3, 0), (1, 2), (2, 0, 3)),
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.integers(0, 23), min_size=1, max_size=24, unique=True),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.3, 0.5]),
+    st.integers(1, 2),
+)
+def test_practical_preference_run_never_touches_out_of_scope(mask, seed, skip, per_batch):
+    policy = small_policy(seed=seed % 1000)  # 4 x 6 = 24 weights
+    theta0 = policy.flat_params
+    config = PracticalConfig(
+        gamma=1.0, radius=0.05, m=12, lambda_g=0.0, skip_threshold=skip, iterations=4,
+        scope_mask=tuple(sorted(mask)), seed=seed, pairs_per_batch=per_batch,
+    )
+    oracle = partial(compare_preference, policy.log_likelihood_at)
+    iterates = []  # the base point of every query, in query order
+
+    def recording(theta, theta_prime, pairs):
+        iterates.append(theta.values.copy())
+        return oracle(theta, theta_prime, pairs)
+
+    traj = run_practical(recording, ParamVector(theta0), config, data_stream=MASK_PAIRS)
+    # one base point per iteration, then the final iterate
+    points = iterates[:: config.m] + [traj.final_theta.values]
+    assert len(points) == config.iterations + 1
+    outside = np.setdiff1d(np.arange(theta0.size), np.asarray(mask))
+    inside = np.asarray(sorted(mask))
+    for record, before, after in zip(traj.records, points, points[1:]):
+        assert after[outside].tobytes() == theta0[outside].tobytes()
+        if record.skipped:
+            assert after.tobytes() == before.tobytes()
+        else:
+            assert after[inside].tobytes() != before[inside].tobytes()
 
 
 # ----- reports and data ----------------------------------------------------------
