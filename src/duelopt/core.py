@@ -5,8 +5,11 @@ substream from ``(seed, block, index)``, so the i-th perturbation of block t
 is reproducible regardless of the order (or concurrency) in which substreams
 are actually drawn.
 
-Perturbation directions are plain float64 rows from ``_sphere_rows``;
-``oracles.BitMeasurementBatch`` is the one place that checks they are unit.
+Perturbation directions are plain float64 rows. ``RngState.sphere_rows``
+draws a block's rows from one generator re-keyed to ``(seed, block, i)``
+before row i, which gives the same bytes as one fresh substream per row
+without paying for a generator per row. ``oracles.BitMeasurementBatch`` is
+the one place that checks the rows are unit.
 """
 
 from __future__ import annotations
@@ -41,8 +44,38 @@ class RngState:
 
     def substream(self, block: int, index: int = 0) -> np.random.Generator:
         """Generator for a fixed derivation path; does not advance the counter."""
-        key = self.seed | ((block & _MASK32) << 64) | ((index & _MASK32) << 96)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self._key(block, index)))
+
+    def _key(self, block: int, index: int) -> int:
+        return self.seed | ((block & _MASK32) << 64) | ((index & _MASK32) << 96)
+
+    def sphere_rows(self, block: int, count: int, dim: int) -> np.ndarray:
+        """(count, dim) unit rows; row i is ``_sphere_rows(self.substream(block, i), 1, dim)[0]``.
+
+        Building a generator costs more than drawing a short row, so every
+        row comes from one generator: before row i its Philox bit generator is
+        re-keyed to ``(seed, block, i)`` with counter 0 and an empty buffer,
+        the state a fresh ``substream(block, i)`` starts in, so the row's
+        bytes are the same. The generator is local to the call, so no other
+        caller sees it move.
+        """
+        rows = np.empty((count, dim), dtype=np.float64)
+        gen = self.substream(block, 0)
+        fresh = gen.bit_generator.state
+        for i in range(count):
+            if i:
+                key = self._key(block, i)
+                fresh["state"]["key"] = np.array([key & _MASK64, key >> 64], dtype=np.uint64)
+                gen.bit_generator.state = fresh
+            gen.standard_normal(out=rows[i])
+        # divided in place, not into a second (count, dim) array
+        norms = np.linalg.norm(rows, axis=1)
+        for i in np.flatnonzero(norms == 0.0):
+            # probability zero; redone exactly as its own substream would
+            rows[i] = _sphere_rows(self.substream(block, int(i)), 1, dim)[0]
+            norms[i] = 1.0
+        rows /= norms[:, None]
+        return rows
 
     def next_block(self) -> int:
         """Reserve the next block index and advance the counter."""

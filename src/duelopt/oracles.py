@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamVector, RngState, _sphere_rows, embed_perturbation
+from .core import ParamVector, RngState, embed_perturbation
 from .errors import DimensionError, InvalidBatchError, OracleError
 
 
@@ -141,21 +141,21 @@ def measure_bits(
 ) -> BitMeasurementBatch:
     """Collect m one-bit measurements around ``theta``.
 
-    Direction i is a unit row drawn from the substream ``(seed, block, i)``, so
-    the batch is identical no matter how the oracle queries are scheduled;
-    ``signs[i]`` is the oracle's answer at ``embed_perturbation(theta, row i, radius)``.
+    Direction i is the unit row that the substream ``(seed, block, i)`` gives,
+    so the batch is identical no matter how the oracle queries are scheduled.
+    All m rows are drawn up front by ``RngState.sphere_rows``, which re-keys
+    one generator per row instead of building m of them; ``signs[i]`` is the
+    oracle's answer at ``embed_perturbation(theta, row i, radius)``.
     """
     if m < 1:
         raise InvalidBatchError(f"m must be >= 1, got {m}")
     if radius <= 0:
         raise InvalidBatchError(f"radius must be > 0, got {radius}")
     block = rng.next_block()
-    k = theta.scope_dim
-    directions = np.empty((m, k), dtype=np.float64)
+    directions = rng.sphere_rows(block, m, theta.scope_dim)
     signs = np.empty(m, dtype=np.int8)
     for i in range(m):
-        z = directions[i] = _sphere_rows(rng.substream(block, i), 1, k)[0]
-        signs[i] = oracle(theta, embed_perturbation(theta, z, radius))
+        signs[i] = oracle(theta, embed_perturbation(theta, directions[i], radius))
     return BitMeasurementBatch(
         directions=directions, signs=signs, radius=radius, iteration=block, oracle_calls=m
     )

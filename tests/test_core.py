@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duelopt import (
     ParamVector,
@@ -7,6 +9,7 @@ from duelopt import (
     embed_perturbation,
     sample_unit_sphere_batch,
 )
+from duelopt.core import _sphere_rows
 from duelopt.errors import DimensionError
 
 
@@ -55,6 +58,62 @@ def test_substreams_are_order_independent():
     backward = [RngState(5).substream(block, i).standard_normal(4) for i in reversed(range(6))]
     for i, arr in enumerate(reversed(backward)):
         assert np.array_equal(forward[i], arr)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    block=st.one_of(st.integers(0, 9), st.integers(2**32 - 2, 2**40)),
+    count=st.integers(1, 12),
+    dim=st.integers(1, 9),
+)
+@example(seed=0, block=0, count=1, dim=1)
+@example(seed=2**64 - 1, block=2**32 + 3, count=7, dim=1)
+@example(seed=5, block=2**33 - 1, count=1, dim=6)
+def test_sphere_rows_equal_one_substream_per_row(seed, block, count, dim):
+    rng = RngState(seed, counter=3)
+    first = rng.sphere_rows(block, count, dim)
+    # another generator drawn in between must not move the next call's rows
+    rng.substream(block, 0).standard_normal(dim)
+    second = rng.sphere_rows(block, count, dim)
+    assert rng.counter == 3
+    assert first.shape == (count, dim)
+    for i in range(count):
+        row = _sphere_rows(RngState(seed).substream(block, i), 1, dim)[0]
+        # block and index enter the key modulo 2**32
+        wrapped = RngState(seed).substream(block + 2**32, i + 2**32)
+        assert first[i].tobytes() == row.tobytes() == second[i].tobytes()
+        assert _sphere_rows(wrapped, 1, dim)[0].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("zero_row", [0, 2, 4])
+def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero_row):
+    rng = RngState(11)
+    expected = rng.sphere_rows(3, 5, 4)
+
+    class ZeroRow(np.random.Generator):
+        """Fills the ``zero_row``-th row drawn into ``out`` with zeros."""
+
+        drawn = 0
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            result = super().standard_normal(*args, out=out, **kwargs)
+            if out is not None:
+                if self.drawn == zero_row:
+                    out[...] = 0.0
+                self.drawn += 1
+            return result
+
+    opened = []
+
+    def substream(self, block, index=0):
+        opened.append(index)
+        return ZeroRow(np.random.Philox(key=self._key(block, index)))
+
+    monkeypatch.setattr(RngState, "substream", substream)
+    got = rng.sphere_rows(3, 5, 4)
+    assert opened == [0, zero_row]
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_embed_with_mask_matches_example():
