@@ -22,6 +22,8 @@ import math
 import os
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -114,14 +116,31 @@ class RunConfig:
     bench_seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self) -> None:
+        # JSON arrays arrive as lists; their entries are checked, not coerced
         for name in ("scope_mask", "dims", "bench_seeds"):
             value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(int(v) for v in value))
+            if isinstance(value, list):
+                object.__setattr__(self, name, tuple(value))
 
     def config_hash(self) -> str:
         canonical = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf8")).hexdigest()
+
+
+FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _is_json_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: bool is not int, int is float."""
+    if isinstance(hint, types.UnionType):
+        return any(_is_json_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_is_json_type(v, int) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 @dataclass
@@ -164,9 +183,12 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     if missing:
         raise MissingFieldError(missing)
 
+    # a list or dict mode or preset is never in the tuples, and is never hashed
+    if raw["mode"] not in MODES:
+        raise RangeError("mode", raw["mode"], f"one of {MODES}")
     values = dict(MODE_DEFAULTS.get(raw["mode"], {}))
     if preset is not None:
-        if preset not in PRESETS:
+        if preset not in tuple(PRESETS):
             raise RangeError("preset", preset, f"one of {sorted(PRESETS)}")
         values.update(PRESETS[preset])
     values.update(raw)
@@ -177,11 +199,11 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
 
 
 def _validate_config(config: RunConfig) -> None:
-    if config.mode not in MODES:
-        raise RangeError("mode", config.mode, f"one of {MODES}")
-    # json.loads accepts NaN and Infinity, and NaN passes every `x <= bound` test
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
+        if not _is_json_type(value, FIELD_TYPES[f.name]):
+            raise ConfigError(f"config field {f.name!r} = {value!r} is not of type {f.type}")
+        # json.loads accepts NaN and Infinity, and NaN passes every `x <= bound` test
         if isinstance(value, float) and not math.isfinite(value):
             raise RangeError(f.name, value, "(-inf, inf)")
 

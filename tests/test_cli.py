@@ -355,6 +355,37 @@ def test_cli_bench_field_out_of_range_is_an_error(tmp_path, capsys, payload, fie
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"mode": ["basic"]}, "mode"),
+    ({"mode": {"basic": 1}}, "mode"),
+    ({"mode": "basic", "preset": ["mistral-7b"]}, "preset"),
+    ({"mode": "basic", "d": "10"}, "d"),
+    ({"mode": "basic", "d": True}, "d"),
+    ({"mode": "basic", "T": 2.0}, "T"),
+    ({"mode": "basic", "epsilon": "0.1"}, "epsilon"),
+    ({"mode": "practical", "scope_mask": 5}, "scope_mask"),
+])
+def test_cli_config_value_of_wrong_json_type_is_an_error(tmp_path, capsys, payload, field):
+    path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+    assert repr(field) in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+def test_json_integer_is_accepted_for_a_float_field():
+    config = build_config({"mode": "basic", "c_m": 4, "Delta": 1})
+    assert config.c_m == 4 and config.Delta == 1
+
+
+@pytest.mark.parametrize("entries", [[7.5], [8, True], ["9"]])
+@pytest.mark.parametrize("mode, field", [
+    ("practical", "scope_mask"), ("bench-sweep", "dims"), ("bench-sweep", "bench_seeds"),
+])
+def test_cli_non_integer_list_entry_is_an_error(tmp_path, capsys, entries, mode, field):
+    path = write_config(tmp_path, {"mode": mode, field: entries, "out_dir": str(tmp_path / "out")})
+    assert repr(field) in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_malformed_config_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"mode": "basic",')
