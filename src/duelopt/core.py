@@ -68,12 +68,12 @@ class RngState:
                 fresh["state"]["key"] = np.array([key & _MASK64, key >> 64], dtype=np.uint64)
                 gen.bit_generator.state = fresh
             gen.standard_normal(out=rows[i])
-        # divided in place, not into a second (count, dim) array
         norms = np.linalg.norm(rows, axis=1)
         for i in np.flatnonzero(norms == 0.0):
             # probability zero; redone exactly as its own substream would
             rows[i] = _sphere_rows(self.substream(block, int(i)), 1, dim)[0]
             norms[i] = 1.0
+        # divided in place, not into a second (count, dim) array
         rows /= norms[:, None]
         return rows
 
