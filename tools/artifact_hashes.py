@@ -37,14 +37,19 @@ SEEDS = (0, 8, 16)
 TOY_PAIRS = ROOT / "src" / "duelopt" / "data" / "toy_pairs.jsonl"
 
 # the benchmark's three workload configs, the two other bench suites at
-# reduced size, a masked synthetic practical run and a dataset pipeline
+# reduced size, the cosine objective's oracle, a masked synthetic practical
+# run, the masked preference path and a dataset pipeline
 BASE_CONFIGS = {
     "sweep": {"mode": "bench-sweep"},
     "basic-10k": {"mode": "basic", "d": 10000, "s": 5, "c_m": 4, "epsilon": 0.1},
     "pipeline": {"mode": "pipeline", "n_clean": 40, "n_noisy": 20},
     "bench-lemma": {"mode": "bench-lemma", "n_samples": 20000},
     "bench-proposition": {"mode": "bench-proposition", "trials": 30},
+    "basic-nonconvex": {"mode": "basic", "objective": "nonconvex"},
     "practical-masked": {"mode": "practical", "scope_mask": list(range(0, 200, 17))},
+    "practical-dataset-masked": {
+        "mode": "practical", "dataset": str(TOY_PAIRS), "scope_mask": list(range(0, 128, 5)),
+    },
     "pipeline-dataset": {"mode": "pipeline", "dataset": str(TOY_PAIRS)},
 }
 
