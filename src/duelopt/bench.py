@@ -11,6 +11,7 @@ oracle-call scaling of the full loop as the dimension grows.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,10 +48,24 @@ class SyntheticObjective:
         return self.support.size
 
     def comparison_oracle(self):
-        """Two-point comparison oracle backed by this objective."""
+        """Two-point comparison oracle backed by this objective.
+
+        A measurement batch asks about one base point m times, so f at the
+        base point is computed once per base ``ParamVector`` and handed to
+        ``compare_function``. The cache is keyed by identity, which is safe
+        because a ``ParamVector`` is immutable, and holds the point through a
+        weak reference: it never keeps the point alive, and a dead reference
+        never matches a new point.
+        """
+        base: weakref.ref | None = None
+        f_base = 0.0
 
         def oracle(theta: ParamVector, theta_prime: ParamVector):
-            return compare_function(self.value, theta, theta_prime)
+            nonlocal base, f_base
+            if base is None or base() is not theta:
+                f_base = self.value(theta.values)
+                base = weakref.ref(theta)
+            return compare_function(self.value, theta, theta_prime, f_base=f_base)
 
         return oracle
 

@@ -140,12 +140,30 @@ class ParamVector:
             raise DimensionError(
                 f"expected {self.scope_dim} in-scope values, got {new_scope.shape}"
             )
-        out = self.values.copy()
         if self.scope_mask is None:
-            out[:] = new_scope
+            out = new_scope.copy()
         else:
+            out = self.values.copy()
             out[self.scope_mask] = new_scope
-        return ParamVector(out, self.scope_mask)
+        return ParamVector._derived(out, self.scope_mask)
+
+    @classmethod
+    def _derived(cls, values: np.ndarray, scope_mask: np.ndarray | None) -> "ParamVector":
+        """Vector derived from an already-checked one, with one check.
+
+        ``values`` is a fresh float64 array of the parent's shape, owned by
+        the new vector, and ``scope_mask`` is the parent's checked read-only
+        mask. So only finiteness is checked, and ``values`` is made read-only
+        instead of copied. ``ParamVector(...)`` keeps every check for input
+        from outside.
+        """
+        if not np.isfinite(values).all():
+            raise ValueError("parameter vector contains NaN or Inf")
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "scope_mask", scope_mask)
+        return out
 
     def content_hash(self) -> str:
         """SHA-256 of the raw float64 bytes (mask excluded)."""
@@ -178,17 +196,18 @@ def embed_perturbation(theta: ParamVector, z: np.ndarray, radius: float) -> Para
     """Add ``radius * z`` to the in-scope coordinates of ``theta``.
 
     ``z`` is a 1-D array of length ``theta.scope_dim``. Coordinates outside
-    the scope mask are returned bit-identical.
+    the scope mask are returned bit-identical. The candidate is built with
+    one copy of theta's values and one finiteness check, and shares its mask.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     if z.shape != (theta.scope_dim,):
         raise DimensionError(
             f"perturbation shape {z.shape} does not match scope dim {theta.scope_dim}"
         )
-    out = theta.values.copy()
     if theta.scope_mask is None:
-        out += radius * z
+        out = theta.values + radius * z
     else:
+        out = theta.values.copy()
         out[theta.scope_mask] += radius * z
-    return ParamVector(out, theta.scope_mask)
+    return ParamVector._derived(out, theta.scope_mask)

@@ -58,9 +58,10 @@ class BitMeasurementBatch:
             raise InvalidBatchError("signs length must match direction count")
         if not np.all(np.abs(signs) == 1):
             raise InvalidBatchError("signs must be +1 or -1")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise InvalidBatchError(f"radius must be > 0, got {self.radius}")
-        norms = np.linalg.norm(dirs, axis=1)
+        # row norms without an (m, k) temporary; the 1e-9 tolerance hides their last bits
+        norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise InvalidBatchError("direction rows must be unit vectors")
         dirs = dirs.copy()
@@ -89,14 +90,16 @@ def compare_function(
     objective: Callable[[np.ndarray], float],
     theta: ParamVector,
     theta_prime: ParamVector,
+    f_base: float | None = None,
 ) -> Sign:
     """Sign of ``f(theta_prime) - f(theta)``: MINUS iff strictly smaller.
 
-    Ties (including a constant objective) fall through to PLUS.
+    Ties (including a constant objective) fall through to PLUS. ``f_base``,
+    when given, is ``f(theta)`` as the caller already computed it.
     """
     if theta.dim != theta_prime.dim:
         raise DimensionError("points must share a dimension")
-    f_base = float(objective(theta.values))
+    f_base = float(objective(theta.values) if f_base is None else f_base)
     f_cand = float(objective(theta_prime.values))
     if math.isnan(f_base) or math.isnan(f_cand):
         raise OracleError("objective evaluated to NaN")
@@ -149,7 +152,7 @@ def measure_bits(
     """
     if m < 1:
         raise InvalidBatchError(f"m must be >= 1, got {m}")
-    if radius <= 0:
+    if not radius > 0:
         raise InvalidBatchError(f"radius must be > 0, got {radius}")
     block = rng.next_block()
     directions = rng.sphere_rows(block, m, theta.scope_dim)

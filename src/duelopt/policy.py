@@ -57,6 +57,24 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - (peak + math.log(np.exp(logits - peak).sum()))
 
 
+def _response_logits(
+    W: np.ndarray, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, V) logits of a response's n positions, their row maxima and exp-sums.
+
+    Each row is its own ``W @ phi`` gemv, as ``token_log_probs`` computes it
+    (a stacked gemm can change logit bits). The max, exp and sum of
+    ``_log_softmax`` then run once over the whole response; numpy reduces
+    each row as it reduces a lone 1-D array, so every value has the bits a
+    per-token ``_log_softmax`` gives.
+    """
+    logits = np.empty((features.shape[0], W.shape[0]))
+    for i, phi in enumerate(features):
+        np.matmul(W, phi, out=logits[i])
+    peak = logits.max(axis=1)
+    return logits, peak, np.exp(logits - peak[:, None]).sum(axis=1)
+
+
 class ToyPolicy:
     """Linear-softmax policy over fixed random context features.
 
@@ -171,24 +189,28 @@ class ToyPolicy:
 
     def _response_features(
         self, prompt: Sequence[int], response: Sequence[int]
-    ) -> tuple[tuple[int, np.ndarray], ...]:
-        """``(token, context feature)`` for each response position, tokens checked.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Response tokens and the (n, F) matrix of their context features, tokens checked.
 
-        Depends only on the feature map, so instances built by ``with_weights``
-        share the table.
+        Row i is ``features(prompt, response[:i])``. Depends only on the
+        feature map, so instances built by ``with_weights`` share the table.
         """
         key = (tuple(prompt), tuple(response))
         steps = self._context_cache.get(key)
         if steps is None:
             for tok in prompt:
                 self._check_token(tok)
-            out = []
+            rows = []
             prefix: tuple[int, ...] = ()
             for tok in response:
                 self._check_token(tok)
-                out.append((int(tok), self.features(prompt, prefix)))
+                rows.append(self.features(prompt, prefix))
                 prefix = prefix + (int(tok),)
-            steps = self._context_cache[key] = tuple(out)
+            tokens = np.asarray(prefix, dtype=np.intp)
+            features = np.array(rows, dtype=np.float64).reshape(len(rows), self.feature_dim)
+            tokens.setflags(write=False)
+            features.setflags(write=False)
+            steps = self._context_cache[key] = (tokens, features)
         return steps
 
     def sequence_log_likelihood(
@@ -198,12 +220,13 @@ class ToyPolicy:
         if weights is None and key in self._loglik_memo:
             return self._loglik_memo[key]
         W = self.weights if weights is None else weights
+        tokens, features = self._response_features(prompt, response)
+        logits, peak, sums = _response_logits(W, features)
+        picked = logits[np.arange(tokens.size), tokens]
         total = 0.0
-        for tok, phi in self._response_features(prompt, response):
-            # the one log-softmax entry needed, with token_log_probs' operations
-            logits = W @ phi
-            peak = logits.max()
-            total += float(logits[tok] - (peak + math.log(np.exp(logits - peak).sum())))
+        # the one log-softmax entry needed per token, added in token order
+        for lp, top, norm in zip(picked.tolist(), peak.tolist(), sums.tolist()):
+            total += lp - (top + math.log(norm))
         if weights is None:
             self._loglik_memo[key] = total
         return total
@@ -291,16 +314,23 @@ def dpo_loss(
 def _loglik_and_grad(policy: ToyPolicy, prompt, response) -> tuple[float, np.ndarray]:
     """Sequence log-likelihood and its gradient w.r.t. the weight matrix.
 
-    One log-softmax per token serves both.
+    One log-softmax per response serves both, with ``_log_softmax``'s
+    operations row by row. The gradient is the sum over tokens of
+    ``outer(onehot(tok) - softmax, phi)``; numpy's reduction over the first
+    axis of a C-contiguous array at least 2 wide (V * F >= 2, since V >= 2)
+    adds the rows in token order from +0.0, as a ``grad += outer`` loop does.
     """
+    tokens, features = policy._response_features(prompt, response)
+    logits, peak, sums = _response_logits(policy.weights, features)
+    shift = peak + np.array([math.log(norm) for norm in sums.tolist()])
+    logp = logits - shift[:, None]
+    rows = np.arange(tokens.size)
     total = 0.0
-    grad = np.zeros((policy.vocab_size, policy.feature_dim))
-    for tok, phi in policy._response_features(prompt, response):
-        logp = _log_softmax(policy.weights @ phi)
-        total += float(logp[tok])
-        coeff = -np.exp(logp)
-        coeff[tok] += 1.0
-        grad += np.outer(coeff, phi)
+    for lp in logp[rows, tokens].tolist():
+        total += lp
+    coeff = -np.exp(logp)
+    coeff[rows, tokens] += 1.0
+    grad = np.add.reduce(coeff[:, :, None] * features[:, None, :], axis=0)
     return total, grad
 
 
