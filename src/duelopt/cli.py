@@ -262,6 +262,17 @@ def _validate_config(config: RunConfig) -> None:
         at_least("bench_m", 1)
     if not config.bench_seeds:
         raise RangeError("bench_seeds", config.bench_seeds, "nonempty list")
+    # seeds become Philox keys and RngState seeds, which take [0, 2**64);
+    # the feature seed is hashed as a signed 64-bit integer
+    for name in ("seed", "objective_seed", "ref_weight_seed"):
+        if not 0 <= getattr(config, name) < 2**64:
+            raise RangeError(name, getattr(config, name), "[0, 2**64)")
+    if not -(2**63) <= config.feature_seed < 2**63:
+        raise RangeError("feature_seed", config.feature_seed, "[-2**63, 2**63)")
+    if config.mode == "bench-sweep":
+        for b in config.bench_seeds:
+            if not 0 <= config.seed + b < 2**64:
+                raise RangeError("bench_seeds", config.bench_seeds, "seed + entry in [0, 2**64)")
 
 
 # ----- result export ---------------------------------------------------

@@ -1,13 +1,19 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
 from duelopt import (
+    ParamVector,
     RngState,
     SyntheticObjective,
     check_estimator_error,
     check_sign_agreement,
+    compare_function,
     make_nonconvex_sparse,
     make_sparse_quadratic,
+    measure_bits,
     point_with_gradient_norm,
     sweep_convergence,
 )
@@ -86,6 +92,43 @@ def test_value_batch_matches_scalar_value():
         batch = obj.value_batch(thetas)
         for row, expected in zip(thetas, batch):
             assert obj.value(row) == pytest.approx(expected, rel=1e-12)
+
+
+# ----- comparison oracle ----------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [make_sparse_quadratic, make_nonconvex_sparse])
+def test_comparison_oracle_evaluates_each_base_point_once_per_batch(make):
+    calls = []
+    obj = make(30, 4, seed=3)
+
+    def value(theta):
+        calls.append(1)
+        return obj.value(theta)
+
+    counted = dataclasses.replace(obj, value=value)
+    oracle = counted.comparison_oracle()
+    m = 17
+    for t, scale in enumerate((1.0, 0.5, 0.5)):
+        theta = ParamVector(scale * np.linspace(-1.0, 1.0, 30))
+        calls.clear()
+        batch = measure_bits(oracle, theta, 0.05, m, RngState(5, counter=t))
+        # f at every candidate, and at the base point once, not once per query
+        assert len(calls) == m + 1
+        plain = measure_bits(
+            lambda a, b: compare_function(obj.value, a, b), theta, 0.05, m,
+            RngState(5, counter=t),
+        )
+        assert batch.signs.tobytes() == plain.signs.tobytes()
+
+
+def test_comparison_oracle_does_not_keep_the_base_point_alive():
+    oracle = make_sparse_quadratic(10, 3, seed=1).comparison_oracle()
+    theta = ParamVector(np.ones(10))
+    measure_bits(oracle, theta, 0.1, 4, RngState(0))
+    ref = weakref.ref(theta)
+    del theta
+    assert ref() is None
 
 
 def test_point_with_gradient_norm_hits_target():

@@ -356,6 +356,32 @@ def test_cli_bench_field_out_of_range_is_an_error(tmp_path, capsys, payload, fie
 
 
 @pytest.mark.parametrize("payload, field", [
+    ({"mode": "pipeline", "seed": -1}, "seed"),
+    ({"mode": "basic", "seed": -1}, "seed"),
+    ({"mode": "basic", "seed": 2**64}, "seed"),
+    ({"mode": "basic", "objective_seed": -1}, "objective_seed"),
+    ({"mode": "pipeline", "ref_weight_seed": 2**64}, "ref_weight_seed"),
+    ({"mode": "pipeline", "feature_seed": 2**63}, "feature_seed"),
+    ({"mode": "pipeline", "feature_seed": -(2**63) - 1}, "feature_seed"),
+    ({"mode": "bench-sweep", "seed": -3}, "seed"),
+    ({"mode": "bench-sweep", "seed": 2, "bench_seeds": [0, -3]}, "bench_seeds"),
+    ({"mode": "bench-sweep", "seed": 2**64 - 2, "bench_seeds": [0, 2]}, "bench_seeds"),
+])
+def test_cli_seed_outside_its_range_is_an_error(tmp_path, capsys, payload, field):
+    path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+    assert repr(field) in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+def test_seeds_at_the_ends_of_their_ranges_are_accepted():
+    top = 2**64 - 1
+    build_config({"mode": "basic", "seed": top, "objective_seed": top, "ref_weight_seed": top})
+    build_config({"mode": "pipeline", "feature_seed": -(2**63)})
+    build_config({"mode": "pipeline", "feature_seed": 2**63 - 1})
+    build_config({"mode": "bench-sweep", "seed": 3, "bench_seeds": [-3, top - 3]})
+
+
+@pytest.mark.parametrize("payload, field", [
     ({"mode": ["basic"]}, "mode"),
     ({"mode": {"basic": 1}}, "mode"),
     ({"mode": "basic", "preset": ["mistral-7b"]}, "preset"),

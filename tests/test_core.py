@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -132,6 +134,35 @@ def test_embed_rejects_zero_radius():
     theta = ParamVector(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         embed_perturbation(theta, np.array([0.0, 1.0]), 0.0)
+    with pytest.raises(ValueError):
+        embed_perturbation(theta, np.array([0.0, 1.0]), math.nan)
+
+
+def test_embed_candidate_is_one_checked_frozen_copy_sharing_the_mask():
+    gen = np.random.default_rng(41)
+    for mask in (None, np.array([0, 2, 5])):
+        theta = ParamVector(gen.standard_normal(7), scope_mask=mask)
+        z = gen.standard_normal(theta.scope_dim)
+        expected = theta.values.copy()
+        if mask is None:
+            expected += 0.25 * z
+        else:
+            expected[mask] += 0.25 * z
+        for out in (
+            embed_perturbation(theta, z, 0.25),
+            theta.with_scope_values(ParamVector(expected, mask).scope_values()),
+        ):
+            assert out.values.tobytes() == ParamVector(expected, mask).values.tobytes()
+            assert out.values.dtype == np.float64
+            assert not out.values.flags.writeable
+            assert not np.shares_memory(out.values, theta.values)
+            assert out.scope_mask is theta.scope_mask
+    # the sum overflows to inf; the one check left still catches it
+    with np.errstate(over="ignore"):
+        for mask in (None, np.array([0])):
+            theta = ParamVector(np.array([1.7e308, 0.0]), scope_mask=mask)
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                embed_perturbation(theta, np.array([1.0, 0.0])[: theta.scope_dim], 1e308)
 
 
 def test_embed_rejects_dim_mismatch():

@@ -178,6 +178,8 @@ def test_measure_bits_validates_inputs():
         measure_bits(lambda a, b: Sign.PLUS, pv(0.0), radius=1.0, m=0, rng=RngState(0))
     with pytest.raises(InvalidBatchError):
         measure_bits(lambda a, b: Sign.PLUS, pv(0.0), radius=0.0, m=4, rng=RngState(0))
+    with pytest.raises(InvalidBatchError):
+        measure_bits(lambda a, b: Sign.PLUS, pv(0.0), radius=math.nan, m=4, rng=RngState(0))
 
 
 @st.composite
@@ -235,3 +237,5 @@ def test_bit_measurement_batch_rejects_malformed_batches():
         batch(signs=np.array([1, -1]))
     with pytest.raises(InvalidBatchError, match="radius"):
         batch(radius=0.0)
+    with pytest.raises(InvalidBatchError, match="radius"):
+        batch(radius=math.nan)

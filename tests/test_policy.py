@@ -244,26 +244,36 @@ def reference_dpo_grad(policy, ref, batch, beta):
 
 
 def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
+    """The response-level log-softmax and ordered gradient sum keep every bit.
+
+    Shapes: the narrowest policy (vocab 2 x feature 1, where V * F = 2 is the
+    narrowest width at which numpy still adds the gradient rows in order),
+    an odd one, and the pipeline's 8 x 16; responses of 1 to 12 tokens.
+    """
     gen = np.random.default_rng(21)
+    for vocab, feat in ((5, 7), (2, 1), (8, 16)):
 
-    def seq(lo, hi):
-        return tuple(int(t) for t in gen.integers(0, 5, size=int(gen.integers(lo, hi))))
+        def seq(lo, hi):
+            return tuple(int(t) for t in gen.integers(0, vocab, size=int(gen.integers(lo, hi))))
 
-    for trial in range(25):
-        policy = make_toy_policy(vocab_size=5, feature_dim=7, max_context=4, weight_seed=trial)
-        ref = make_toy_policy(vocab_size=5, feature_dim=7, max_context=4, weight_seed=99 - trial)
-        size = int(gen.integers(1, 4))
-        batch = [PreferencePair(seq(1, 4), seq(1, 6), seq(1, 6)) for _ in range(size)]
-        beta = float(gen.uniform(0.05, 2.0))
-        expected = reference_dpo_grad(policy, ref, batch, beta)
-        # twice: the second call answers the reference likelihoods from the memo
-        for _ in range(2):
-            assert dpo_grad(policy, ref, batch, beta).tobytes() == expected.tobytes()
-        for pair in batch:
-            want = reference_log_likelihood(policy, pair.prompt, pair.preferred)
-            assert policy.sequence_log_likelihood(pair.prompt, pair.preferred) == want
-            got_at = policy.log_likelihood_at(ref.flat_params, pair.prompt, pair.preferred)
-            assert got_at == reference_log_likelihood(ref, pair.prompt, pair.preferred)
+        for trial in range(25):
+            policy = make_toy_policy(vocab_size=vocab, feature_dim=feat, max_context=4,
+                                     weight_seed=trial)
+            ref = make_toy_policy(vocab_size=vocab, feature_dim=feat, max_context=4,
+                                  weight_seed=99 - trial)
+            size = int(gen.integers(1, 4))
+            batch = [PreferencePair(seq(1, 4), seq(1, 13), seq(1, 13)) for _ in range(size)]
+            beta = float(gen.uniform(0.05, 2.0))
+            expected = reference_dpo_grad(policy, ref, batch, beta)
+            # twice: the second call answers the reference likelihoods from the memo
+            for _ in range(2):
+                assert dpo_grad(policy, ref, batch, beta).tobytes() == expected.tobytes()
+            for pair in batch:
+                for response in (pair.preferred, pair.dispreferred):
+                    want = reference_log_likelihood(policy, pair.prompt, response)
+                    assert policy.sequence_log_likelihood(pair.prompt, response) == want
+                    got_at = policy.log_likelihood_at(ref.flat_params, pair.prompt, response)
+                    assert got_at == reference_log_likelihood(ref, pair.prompt, response)
 
 
 def test_dpo_grad_batch_mean_of_duplicates():

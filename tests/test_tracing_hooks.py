@@ -77,7 +77,10 @@ def test_install_wraps_caller_names_and_uninstall_restores(tmp_path):
         assert calls.get(name, 0) >= 1, name
     # one measurement batch per loop iteration, counted at the loop entry points
     assert calls["oracles.measure_bits"] == tracer.counts["iterations"] >= 2
-    # one preference query per oracle call the pipeline's trajectory records
-    header, *rows = (tmp_path / "pipeline" / "trajectory.csv").read_text().splitlines()
-    column = header.split(",").index("oracle_calls")
-    assert calls["policy.compare_preference"] == sum(int(r.split(",")[column]) for r in rows)
+    # one query span per oracle call each trajectory records
+    for mode, query in (
+        ("basic", "bench.compare_function"), ("pipeline", "policy.compare_preference"),
+    ):
+        header, *rows = (tmp_path / mode / "trajectory.csv").read_text().splitlines()
+        column = header.split(",").index("oracle_calls")
+        assert calls[query] == sum(int(r.split(",")[column]) for r in rows), mode
