@@ -322,6 +322,7 @@ def _loglik_and_grad(policy: ToyPolicy, prompt, response) -> tuple[float, np.nda
     """
     tokens, features = policy._response_features(prompt, response)
     logits, peak, sums = _response_logits(policy.weights, features)
+    # math.log, as _log_softmax takes it: np.log need not round the same way
     shift = peak + np.array([math.log(norm) for norm in sums.tolist()])
     logp = logits - shift[:, None]
     rows = np.arange(tokens.size)
