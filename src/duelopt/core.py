@@ -205,9 +205,10 @@ def embed_perturbation(theta: ParamVector, z: np.ndarray, radius: float) -> Para
         raise DimensionError(
             f"perturbation shape {z.shape} does not match scope dim {theta.scope_dim}"
         )
+    # in place into a float64 copy, so a wider or complex z cannot change the dtype
+    out = theta.values.copy()
     if theta.scope_mask is None:
-        out = theta.values + radius * z
+        out += radius * z
     else:
-        out = theta.values.copy()
         out[theta.scope_mask] += radius * z
     return ParamVector._derived(out, theta.scope_mask)

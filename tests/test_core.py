@@ -157,6 +157,12 @@ def test_embed_candidate_is_one_checked_frozen_copy_sharing_the_mask():
             assert not out.values.flags.writeable
             assert not np.shares_memory(out.values, theta.values)
             assert out.scope_mask is theta.scope_mask
+        # a wider z is added into theta's float64 copy; a complex one is refused
+        wide = embed_perturbation(theta, z.astype(np.longdouble), 0.25)
+        assert wide.values.dtype == np.float64
+        assert wide.values.tobytes() == ParamVector(expected, mask).values.tobytes()
+        with pytest.raises(TypeError):
+            embed_perturbation(theta, z + 1j, 0.25)
     # the sum overflows to inf; the one check left still catches it
     with np.errstate(over="ignore"):
         for mask in (None, np.array([0])):
