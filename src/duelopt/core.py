@@ -8,7 +8,8 @@ are actually drawn.
 Perturbation directions are plain float64 rows. ``RngState.sphere_rows``
 draws a block's rows from one generator re-keyed to ``(seed, block, i)``
 before row i, which gives the same bytes as one fresh substream per row
-without paying for a generator per row. ``oracles.BitMeasurementBatch`` is
+without paying for a generator per row; a chunk of rows starting at row
+``start`` has the bytes of the same rows drawn in one call. ``oracles`` is
 the one place that checks the rows are unit.
 """
 
@@ -49,29 +50,30 @@ class RngState:
     def _key(self, block: int, index: int) -> int:
         return self.seed | ((block & _MASK32) << 64) | ((index & _MASK32) << 96)
 
-    def sphere_rows(self, block: int, count: int, dim: int) -> np.ndarray:
-        """(count, dim) unit rows; row i is ``_sphere_rows(self.substream(block, i), 1, dim)[0]``.
+    def sphere_rows(self, block: int, count: int, dim: int, start: int = 0) -> np.ndarray:
+        """(count, dim) unit rows; row i is the first row of ``substream(block, start + i)``.
 
         Building a generator costs more than drawing a short row, so every
         row comes from one generator: before row i its Philox bit generator is
-        re-keyed to ``(seed, block, i)`` with counter 0 and an empty buffer,
-        the state a fresh ``substream(block, i)`` starts in, so the row's
-        bytes are the same. The generator is local to the call, so no other
-        caller sees it move.
+        re-keyed to ``(seed, block, start + i)`` with counter 0 and an empty
+        buffer, the state a fresh ``substream(block, start + i)`` starts in,
+        so the row's bytes are the same, and rows drawn in chunks equal rows
+        drawn at once. The generator is local to the call, so no other caller
+        sees it move.
         """
         rows = np.empty((count, dim), dtype=np.float64)
-        gen = self.substream(block, 0)
+        gen = self.substream(block, start)
         fresh = gen.bit_generator.state
         for i in range(count):
             if i:
-                key = self._key(block, i)
+                key = self._key(block, start + i)
                 fresh["state"]["key"] = np.array([key & _MASK64, key >> 64], dtype=np.uint64)
                 gen.bit_generator.state = fresh
             gen.standard_normal(out=rows[i])
         norms = np.linalg.norm(rows, axis=1)
         for i in np.flatnonzero(norms == 0.0):
             # probability zero; redone exactly as its own substream would
-            rows[i] = _sphere_rows(self.substream(block, int(i)), 1, dim)[0]
+            rows[i] = _sphere_rows(self.substream(block, start + int(i)), 1, dim)[0]
             norms[i] = 1.0
         # divided in place, not into a second (count, dim) array
         rows /= norms[:, None]

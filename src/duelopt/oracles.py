@@ -5,6 +5,11 @@ strictly better under a hidden objective?) and a preference comparison over a
 policy and a batch of preference pairs (does the candidate strictly raise the
 likelihood of every preferred response and strictly lower that of every
 dispreferred one?). Both return only a sign, never a value.
+
+``measure_bits`` asks the oracle once per perturbation direction, drawing,
+querying and summing the directions one chunk at a time. A batch keeps the
+signs and the signed direction sum, which is all either direction estimator
+reads, so no (m, k) direction matrix outlives a chunk.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -33,57 +38,108 @@ ComparisonOracle = Callable[[ParamVector, ParamVector], Sign]
 LikelihoodEvaluator = Callable[[np.ndarray, Sequence[int], Sequence[int]], float]
 
 
+# directions per chunk times chunk length stays near this many floats (512 KiB)
+_CHUNK_FLOATS = 1 << 16
+
+
 @dataclass(frozen=True)
 class BitMeasurementBatch:
-    """m perturbation directions with their oracle signs.
+    """m one-bit measurements: the oracle signs and their signed direction sum.
 
-    ``directions`` is an (m, k) matrix of unit rows; ``signs`` the matching
-    +/-1 responses. ``iteration`` records which counter block produced the
-    directions, and ``oracle_calls`` equals m. Construction is the one place
-    that checks the rows are unit (within 1e-9), the signs and the shapes.
+    ``signs`` holds the m +/-1 responses and ``iteration`` the counter block
+    whose substreams gave the directions, so direction i can be regenerated
+    as row i of ``RngState(seed).sphere_rows(iteration, m, k)``.
+    ``oracle_calls`` must equal m. The batch keeps only the sum
+    ``sum_i signs[i] * directions[i]``, not the (m, k) rows: constructing it
+    from ``directions`` checks that the rows are unit (within 1e-9) and
+    reduces them once, and ``measure_bits`` builds it from a sum it streamed
+    chunk by chunk.
     """
 
-    directions: np.ndarray
+    directions: InitVar[np.ndarray]
     signs: np.ndarray
     radius: float
     iteration: int
     oracle_calls: int
+    _direction_sum: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        dirs = np.asarray(self.directions, dtype=np.float64)
-        signs = np.asarray(self.signs, dtype=np.int8)
+    def __post_init__(self, directions: np.ndarray) -> None:
+        # a copy of the caller's rows, since the sum is taken in place
+        dirs = np.array(directions, dtype=np.float64)
         if dirs.ndim != 2 or dirs.shape[0] < 1:
             raise InvalidBatchError("directions must be a nonempty (m, k) matrix")
-        if signs.shape != (dirs.shape[0],):
+        self._check_and_freeze(dirs.shape[0])
+        _check_unit_rows(dirs)
+        self._set_sum(_add_signed_rows(None, dirs, self.signs))
+
+    @classmethod
+    def _streamed(
+        cls, signs: np.ndarray, direction_sum: np.ndarray, radius: float, iteration: int
+    ) -> BitMeasurementBatch:
+        """A batch whose unit rows were checked and summed chunk by chunk."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "signs", signs)
+        object.__setattr__(batch, "radius", radius)
+        object.__setattr__(batch, "iteration", iteration)
+        object.__setattr__(batch, "oracle_calls", len(signs))
+        batch._check_and_freeze(len(signs))
+        batch._set_sum(direction_sum)
+        return batch
+
+    def _check_and_freeze(self, m: int) -> None:
+        # values are checked before the int8 cast, which would wrap 255 or truncate 1.7
+        raw = np.asarray(self.signs)
+        if raw.shape != (m,):
             raise InvalidBatchError("signs length must match direction count")
-        if not np.all(np.abs(signs) == 1):
+        if not np.all((raw == 1) | (raw == -1)):
             raise InvalidBatchError("signs must be +1 or -1")
         if not self.radius > 0:
             raise InvalidBatchError(f"radius must be > 0, got {self.radius}")
-        # row norms without an (m, k) temporary; the 1e-9 tolerance hides their last bits
-        norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise InvalidBatchError("direction rows must be unit vectors")
-        dirs = dirs.copy()
-        dirs.setflags(write=False)
-        signs = signs.copy()
+        if self.oracle_calls != m:
+            raise InvalidBatchError(f"oracle_calls must equal m = {m}, got {self.oracle_calls}")
+        signs = raw.astype(np.int8)
         signs.setflags(write=False)
-        object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "oracle_calls", int(self.oracle_calls))
+        object.__setattr__(self, "oracle_calls", m)
+
+    def _set_sum(self, direction_sum: np.ndarray) -> None:
+        direction_sum.setflags(write=False)
+        object.__setattr__(self, "_direction_sum", direction_sum)
 
     @property
     def m(self) -> int:
-        return self.directions.shape[0]
+        return len(self.signs)
 
     def negative_fraction(self) -> float:
         """Fraction of queries where the perturbed point was strictly better."""
         return float(np.count_nonzero(self.signs == -1)) / self.m
 
     def signed_direction_sum(self) -> np.ndarray:
-        """Sum of sign-weighted directions, accumulated in index order."""
-        # numpy's own reduction (no BLAS) keeps the result bit-reproducible
-        return np.add.reduce(self.signs[:, None].astype(np.float64) * self.directions, axis=0)
+        """Sum of sign-weighted directions, accumulated in index order (a fresh copy)."""
+        return self._direction_sum.copy()
+
+
+def _check_unit_rows(rows: np.ndarray) -> None:
+    # row norms without an (m, k) temporary; the 1e-9 tolerance hides their last bits
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    if np.any(np.abs(norms - 1.0) > 1e-9):
+        raise InvalidBatchError("direction rows must be unit vectors")
+
+
+def _add_signed_rows(total: np.ndarray | None, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """``total`` plus the rows weighted by ``signs``, overwriting ``rows``.
+
+    ``total`` is None before the first chunk. numpy's own reduction (no
+    BLAS) keeps the result bit-reproducible. At k >= 2 it adds the rows of
+    axis 0 in index order from +0.0, so prepending the running total gives
+    the bits of one reduction over all the rows, for any chunking. At k = 1
+    it sums the column pairwise, so only a batch reduced in one piece has
+    those bits.
+    """
+    rows *= signs[:, None]
+    if total is not None:
+        rows = np.concatenate((total[None, :], rows))
+    return np.add.reduce(rows, axis=0)
 
 
 def compare_function(
@@ -146,19 +202,27 @@ def measure_bits(
 
     Direction i is the unit row that the substream ``(seed, block, i)`` gives,
     so the batch is identical no matter how the oracle queries are scheduled.
-    All m rows are drawn up front by ``RngState.sphere_rows``, which re-keys
-    one generator per row instead of building m of them; ``signs[i]`` is the
-    oracle's answer at ``embed_perturbation(theta, row i, radius)``.
+    ``signs[i]`` is the oracle's answer at ``embed_perturbation(theta, row i,
+    radius)``, asked once per row in index order. The rows are drawn by
+    ``RngState.sphere_rows``, queried and added to the signed sum in chunks
+    of about ``_CHUNK_FLOATS`` floats, so no (m, k) matrix is ever held. The
+    sum has the bits of one reduction over all m rows; at k = 1 that holds
+    while m fits one chunk (65,536 rows), beyond which the pairwise column
+    sum is taken per chunk.
     """
     if m < 1:
         raise InvalidBatchError(f"m must be >= 1, got {m}")
     if not radius > 0:
         raise InvalidBatchError(f"radius must be > 0, got {radius}")
     block = rng.next_block()
-    directions = rng.sphere_rows(block, m, theta.scope_dim)
+    k = theta.scope_dim
+    chunk = max(1, _CHUNK_FLOATS // k)
     signs = np.empty(m, dtype=np.int8)
-    for i in range(m):
-        signs[i] = oracle(theta, embed_perturbation(theta, directions[i], radius))
-    return BitMeasurementBatch(
-        directions=directions, signs=signs, radius=radius, iteration=block, oracle_calls=m
-    )
+    total = None
+    for start in range(0, m, chunk):
+        rows = rng.sphere_rows(block, min(chunk, m - start), k, start)
+        _check_unit_rows(rows)
+        for i, row in enumerate(rows, start):
+            signs[i] = oracle(theta, embed_perturbation(theta, row, radius))
+        total = _add_signed_rows(total, rows, signs[start:start + len(rows)])
+    return BitMeasurementBatch._streamed(signs, total, radius, block)

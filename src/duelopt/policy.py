@@ -350,8 +350,12 @@ def dpo_grad(
         h = (pos - ref_policy.sequence_log_likelihood(pair.prompt, pair.preferred)) - (
             neg - ref_policy.sequence_log_likelihood(pair.prompt, pair.dispreferred)
         )
-        # d/dh of -log sigmoid(beta h) is -beta * sigmoid(-beta h)
-        coeff = -beta / (1.0 + math.exp(beta * h))
+        # d/dh of -log sigmoid(beta h) is -beta * sigmoid(-beta h); past
+        # exp's float range (beta h > 709.78) it is its limit, -0.0
+        try:
+            coeff = -beta / (1.0 + math.exp(beta * h))
+        except OverflowError:
+            coeff = -0.0
         grad += coeff * (grad_pos - grad_neg)
     return (grad / len(batch)).ravel()
 

@@ -228,6 +228,22 @@ def test_failing_bench_run_exits_nonzero(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"mode": "pipeline", "n_clean": 4, "n_noisy": 2, "beta": 1000, "dpo_epochs": 3, "m": 10},
+        {"mode": "pipeline", "beta": 50, "learning_rate": 50},
+    ],
+)
+def test_cli_pipeline_with_a_saturating_dpo_margin_completes(tmp_path, raw):
+    # beta * margin past exp's float range once ended the run in an OverflowError
+    config_path = write_config(tmp_path, raw)
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert all(Path(path).is_file() for path in manifest["artifacts"].values())
+
+
 def test_cli_run_respects_overrides(tmp_path, capsys):
     config_path = write_config(
         tmp_path, {"mode": "practical", "d": 12, "s": 3, "T": 2, "m": 8, "r": 0.05}

@@ -68,30 +68,35 @@ def test_substreams_are_order_independent():
     block=st.one_of(st.integers(0, 9), st.integers(2**32 - 2, 2**40)),
     count=st.integers(1, 12),
     dim=st.integers(1, 9),
+    start=st.integers(0, 12),
 )
-@example(seed=0, block=0, count=1, dim=1)
-@example(seed=2**64 - 1, block=2**32 + 3, count=7, dim=1)
-@example(seed=5, block=2**33 - 1, count=1, dim=6)
-def test_sphere_rows_equal_one_substream_per_row(seed, block, count, dim):
+@example(seed=0, block=0, count=1, dim=1, start=0)
+@example(seed=2**64 - 1, block=2**32 + 3, count=7, dim=1, start=0)
+@example(seed=5, block=2**33 - 1, count=1, dim=6, start=3)
+def test_sphere_rows_equal_one_substream_per_row(seed, block, count, dim, start):
     rng = RngState(seed, counter=3)
     first = rng.sphere_rows(block, count, dim)
     # another generator drawn in between must not move the next call's rows
     rng.substream(block, 0).standard_normal(dim)
     second = rng.sphere_rows(block, count, dim)
+    # a chunk starting at row ``start`` is those rows of a whole-batch draw
+    chunk = rng.sphere_rows(block, count, dim, start)
     assert rng.counter == 3
-    assert first.shape == (count, dim)
+    assert first.shape == chunk.shape == (count, dim)
     for i in range(count):
         row = _sphere_rows(RngState(seed).substream(block, i), 1, dim)[0]
         # block and index enter the key modulo 2**32
         wrapped = RngState(seed).substream(block + 2**32, i + 2**32)
         assert first[i].tobytes() == row.tobytes() == second[i].tobytes()
         assert _sphere_rows(wrapped, 1, dim)[0].tobytes() == row.tobytes()
+        shifted = _sphere_rows(RngState(seed).substream(block, start + i), 1, dim)[0]
+        assert chunk[i].tobytes() == shifted.tobytes()
 
 
 @pytest.mark.parametrize("zero_row", [0, 2, 4])
 def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero_row):
     rng = RngState(11)
-    expected = rng.sphere_rows(3, 5, 4)
+    expected = rng.sphere_rows(3, 7, 4)
 
     class ZeroRow(np.random.Generator):
         """Fills the ``zero_row``-th row drawn into ``out`` with zeros."""
@@ -113,9 +118,11 @@ def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero
         return ZeroRow(np.random.Philox(key=self._key(block, index)))
 
     monkeypatch.setattr(RngState, "substream", substream)
-    got = rng.sphere_rows(3, 5, 4)
-    assert opened == [0, zero_row]
-    assert got.tobytes() == expected.tobytes()
+    for start in (0, 2):
+        opened.clear()
+        got = rng.sphere_rows(3, 5, 4, start)
+        assert opened == [start, start + zero_row]
+        assert got.tobytes() == expected[start:start + 5].tobytes()
 
 
 def test_embed_with_mask_matches_example():

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from duelopt import (
@@ -18,6 +19,7 @@ from duelopt import (
     measure_bits,
     point_with_gradient_norm,
 )
+from duelopt import oracles
 from duelopt.core import _sphere_rows
 from duelopt.errors import InvalidBatchError, OracleError
 
@@ -139,7 +141,8 @@ def test_measure_bits_linear_objective_signs_match_first_coordinate():
         return compare_function(linear, theta, theta_prime)
 
     batch = measure_bits(oracle, pv(0.0, 0.0, 0.0), radius=1.0, m=64, rng=RngState(3))
-    expected = np.where(batch.directions[:, 0] >= 0.0, 1, -1)
+    rows = RngState(3).sphere_rows(batch.iteration, 64, 3)
+    expected = np.where(rows[:, 0] >= 0.0, 1, -1)
     assert np.array_equal(batch.signs, expected)
     assert batch.oracle_calls == 64
 
@@ -168,7 +171,8 @@ def test_measure_bits_sign_agreement_bound():
     batch = measure_bits(
         obj.comparison_oracle(), ParamVector(theta_values), radius, 100_000, rng
     )
-    linear = np.where(batch.directions @ grad >= 0.0, 1, -1)
+    rows = RngState(77).sphere_rows(batch.iteration, batch.m, obj.dim)
+    linear = np.where(rows @ grad >= 0.0, 1, -1)
     agreement = float(np.mean(batch.signs == linear))
     assert agreement >= 0.69
 
@@ -211,14 +215,17 @@ def test_measure_bits_rows_and_signs_match_their_substreams(case):
 
     batch = measure_bits(oracle, theta, radius, m, rng)
     assert batch.iteration == block and rng.counter == block + 1
-    assert batch.directions.shape == (m, theta.scope_dim)
+    assert batch.m == batch.oracle_calls == m
+    rows = RngState(seed).sphere_rows(batch.iteration, m, theta.scope_dim)
     in_scope = np.arange(theta.dim) if theta.scope_mask is None else theta.scope_mask
     for i in range(m):
         row = _sphere_rows(RngState(seed).substream(block, i), 1, theta.scope_dim)[0]
-        assert batch.directions[i].tobytes() == row.tobytes()
+        assert rows[i].tobytes() == row.tobytes()
         values = theta.values.copy()
         values[in_scope] += radius * row
         assert batch.signs[i] == oracle(theta, ParamVector(values, theta.scope_mask))
+    expected = np.add.reduce(batch.signs[:, None] * rows, axis=0)
+    assert batch.signed_direction_sum().tobytes() == expected.tobytes()
 
 
 def test_bit_measurement_batch_rejects_malformed_batches():
@@ -239,3 +246,70 @@ def test_bit_measurement_batch_rejects_malformed_batches():
         batch(radius=0.0)
     with pytest.raises(InvalidBatchError, match="radius"):
         batch(radius=math.nan)
+    # values are checked before the int8 cast, which would read 255 as -1
+    with pytest.raises(InvalidBatchError, match="signs must be"):
+        batch(signs=np.array([1, 255, -1]))
+    with pytest.raises(InvalidBatchError, match="signs must be"):
+        batch(signs=np.array([1.7, -1.2, 1.0]))
+    for calls in (2, 4):
+        with pytest.raises(InvalidBatchError, match="oracle_calls"):
+            BitMeasurementBatch(rows, signs, 0.5, iteration=0, oracle_calls=calls)
+
+
+def test_bit_measurement_batch_keeps_the_sum_not_the_rows():
+    rows = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
+    kept = rows.copy()
+    batch = BitMeasurementBatch(rows, [1, -1, -1], 0.5, iteration=4, oracle_calls=3)
+    assert not hasattr(batch, "directions")
+    assert rows.tobytes() == kept.tobytes()
+    assert batch.m == batch.oracle_calls == 3
+    assert batch.signs.dtype == np.int8 and not batch.signs.flags.writeable
+    c = batch.signed_direction_sum()
+    assert c.tobytes() == np.add.reduce(np.array([[0.6, 0.8], [-1.0, -0.0], [-0.0, 1.0]])).tobytes()
+    c[0] = 9.0
+    assert batch.signed_direction_sum()[0] == 0.6 - 1.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(measurement_cases())
+def test_measure_bits_is_bit_identical_for_any_chunk_size(case):
+    theta, weights, radius, m, rng = case
+    k = theta.scope_dim
+    assume(k >= 2)
+
+    def oracle(a, b):
+        return compare_function(lambda v: float(np.dot(weights, v)), a, b)
+
+    batches = []
+    for rows_per_chunk in (1, 3, m):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "_CHUNK_FLOATS", rows_per_chunk * k)
+            fresh = RngState(rng.seed, rng.counter)
+            batches.append(measure_bits(oracle, theta, radius, m, fresh))
+    first = batches[0]
+    whole = BitMeasurementBatch(
+        directions=RngState(rng.seed).sphere_rows(first.iteration, m, k),
+        signs=first.signs,
+        radius=radius,
+        iteration=first.iteration,
+        oracle_calls=m,
+    )
+    for batch in batches:
+        assert batch.iteration == rng.counter
+        assert batch.signs.tobytes() == first.signs.tobytes()
+        assert batch.signed_direction_sum().tobytes() == whole.signed_direction_sum().tobytes()
+
+
+def test_measure_bits_holds_no_m_by_k_matrix():
+    # basic-10k's batch: m = 191 rows of k = 10^4 floats would take 14.6 MiB
+    obj = make_sparse_quadratic(10_000, 10, seed=1)
+    theta = ParamVector(np.full(10_000, 0.5))
+    oracle = obj.comparison_oracle()
+    tracemalloc.start()
+    try:
+        batch = measure_bits(oracle, theta, 1e-3, 191, RngState(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.m == 191
+    assert peak < 4 * 2**20

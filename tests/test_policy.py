@@ -186,6 +186,25 @@ def test_dpo_grad_zero_for_identical_responses():
     assert np.array_equal(grad, np.zeros_like(grad))
 
 
+def test_dpo_grad_saturates_where_exp_overflows():
+    # -beta / (1 + exp(beta h)) tends to -0.0; past exp's float range the
+    # gradient is that limit instead of an OverflowError
+    policy, ref = small_policy(seed=3), small_policy(seed=4)
+    pair = PreferencePair((0,), (1, 2), (3, 0))
+    h = policy_mod._pair_margin(policy, ref, pair)
+    if h < 0:
+        pair = PreferencePair(pair.prompt, pair.dispreferred, pair.preferred)
+        h = -h
+    assert h > 0
+    saturated = dpo_grad(policy, ref, [pair], beta=1000.0 / h)
+    assert np.all(saturated == 0.0)
+    # just inside the range the expression itself is kept
+    beta = 700.0 / h
+    inside = dpo_grad(policy, ref, [pair], beta)
+    assert np.any(inside != 0.0)
+    assert inside.tobytes() == reference_dpo_grad(policy, ref, [pair], beta).tobytes()
+
+
 def test_dpo_grad_matches_finite_differences_sample():
     gen = np.random.default_rng(12)
     for trial in range(10):
