@@ -129,6 +129,38 @@ class RunConfig:
 
 FIELD_TYPES = typing.get_type_hints(RunConfig)
 
+# the accepted interval of every int and float field, shown as-is in RangeError;
+# `s` is checked against `d` in _validate_config. NaN and +-inf fall outside all.
+# Seeds become Philox keys and RngState seeds, which take [0, 2**64); the
+# feature seed is hashed as a signed 64-bit integer.
+RANGES = {
+    "seed": "[0, 2**64)", "objective_seed": "[0, 2**64)", "ref_weight_seed": "[0, 2**64)",
+    "feature_seed": "[-2**63, 2**63)", "d": "[1, inf)",
+    "epsilon": "(0, inf)", "Lambda": "(0, 1)", "Delta": "(0, inf)", "c_m": "(0, inf)",
+    "gamma": "(0, inf)", "r": "(0, inf)", "m": "[1, inf)", "lambda_g": "[0, inf)",
+    "skip_threshold": "[0, 1)", "T": "[1, inf)", "pairs_per_batch": "[1, inf)",
+    "delta": "(0, inf)", "beta": "(0, inf)", "learning_rate": "(-inf, inf)",
+    "dpo_epochs": "[0, inf)", "refine_epochs": "[1, inf)", "vocab_size": "[2, inf)",
+    "feature_dim": "[1, inf)", "max_context": "[1, inf)", "ref_weight_scale": "(-inf, inf)",
+    "n_clean": "[0, inf)", "n_noisy": "[0, inf)",
+    "n_samples": "[1, inf)", "trials": "[1, inf)", "flip_prob": "[0, 0.5)", "bench_m": "[1, inf)",
+}
+
+
+def _in_interval(value, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like ``"[0, 2**64)"``; NaN never does."""
+
+    def end(text: str):
+        if "**" in text:  # the seed ends, "2**64" and "-2**63", as exact ints
+            base, exponent = text.lstrip("-").split("**")
+            return (-1 if text.startswith("-") else 1) * int(base) ** int(exponent)
+        return float(text)
+
+    low, high = (end(text) for text in interval[1:-1].split(", "))
+    above = low <= value if interval[0] == "[" else low < value
+    below = value <= high if interval[-1] == "]" else value < high
+    return above and below
+
 
 def _is_json_type(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: bool is not int, int is float."""
@@ -203,50 +235,21 @@ def _validate_config(config: RunConfig) -> None:
         value = getattr(config, f.name)
         if not _is_json_type(value, FIELD_TYPES[f.name]):
             raise ConfigError(f"config field {f.name!r} = {value!r} is not of type {f.type}")
-        # json.loads accepts NaN and Infinity, and NaN passes every `x <= bound` test
-        if isinstance(value, float) and not math.isfinite(value):
-            raise RangeError(f.name, value, "(-inf, inf)")
+        bounds = RANGES.get(f.name)
+        if bounds is not None and value is not None and not _in_interval(value, bounds):
+            raise RangeError(f.name, value, bounds)
 
-    def positive(name: str) -> None:
-        if getattr(config, name) <= 0:
-            raise RangeError(name, getattr(config, name), "(0, inf)")
-
-    def at_least(name: str, bound: int) -> None:
-        if getattr(config, name) < bound:
-            raise RangeError(name, getattr(config, name), f"[{bound}, inf)")
-
+    # rules that involve more than one field
     if config.objective not in ("quadratic", "nonconvex"):
         raise RangeError("objective", config.objective, "quadratic or nonconvex")
-    at_least("d", 1)
     if not (1 <= config.s <= config.d):
         raise RangeError("s", config.s, f"[1, d={config.d}]")
-    positive("epsilon")
-    positive("delta")
-    positive("beta")
-    positive("gamma")
-    positive("r")
-    positive("Delta")
-    positive("c_m")
-    at_least("m", 1)
-    at_least("T", 1)
-    at_least("pairs_per_batch", 1)
-    if config.lambda_g < 0:
-        raise RangeError("lambda_g", config.lambda_g, "[0, inf)")
-    if not (0.0 <= config.skip_threshold < 1.0):
-        raise RangeError("skip_threshold", config.skip_threshold, "[0, 1)")
     if config.mode in ("basic", "bench-sweep") and not (0.0 < config.epsilon < 1.0):
         raise RangeError("epsilon", config.epsilon, "(0, 1) for schedule-driven modes")
-    if not (0.0 < config.Lambda < 1.0):
-        raise RangeError("Lambda", config.Lambda, "(0, 1)")
-    if not (0.0 <= config.flip_prob < 0.5):
-        raise RangeError("flip_prob", config.flip_prob, "[0, 0.5)")
-    at_least("trials", 1)
-    at_least("n_samples", 1)
-    at_least("vocab_size", 2)
-    at_least("feature_dim", 1)
-    at_least("max_context", 1)
-    at_least("refine_epochs", 1)
-    at_least("dpo_epochs", 0)
+    if config.mode == "pipeline" and config.dataset is None and config.n_clean + config.n_noisy < 1:
+        raise RangeError(
+            "n_clean + n_noisy", config.n_clean + config.n_noisy, "[1, inf) without a dataset"
+        )
     if config.scope_mask is not None:
         # ParamVector's own checks, at the dimension of the vector the mode optimizes
         uses_policy = config.mode == "pipeline" or (
@@ -258,21 +261,12 @@ def _validate_config(config: RunConfig) -> None:
         raise RangeError("dims", config.dims, "nonempty list")
     if config.mode == "bench-sweep" and min(config.dims) < config.s:
         raise RangeError("dims", config.dims, f"entries in [s={config.s}, inf)")
-    if config.bench_m is not None:
-        at_least("bench_m", 1)
     if not config.bench_seeds:
         raise RangeError("bench_seeds", config.bench_seeds, "nonempty list")
-    # seeds become Philox keys and RngState seeds, which take [0, 2**64);
-    # the feature seed is hashed as a signed 64-bit integer
-    for name in ("seed", "objective_seed", "ref_weight_seed"):
-        if not 0 <= getattr(config, name) < 2**64:
-            raise RangeError(name, getattr(config, name), "[0, 2**64)")
-    if not -(2**63) <= config.feature_seed < 2**63:
-        raise RangeError("feature_seed", config.feature_seed, "[-2**63, 2**63)")
-    if config.mode == "bench-sweep":
-        for b in config.bench_seeds:
-            if not 0 <= config.seed + b < 2**64:
-                raise RangeError("bench_seeds", config.bench_seeds, "seed + entry in [0, 2**64)")
+    if config.mode == "bench-sweep" and not all(
+        _in_interval(config.seed + b, RANGES["seed"]) for b in config.bench_seeds
+    ):
+        raise RangeError("bench_seeds", config.bench_seeds, f"seed + entry in {RANGES['seed']}")
 
 
 # ----- result export ---------------------------------------------------

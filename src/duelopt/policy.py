@@ -673,7 +673,7 @@ def generate_preference_data(
                     break
             else:
                 kind = "noisy" if want_noisy else "clean"
-                raise RuntimeError(
+                raise InvalidBatchError(
                     f"could not synthesize a {kind} pair within "
                     f"{MAX_ATTEMPTS_PER_PAIR} attempts (delta={delta})"
                 )

@@ -10,7 +10,10 @@ import pytest
 
 import duelopt
 from duelopt import ParamVector, RngState, Trajectory
-from duelopt.cli import build_config, export_results, main, parse_config, run_experiment
+from duelopt.cli import (
+    FIELD_TYPES, RANGES, _is_json_type, build_config, export_results, main, parse_config,
+    run_experiment,
+)
 from duelopt.errors import ConfigError, DimensionError, MissingFieldError, RangeError
 from duelopt.optimizer import PracticalConfig, run_practical
 from duelopt.oracles import Sign
@@ -321,7 +324,7 @@ def test_cli_scope_mask_out_of_range_is_an_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("vocab_size", 1), ("feature_dim", 0), ("max_context", 0), ("max_context", -2),
-    ("refine_epochs", 0), ("dpo_epochs", -1),
+    ("refine_epochs", 0), ("dpo_epochs", -1), ("n_clean", -1), ("n_noisy", -2),
 ])
 def test_cli_policy_field_out_of_range_is_an_error(tmp_path, capsys, field, value):
     path = write_config(tmp_path, {
@@ -364,6 +367,12 @@ def test_cli_split_bad_input_is_an_error(tmp_path, capsys, flags, field):
     ({"mode": "bench-sweep", "dims": [3]}, "dims"),  # below s = 5
     ({"mode": "bench-sweep", "dims": [50, 4]}, "dims"),
     ({"mode": "bench-proposition", "bench_m": 0}, "bench_m"),
+    ({"mode": "bench-proposition", "trials": 0}, "trials"),
+    ({"mode": "bench-proposition", "flip_prob": 0.5}, "flip_prob"),
+    ({"mode": "bench-sweep", "Lambda": 0.0}, "Lambda"),
+    # a pipeline with no dataset synthesizes n_clean + n_noisy pairs
+    ({"mode": "pipeline", "n_clean": 0, "n_noisy": 0}, "n_clean + n_noisy"),
+    ({"mode": "pipeline", "n_clean": -1, "n_noisy": -2}, "n_clean"),
 ])
 def test_cli_bench_field_out_of_range_is_an_error(tmp_path, capsys, payload, field):
     path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
@@ -395,6 +404,18 @@ def test_seeds_at_the_ends_of_their_ranges_are_accepted():
     build_config({"mode": "pipeline", "feature_seed": -(2**63)})
     build_config({"mode": "pipeline", "feature_seed": 2**63 - 1})
     build_config({"mode": "bench-sweep", "seed": 3, "bench_seeds": [-3, top - 3]})
+
+
+def test_closed_ends_of_ranges_are_accepted():
+    config = build_config({"mode": "pipeline", "lambda_g": 0, "dpo_epochs": 0, "vocab_size": 2})
+    assert (config.lambda_g, config.dpo_epochs, config.vocab_size) == (0, 0, 2)
+
+
+def test_every_numeric_field_has_a_range():
+    # the range check is also the only finiteness check, so no number may skip it
+    numeric = {name for name, hint in FIELD_TYPES.items() if _is_json_type(1, hint)}
+    assert "s" in numeric  # bounded by d, in _validate_config
+    assert set(RANGES) == numeric - {"s"}
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -474,6 +495,9 @@ def test_cli_dataset_non_integer_token_is_an_error(tmp_path, capsys, token):
 @pytest.mark.parametrize("text, field", [
     ('{"mode": "practical", "r": NaN}', "r"),
     ('{"mode": "practical", "gamma": Infinity}', "gamma"),
+    ('{"mode": "pipeline", "learning_rate": NaN}', "learning_rate"),
+    ('{"mode": "pipeline", "ref_weight_scale": -Infinity}', "ref_weight_scale"),
+    ('{"mode": "practical", "skip_threshold": Infinity}', "skip_threshold"),
 ])
 def test_cli_non_finite_config_value_is_an_error(tmp_path, capsys, text, field):
     path = tmp_path / "config.json"
@@ -481,6 +505,13 @@ def test_cli_non_finite_config_value_is_an_error(tmp_path, capsys, text, field):
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
     assert repr(field) in one_line_error(capsys, argv)
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_pipeline_that_cannot_synthesize_its_pairs_is_an_error(tmp_path, capsys):
+    # no pair's reference margin lands within 1e-9 of zero in the attempts allowed
+    path = write_config(tmp_path, {"mode": "pipeline", "n_clean": 2, "n_noisy": 2, "delta": 1e-9})
+    line = one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert "could not synthesize a noisy pair" in line
 
 
 def test_cli_split_nan_delta_is_an_error(tmp_path, capsys):
