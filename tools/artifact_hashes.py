@@ -38,7 +38,8 @@ TOY_PAIRS = ROOT / "src" / "duelopt" / "data" / "toy_pairs.jsonl"
 
 # the benchmark's three workload configs, the two other bench suites at
 # reduced size, the cosine objective's oracle, a masked synthetic practical
-# run, the masked preference path and a dataset pipeline
+# run, the masked preference path, a dataset pipeline and a pipeline whose
+# oracle compares two pairs per query
 BASE_CONFIGS = {
     "sweep": {"mode": "bench-sweep"},
     "basic-10k": {"mode": "basic", "d": 10000, "s": 5, "c_m": 4, "epsilon": 0.1},
@@ -51,6 +52,10 @@ BASE_CONFIGS = {
         "mode": "practical", "dataset": str(TOY_PAIRS), "scope_mask": list(range(0, 128, 5)),
     },
     "pipeline-dataset": {"mode": "pipeline", "dataset": str(TOY_PAIRS)},
+    "pipeline-pairs2": {
+        "mode": "pipeline", "n_clean": 40, "n_noisy": 20, "pairs_per_batch": 2,
+        "skip_threshold": 0.0,
+    },
 }
 
 
