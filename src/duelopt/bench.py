@@ -11,8 +11,8 @@ oracle-call scaling of the full loop as the dimension grows.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -50,24 +50,10 @@ class SyntheticObjective:
     def comparison_oracle(self):
         """Two-point comparison oracle backed by this objective.
 
-        A measurement batch asks about one base point m times, so f at the
-        base point is computed once per base ``ParamVector`` and handed to
-        ``compare_function``. The cache is keyed by identity, which is safe
-        because a ``ParamVector`` is immutable, and holds the point through a
-        weak reference: it never keeps the point alive, and a dead reference
-        never matches a new point.
+        ``compare_function`` takes f at the base point from
+        ``ParamVector.evaluate``, so a measurement batch computes it once.
         """
-        base: weakref.ref | None = None
-        f_base = 0.0
-
-        def oracle(theta: ParamVector, theta_prime: ParamVector):
-            nonlocal base, f_base
-            if base is None or base() is not theta:
-                f_base = self.value(theta.values)
-                base = weakref.ref(theta)
-            return compare_function(self.value, theta, theta_prime, f_base=f_base)
-
-        return oracle
+        return partial(compare_function, self.value)
 
 
 def make_sparse_quadratic(

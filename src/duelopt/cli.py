@@ -304,14 +304,23 @@ def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
 def run_experiment(config: RunConfig) -> RunManifest:
     """Dispatch one experiment and write its artifacts and manifest.
 
-    A dataset is read and checked first, so a bad one leaves no out dir behind.
+    A policy run's reference policy and pairs are built first, so a bad
+    dataset, non-finite reference weights or a pair-synthesis failure leave
+    no out dir behind.
     """
     out_dir = _out_dir(config.out_dir)
-    pairs = None
+    started = time.perf_counter()
+    policy = pairs = None
     if config.dataset is not None and config.mode in ("practical", "pipeline"):
         pairs = _load_dataset(config.dataset, config.vocab_size)
+    if pairs is not None or config.mode == "pipeline":
+        policy = _make_policy(config)
+    if pairs is None and config.mode == "pipeline":
+        gen = np.random.Generator(np.random.Philox(key=int(config.seed)))
+        pairs = policy_mod.generate_preference_data(
+            policy, config.n_clean, config.n_noisy, config.delta, gen
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
     runner = {
         "basic": _run_basic_mode,
         "practical": _run_practical_mode,
@@ -320,7 +329,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
         "bench-proposition": _run_bench_proposition,
         "bench-sweep": _run_bench_sweep,
     }[config.mode]
-    artifacts, passed, summary = runner(config, out_dir, pairs)
+    artifacts, passed, summary = runner(config, out_dir, policy, pairs)
     manifest = RunManifest(
         mode=config.mode,
         seed=config.seed,
@@ -363,17 +372,22 @@ def _make_objective(config: RunConfig) -> bench_mod.SyntheticObjective:
 
 
 def _make_policy(config: RunConfig) -> policy_mod.ToyPolicy:
-    return policy_mod.make_toy_policy(
-        vocab_size=config.vocab_size,
-        feature_dim=config.feature_dim,
-        max_context=config.max_context,
-        feature_seed=config.feature_seed,
-        weight_seed=config.ref_weight_seed,
-        weight_scale=config.ref_weight_scale,
-    )
+    # a finite scale can still overflow a weight; the built weights are checked
+    with np.errstate(over="ignore"):
+        policy = policy_mod.make_toy_policy(
+            vocab_size=config.vocab_size,
+            feature_dim=config.feature_dim,
+            max_context=config.max_context,
+            feature_seed=config.feature_seed,
+            weight_seed=config.ref_weight_seed,
+            weight_scale=config.ref_weight_scale,
+        )
+    if not np.isfinite(policy.weights).all():
+        raise RangeError("ref_weight_scale", config.ref_weight_scale, "keeping the weights finite")
+    return policy
 
 
-def _run_basic_mode(config: RunConfig, out_dir: Path, _pairs: None):
+def _run_basic_mode(config: RunConfig, out_dir: Path, _policy: None, _pairs: None):
     objective = _make_objective(config)
     theta0, Delta = bench_mod.start_with_gap(objective, config.Delta)
     schedule = schedule_from_theorem(
@@ -411,11 +425,10 @@ def _practical_config(config: RunConfig) -> PracticalConfig:
     )
 
 
-def _run_practical_mode(config: RunConfig, out_dir: Path, pairs: list | None):
+def _run_practical_mode(config: RunConfig, out_dir: Path, policy, pairs: list | None):
     practical = _practical_config(config)
     artifacts = {}
     if pairs is not None:
-        policy = _make_policy(config)
         oracle = partial(compare_preference, policy.log_likelihood_at)
         traj = run_practical(oracle, ParamVector(policy.flat_params), practical, data_stream=pairs)
         final_policy = policy.with_flat_params(traj.final_theta.values)
@@ -443,7 +456,7 @@ def _run_practical_mode(config: RunConfig, out_dir: Path, pairs: list | None):
     return artifacts, None, summary
 
 
-def _run_pipeline_mode(config: RunConfig, out_dir: Path, dataset: list | None):
+def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: list):
     pipeline_config = policy_mod.PipelineConfig(
         practical=_practical_config(config),
         delta=config.delta,
@@ -452,13 +465,9 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, dataset: list | None):
         ),
         refine_epochs=config.refine_epochs,
     )
-    ref_policy = _make_policy(config)
     artifacts = {}
-    if dataset is None:
-        gen = np.random.Generator(np.random.Philox(key=int(config.seed)))
-        dataset = policy_mod.generate_preference_data(
-            ref_policy, config.n_clean, config.n_noisy, config.delta, gen
-        )
+    if config.dataset is None:
+        # synthesized before the out dir existed, written with the other artifacts
         dataset_path = out_dir / "dataset.jsonl"
         policy_mod.save_preference_dataset(dataset, dataset_path)
         artifacts["dataset"] = dataset_path
@@ -485,7 +494,7 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, dataset: list | None):
     return artifacts, None, summary
 
 
-def _run_bench_lemma(config: RunConfig, out_dir: Path, _pairs: None):
+def _run_bench_lemma(config: RunConfig, out_dir: Path, _policy: None, _pairs: None):
     objective = bench_mod.make_sparse_quadratic(config.d, config.s, seed=config.objective_seed)
     rng = RngState(config.seed)
     theta = bench_mod.point_with_gradient_norm(objective, 1.0, rng.substream(rng.next_block()))
@@ -507,7 +516,7 @@ def _run_bench_lemma(config: RunConfig, out_dir: Path, _pairs: None):
     return artifacts, passed, summary
 
 
-def _run_bench_proposition(config: RunConfig, out_dir: Path, _pairs: None):
+def _run_bench_proposition(config: RunConfig, out_dir: Path, _policy: None, _pairs: None):
     m = config.bench_m
     if m is None:
         m = int(math.ceil(40.0 * config.s * math.log(2.0 * config.d / config.s)))
@@ -537,7 +546,7 @@ def _run_bench_proposition(config: RunConfig, out_dir: Path, _pairs: None):
     return artifacts, passed, summary
 
 
-def _run_bench_sweep(config: RunConfig, out_dir: Path, _pairs: None):
+def _run_bench_sweep(config: RunConfig, out_dir: Path, _policy: None, _pairs: None):
     report = bench_mod.sweep_convergence(
         list(config.dims),
         config.s,

@@ -16,6 +16,7 @@ the one place that checks the rows are unit.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,20 @@ class ParamVector:
         object.__setattr__(out, "values", values)
         object.__setattr__(out, "scope_mask", scope_mask)
         return out
+
+    def evaluate(self, fn: Callable, *args):
+        """``fn(self.values, *args)``, computed once per ``(fn, *args)`` and kept.
+
+        The table is made on first use and is no dataclass field, so eq and
+        repr ignore it. The vector is immutable, so a kept value cannot go
+        stale, and it is freed with the vector. An oracle asks about one base
+        point m times per batch; its base values are computed here once.
+        """
+        memo = self.__dict__.setdefault("_evaluated", {})
+        key = (fn, *args)
+        if key not in memo:
+            memo[key] = fn(self.values, *args)
+        return memo[key]
 
     def content_hash(self) -> str:
         """SHA-256 of the raw float64 bytes (mask excluded)."""

@@ -146,16 +146,16 @@ def compare_function(
     objective: Callable[[np.ndarray], float],
     theta: ParamVector,
     theta_prime: ParamVector,
-    f_base: float | None = None,
 ) -> Sign:
     """Sign of ``f(theta_prime) - f(theta)``: MINUS iff strictly smaller.
 
-    Ties (including a constant objective) fall through to PLUS. ``f_base``,
-    when given, is ``f(theta)`` as the caller already computed it.
+    Ties (including a constant objective) fall through to PLUS. ``f(theta)``
+    comes from ``theta.evaluate(objective)``, so a batch of queries about one
+    base point evaluates it once.
     """
     if theta.dim != theta_prime.dim:
         raise DimensionError("points must share a dimension")
-    f_base = float(objective(theta.values) if f_base is None else f_base)
+    f_base = float(theta.evaluate(objective))
     f_cand = float(objective(theta_prime.values))
     if math.isnan(f_base) or math.isnan(f_cand):
         raise OracleError("objective evaluated to NaN")
@@ -173,18 +173,20 @@ def compare_preference(
     MINUS iff for EVERY pair the candidate strictly raises the preferred
     log-likelihood and strictly lowers the dispreferred one; any equality or
     reversal anywhere yields PLUS. Comparisons happen in log space, which is
-    monotone-equivalent to raw likelihoods and safe for long sequences.
+    monotone-equivalent to raw likelihoods and safe for long sequences. The
+    base likelihoods come from ``theta.evaluate``, so a batch of queries
+    about one base point evaluates each (pair, response) once.
     """
     if len(batch) == 0:
         raise InvalidBatchError("preference batch must be nonempty")
     if theta.dim != theta_prime.dim:
         raise DimensionError("points must share a dimension")
     for pair in batch:
-        lp_base = policy_at(theta.values, pair.prompt, pair.preferred)
+        lp_base = theta.evaluate(policy_at, pair.prompt, pair.preferred)
         lp_cand = policy_at(theta_prime.values, pair.prompt, pair.preferred)
         if not lp_cand > lp_base:
             return Sign.PLUS
-        lm_base = policy_at(theta.values, pair.prompt, pair.dispreferred)
+        lm_base = theta.evaluate(policy_at, pair.prompt, pair.dispreferred)
         lm_cand = policy_at(theta_prime.values, pair.prompt, pair.dispreferred)
         if not lm_cand < lm_base:
             return Sign.PLUS

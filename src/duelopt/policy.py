@@ -48,10 +48,6 @@ class PreferencePair:
             raise InvalidBatchError("prompt and both responses must be nonempty")
 
 
-# entries ``ToyPolicy.log_likelihood_at`` memoizes before it clears its table
-LOGLIK_MEMO_SIZE = 256
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     peak = logits.max()
     return logits - (peak + math.log(np.exp(logits - peak).sum()))
@@ -84,13 +80,11 @@ class ToyPolicy:
     Instances sharing (vocab_size, feature_dim, max_context, feature_seed)
     share the same feature map and differ only in weights.
 
-    Two memos save recomputing likelihoods; neither changes a result bit.
     ``sequence_log_likelihood`` at the policy's own weights caches its value
     per (prompt, response): the weights are a read-only copy and
     ``with_weights`` builds a new instance, so the value can never go stale.
-    ``log_likelihood_at`` caches per (parameter bytes, prompt, response): it
-    is a pure function of its arguments' contents, never of their identity,
-    and its table is cleared whenever it holds ``LOGLIK_MEMO_SIZE`` entries.
+    ``log_likelihood_at`` keeps nothing; the preference oracle keeps a base
+    point's likelihoods on the base ``ParamVector`` (``ParamVector.evaluate``).
     The per-response context features (tokens checked once) live in a dict
     that ``with_weights`` shares, like the feature cache itself.
     """
@@ -125,7 +119,6 @@ class ToyPolicy:
         self._feature_cache = _feature_cache if _feature_cache is not None else {}
         self._context_cache = _context_cache if _context_cache is not None else {}
         self._loglik_memo: dict = {}
-        self._loglik_at_memo: dict = {}
 
     # ----- parameters ---------------------------------------------------
 
@@ -180,12 +173,9 @@ class ToyPolicy:
             self._feature_cache[key] = feat
         return feat
 
-    def token_log_probs(
-        self, prompt: Sequence[int], prefix: Sequence[int], weights: np.ndarray | None = None
-    ) -> np.ndarray:
+    def token_log_probs(self, prompt: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
         """Log-softmax over the vocabulary for the next token."""
-        W = self.weights if weights is None else weights
-        return _log_softmax(W @ self.features(prompt, prefix))
+        return _log_softmax(self.weights @ self.features(prompt, prefix))
 
     def _response_features(
         self, prompt: Sequence[int], response: Sequence[int]
@@ -236,20 +226,12 @@ class ToyPolicy:
     ) -> float:
         """Likelihood evaluator over an arbitrary flat parameter vector.
 
-        This is the adapter handed to the preference comparison oracle, which
-        asks for the base point's likelihoods once per query; the memo answers
-        all but the first of them.
+        This is the adapter handed to the preference comparison oracle. It
+        computes every value it is asked for; the oracle asks for the base
+        point's likelihoods through ``ParamVector.evaluate``, once per batch.
         """
-        theta_values = np.asarray(theta_values, dtype=np.float64)
-        key = (theta_values.tobytes(), tuple(prompt), tuple(response))
-        value = self._loglik_at_memo.get(key)
-        if value is None:
-            W = theta_values.reshape(self.vocab_size, self.feature_dim)
-            value = self.sequence_log_likelihood(prompt, response, weights=W)
-            if len(self._loglik_at_memo) >= LOGLIK_MEMO_SIZE:
-                self._loglik_at_memo.clear()
-            self._loglik_at_memo[key] = value
-        return value
+        W = np.asarray(theta_values, dtype=np.float64).reshape(self.vocab_size, self.feature_dim)
+        return self.sequence_log_likelihood(prompt, response, weights=W)
 
     def _check_token(self, tok: int) -> None:
         if not (0 <= int(tok) < self.vocab_size):

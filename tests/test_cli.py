@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +513,24 @@ def test_cli_pipeline_that_cannot_synthesize_its_pairs_is_an_error(tmp_path, cap
     path = write_config(tmp_path, {"mode": "pipeline", "n_clean": 2, "n_noisy": 2, "delta": 1e-9})
     line = one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert "could not synthesize a noisy pair" in line
+    # the pairs are synthesized before the out dir is made
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"mode": "pipeline", "dataset": str(BUNDLED_DATASET), "ref_weight_scale": 1e308, "m": 20,
+     "T": 1, "dpo_epochs": 2},
+    {"mode": "pipeline", "ref_weight_scale": 1e308},
+    {"mode": "practical", "dataset": str(BUNDLED_DATASET), "ref_weight_scale": -1e308},
+])
+def test_cli_non_finite_reference_weights_are_an_error(tmp_path, capsys, payload):
+    # the scale is finite, but some scale * N(0, 1) weight overflows to inf
+    argv = ["run", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = one_line_error(capsys, argv)
+    assert "'ref_weight_scale'" in line and "keeping the weights finite" in line
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_split_nan_delta_is_an_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,6 +177,27 @@ def test_embed_candidate_is_one_checked_frozen_copy_sharing_the_mask():
             theta = ParamVector(np.array([1.7e308, 0.0]), scope_mask=mask)
             with pytest.raises(ValueError, match="NaN or Inf"):
                 embed_perturbation(theta, np.array([1.0, 0.0])[: theta.scope_dim], 1e308)
+
+
+def test_evaluate_computes_each_call_once_and_stays_out_of_eq_and_repr():
+    calls = []
+
+    def fn(values, scale=1.0):
+        calls.append(scale)
+        return scale * float(values.sum())
+
+    theta = ParamVector(np.array([1.0, 2.0, 4.0]))
+    text = repr(theta)
+    assert [theta.evaluate(fn) for _ in range(3)] == [7.0] * 3
+    assert theta.evaluate(fn, 2.0) == theta.evaluate(fn, 2.0) == 14.0
+    assert calls == [1.0, 2.0]
+    # the kept values are no field, so eq and repr see values and mask only
+    assert [f.name for f in dataclasses.fields(theta)] == ["values", "scope_mask"]
+    assert repr(theta) == text
+    # a candidate that is never evaluated carries no table
+    candidate = embed_perturbation(theta, np.array([1.0, 0.0, 0.0]), 0.5)
+    assert "_evaluated" not in vars(candidate)
+    assert candidate.evaluate(fn) == 7.5 and calls == [1.0, 2.0, 1.0]
 
 
 def test_embed_rejects_dim_mismatch():

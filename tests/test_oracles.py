@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from duelopt import (
     Sign,
     compare_function,
     compare_preference,
+    make_nonconvex_sparse,
     make_sparse_quadratic,
     make_toy_policy,
     measure_bits,
@@ -226,6 +228,73 @@ def test_measure_bits_rows_and_signs_match_their_substreams(case):
         assert batch.signs[i] == oracle(theta, ParamVector(values, theta.scope_mask))
     expected = np.add.reduce(batch.signs[:, None] * rows, axis=0)
     assert batch.signed_direction_sum().tobytes() == expected.tobytes()
+
+
+@st.composite
+def builtin_oracle_cases(draw):
+    """A built-in oracle, the same comparison computed afresh, and a batch to measure.
+
+    The synthetic oracle runs on either objective; the preference oracle on
+    a toy policy down to V x F = 2 x 1, over 1 to 4 pairs whose responses
+    may be one token long. The base point may be masked.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 12))
+        make = draw(st.sampled_from([make_sparse_quadratic, make_nonconvex_sparse]))
+        obj = make(d, draw(st.integers(1, d)), seed=draw(st.integers(0, 999)))
+        oracle = obj.comparison_oracle()
+
+        def fresh(a, b):
+            return Sign.MINUS if obj.value(b.values) < obj.value(a.values) else Sign.PLUS
+
+    else:
+        V, F = draw(st.sampled_from([(2, 1), (3, 2), (4, 3)]))
+        d = V * F
+        policy = make_toy_policy(V, F, weight_seed=draw(st.integers(0, 999)))
+
+        def tokens():
+            return tuple(int(t) for t in gen.integers(0, V, size=draw(st.integers(1, 3))))
+
+        pairs = [
+            PreferencePair(tokens(), tokens(), tokens()) for _ in range(draw(st.integers(1, 4)))
+        ]
+        builtin = partial(compare_preference, policy.log_likelihood_at)
+
+        def oracle(a, b):
+            return builtin(a, b, pairs)
+
+        def loglik(point, prompt, response):
+            return policy.with_flat_params(point.values).sequence_log_likelihood(prompt, response)
+
+        def fresh(a, b):
+            for pair in pairs:
+                for response, rises in ((pair.preferred, True), (pair.dispreferred, False)):
+                    base = loglik(a, pair.prompt, response)
+                    cand = loglik(b, pair.prompt, response)
+                    if not (cand > base if rises else cand < base):
+                        return Sign.PLUS
+            return Sign.MINUS
+
+    mask = None
+    if draw(st.booleans()):
+        mask = np.sort(gen.choice(d, size=int(gen.integers(1, d + 1)), replace=False))
+    theta = ParamVector(gen.standard_normal(d), scope_mask=mask)
+    rng = RngState(draw(st.integers(0, 2**64 - 1)), counter=draw(st.integers(0, 5)))
+    radius = draw(st.floats(1e-3, 2.0))
+    return oracle, fresh, theta, radius, draw(st.integers(1, 20)), rng
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(builtin_oracle_cases())
+def test_builtin_oracles_sign_as_a_comparison_without_kept_base_values(case):
+    oracle, fresh, theta, radius, m, rng = case
+    # the second batch about the same base point reads the values the first kept
+    for _ in range(2):
+        expected = measure_bits(fresh, theta, radius, m, RngState(rng.seed, rng.counter))
+        assert measure_bits(oracle, theta, radius, m, rng).signs.tobytes() == (
+            expected.signs.tobytes()
+        )
 
 
 def test_bit_measurement_batch_rejects_malformed_batches():

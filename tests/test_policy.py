@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -14,6 +16,7 @@ from duelopt import (
     PipelineConfig,
     PracticalConfig,
     PreferencePair,
+    RngState,
     ToyPolicy,
     compare_preference,
     dpo_grad,
@@ -23,6 +26,7 @@ from duelopt import (
     load_preference_dataset,
     log_likelihood,
     make_toy_policy,
+    measure_bits,
     run_pipeline,
     run_practical,
     save_preference_dataset,
@@ -93,50 +97,46 @@ def test_out_of_vocab_token_raises():
         log_likelihood(policy, (9,), (0,))
 
 
-MEMO_PROMPTS = [((0, 1), (2, 3, 1)), ((2,), (0,)), ((3, 3, 0), (1, 2)), ((1,), (3, 0, 0, 2))]
+BATCH_PAIRS = [
+    PreferencePair((0, 1), (2, 3, 1), (3, 0)),
+    PreferencePair((2,), (0,), (1,)),
+    PreferencePair((3, 3, 0), (1, 2), (2, 0, 3)),
+]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.lists(
-        st.tuples(
-            st.sampled_from(["base", "candidate", "masked"]),
-            st.integers(0, 9),
-            st.integers(0, len(MEMO_PROMPTS) - 1),
-        ),
-        min_size=1,
-        max_size=60,
-    ),
-)
-def test_log_likelihood_at_memo_matches_a_fresh_policy(seed, calls):
-    gen = np.random.default_rng(seed)
-    policy = make_toy_policy(vocab_size=4, feature_dim=5, weight_seed=seed % 1000)
-    base = policy.flat_params
-    mask = policy.token_row_indices([0, 2])
-    points = {
-        "base": [base + 0.5 * gen.standard_normal(base.size) * (i > 0) for i in range(2)],
-        "candidate": [base + 0.01 * gen.standard_normal(base.size) for _ in range(10)],
-        "masked": [],
-    }
-    for _ in range(10):
-        point = base.copy()
-        point[mask] += 0.01 * gen.standard_normal(mask.size)
-        points["masked"].append(point)
-    # one buffer for every call, so only the contents can tell the points apart
-    buf = np.empty(base.size)
-    bound = 8
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(policy_mod, "LOGLIK_MEMO_SIZE", bound)
-        for kind, i, j in calls:
-            point = points[kind][i % len(points[kind])]
-            prompt, response = MEMO_PROMPTS[j]
-            buf[:] = point
-            fresh = make_toy_policy(vocab_size=4, feature_dim=5, weight_seed=seed % 1000)
-            got = policy.log_likelihood_at(buf, prompt, response)
-            assert got == fresh.log_likelihood_at(point, prompt, response)
-            assert got == fresh.with_flat_params(point).sequence_log_likelihood(prompt, response)
-            assert len(policy._loglik_at_memo) <= bound
+def test_preference_oracle_evaluates_each_base_likelihood_once_per_batch():
+    policy = small_policy()
+    base_calls = collections.Counter()
+    theta = None
+
+    def counted(values, prompt, response):
+        if np.array_equal(values, theta.values):
+            base_calls[prompt, response] += 1
+        return policy.log_likelihood_at(values, prompt, response)
+
+    oracle = partial(compare_preference, counted)
+    m = 17
+    asked = set()
+    for t, scale in enumerate((1.0, 0.5, 0.5)):
+        theta = ParamVector(scale * policy.flat_params)
+        base_calls.clear()
+        batch = measure_bits(
+            lambda a, b: oracle(a, b, BATCH_PAIRS), theta, 0.5, m, RngState(5, counter=t)
+        )
+        # at most once per (pair, response), not once per query
+        assert batch.m == m and max(base_calls.values()) == 1
+        asked |= set(base_calls)
+    assert len(asked) == 2 * len(BATCH_PAIRS)
+
+
+def test_preference_oracle_does_not_keep_the_base_point_alive():
+    policy = small_policy()
+    oracle = partial(compare_preference, policy.log_likelihood_at)
+    theta = ParamVector(policy.flat_params)
+    measure_bits(lambda a, b: oracle(a, b, BATCH_PAIRS), theta, 0.5, 8, RngState(0))
+    ref = weakref.ref(theta)
+    del theta
+    assert ref() is None
 
 
 # ----- margin loss -----------------------------------------------------------
