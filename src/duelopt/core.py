@@ -171,10 +171,11 @@ class ParamVector:
     def evaluate(self, fn: Callable, *args):
         """``fn(self.values, *args)``, computed once per ``(fn, *args)`` and kept.
 
-        The table is made on first use and is no dataclass field, so eq and
-        repr ignore it. The vector is immutable, so a kept value cannot go
-        stale, and it is freed with the vector. An oracle asks about one base
-        point m times per batch; its base values are computed here once.
+        ``fn`` and ``args`` key the table, so they must be hashable. The
+        table is made on first use and is no dataclass field, so eq and repr
+        ignore it. The vector is immutable, so a kept value cannot go stale,
+        and it is freed with the vector. An oracle asks about one base point
+        m times per batch; its base values are computed here once.
         """
         memo = self.__dict__.setdefault("_evaluated", {})
         key = (fn, *args)

@@ -499,12 +499,23 @@ def test_cli_dataset_non_integer_token_is_an_error(tmp_path, capsys, token):
     ('{"mode": "pipeline", "learning_rate": NaN}', "learning_rate"),
     ('{"mode": "pipeline", "ref_weight_scale": -Infinity}', "ref_weight_scale"),
     ('{"mode": "practical", "skip_threshold": Infinity}', "skip_threshold"),
+    # a finite scale whose N(0, 1) multiples overflow: the built weights are checked
+    ('{"mode": "pipeline", "ref_weight_scale": 1e308}', "ref_weight_scale"),
+    pytest.param(json.dumps({
+        "mode": "pipeline", "dataset": str(BUNDLED_DATASET), "ref_weight_scale": 1e308, "m": 20,
+        "T": 1, "dpo_epochs": 2,
+    }), "ref_weight_scale", id="pipeline-dataset-ref_weight_scale-1e308"),
+    pytest.param(json.dumps({
+        "mode": "practical", "dataset": str(BUNDLED_DATASET), "ref_weight_scale": -1e308,
+    }), "ref_weight_scale", id="practical-dataset-ref_weight_scale--1e308"),
 ])
 def test_cli_non_finite_config_value_is_an_error(tmp_path, capsys, text, field):
     path = tmp_path / "config.json"
     path.write_text(text)
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
-    assert repr(field) in one_line_error(capsys, argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(field) in one_line_error(capsys, argv)
     assert not (tmp_path / "out").exists()
 
 
@@ -514,22 +525,6 @@ def test_cli_pipeline_that_cannot_synthesize_its_pairs_is_an_error(tmp_path, cap
     line = one_line_error(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert "could not synthesize a noisy pair" in line
     # the pairs are synthesized before the out dir is made
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("payload", [
-    {"mode": "pipeline", "dataset": str(BUNDLED_DATASET), "ref_weight_scale": 1e308, "m": 20,
-     "T": 1, "dpo_epochs": 2},
-    {"mode": "pipeline", "ref_weight_scale": 1e308},
-    {"mode": "practical", "dataset": str(BUNDLED_DATASET), "ref_weight_scale": -1e308},
-])
-def test_cli_non_finite_reference_weights_are_an_error(tmp_path, capsys, payload):
-    # the scale is finite, but some scale * N(0, 1) weight overflows to inf
-    argv = ["run", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "out")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        line = one_line_error(capsys, argv)
-    assert "'ref_weight_scale'" in line and "keeping the weights finite" in line
     assert not (tmp_path / "out").exists()
 
 
