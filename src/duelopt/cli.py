@@ -452,7 +452,7 @@ def _run_practical_mode(config: RunConfig, out_dir: Path, policy, pairs: list | 
         summary = {"min_grad_norm": traj.min_grad_norm}
     artifacts["trajectory"] = export_results(traj, out_dir / "trajectory.csv")
     summary["total_oracle_calls"] = traj.total_oracle_calls
-    summary["skipped_iterations"] = sum(int(r.skipped) for r in traj.records)
+    summary["skipped_iterations"] = traj.skipped_iterations
     return artifacts, None, summary
 
 
@@ -486,9 +486,11 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
         artifacts["likelihood_report"] = export_results(
             report, out_dir / "likelihood_report.csv"
         )
+    trajectory = result.trajectory
     summary = {
         "clean_pairs": len(result.split.clean),
         "noisy_pairs": len(result.split.noisy),
+        "skipped_iterations": 0 if trajectory is None else trajectory.skipped_iterations,
         "warnings": list(result.warnings),
     }
     return artifacts, None, summary

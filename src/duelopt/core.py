@@ -6,16 +6,19 @@ is reproducible regardless of the order (or concurrency) in which substreams
 are actually drawn.
 
 Perturbation directions are plain float64 rows. ``RngState.sphere_rows``
-draws a block's rows from one generator re-keyed to ``(seed, block, i)``
-before row i, which gives the same bytes as one fresh substream per row
-without paying for a generator per row; a chunk of rows starting at row
-``start`` has the bytes of the same rows drawn in one call. ``oracles`` is
-the one place that checks the rows are unit.
+fills row i from a generator re-keyed to ``(seed, block, i)`` just before
+it, which gives the same bytes as one fresh substream per row without paying
+for a generator per row. A row depends on its key alone, so a chunk of rows
+starting at row ``start`` has the bytes of the same rows drawn in one call,
+and long rows are filled on two threads with every byte the same.
+``oracles`` is the one place that checks the rows are unit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -25,6 +28,15 @@ from .errors import DimensionError
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+
+# Rows at least this long are filled on two threads. A split draw pays for
+# waking the worker, and each row takes the interpreter lock for a few us
+# around its fill, which runs without it; the more rows a chunk holds, the
+# more often the two threads wait on each other. In the descent loop on a
+# 2-core VM, a run at d = 10^4 (6 rows per chunk) took about 15% less time;
+# d = 6000 was no faster, and d = 2000 and the bench sweep's d = 800 were
+# slower.
+_SPLIT_MIN_DIM = 8192
 
 
 @dataclass
@@ -51,26 +63,48 @@ class RngState:
     def _key(self, block: int, index: int) -> int:
         return self.seed | ((block & _MASK32) << 64) | ((index & _MASK32) << 96)
 
-    def sphere_rows(self, block: int, count: int, dim: int, start: int = 0) -> np.ndarray:
+    def sphere_rows(
+        self,
+        block: int,
+        count: int,
+        dim: int,
+        start: int = 0,
+        gens: list[np.random.Generator] | None = None,
+    ) -> np.ndarray:
         """(count, dim) unit rows; row i is the first row of ``substream(block, start + i)``.
 
-        Building a generator costs more than drawing a short row, so every
-        row comes from one generator: before row i its Philox bit generator is
-        re-keyed to ``(seed, block, start + i)`` with counter 0 and an empty
-        buffer, the state a fresh ``substream(block, start + i)`` starts in,
-        so the row's bytes are the same, and rows drawn in chunks equal rows
-        drawn at once. The generator is local to the call, so no other caller
-        sees it move.
+        Every row is filled by ``_fill_rows``, which re-keys its generator
+        to the row's own substream first, so a row's bytes depend on nothing
+        but its key: rows drawn in chunks equal rows drawn at once, and any
+        thread may fill any row. Two or more rows of at least
+        ``_SPLIT_MIN_DIM`` floats are split when the process may run on two
+        CPUs: one worker thread fills the second half while the calling
+        thread fills the first.
+
+        ``gens`` holds the generators the fills use, one per half. Each is
+        opened through ``substream`` on the calling thread when first
+        needed and kept in the list, so a caller drawing one block in chunks
+        passes one list to every chunk and opens each generator once.
+        Without ``gens`` the generators are local to the call. The worker
+        only ever gets a generator and the rows it fills.
         """
         rows = np.empty((count, dim), dtype=np.float64)
-        gen = self.substream(block, start)
-        fresh = gen.bit_generator.state
-        for i in range(count):
-            if i:
-                key = self._key(block, start + i)
-                fresh["state"]["key"] = np.array([key & _MASK64, key >> 64], dtype=np.uint64)
-                gen.bit_generator.state = fresh
-            gen.standard_normal(out=rows[i])
+        gens = [] if gens is None else gens
+        if not gens:
+            gens.append(self.substream(block, start))
+        half = count // 2
+        if half and dim >= _SPLIT_MIN_DIM and _cpu_count() >= 2:
+            if len(gens) == 1:
+                gens.append(self.substream(block, start + half))
+            worker = _row_worker().submit(
+                self._fill_rows, gens[1], rows[half:], block, start + half
+            )
+            try:
+                self._fill_rows(gens[0], rows[:half], block, start)
+            finally:
+                worker.result()
+        else:
+            self._fill_rows(gens[0], rows, block, start)
         norms = np.linalg.norm(rows, axis=1)
         for i in np.flatnonzero(norms == 0.0):
             # probability zero; redone exactly as its own substream would
@@ -80,11 +114,64 @@ class RngState:
         rows /= norms[:, None]
         return rows
 
+    def _fill_rows(
+        self, gen: np.random.Generator, rows: np.ndarray, block: int, start: int
+    ) -> None:
+        """Fill row i of ``rows`` with the first normals of ``substream(block, start + i)``.
+
+        Before each row, ``gen``'s Philox bit generator is set to the state a
+        fresh substream starts in: the row's key, counter 0 and an empty
+        buffer. The state is given as plain ints, which gives the same bytes
+        as uint64 arrays in less time, and so shortens the part of each row
+        that holds the interpreter lock.
+        """
+        bits = gen.bit_generator
+        fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for i, row in enumerate(rows, start):
+            key = self._key(block, i)
+            fresh["state"]["key"] = [key & _MASK64, key >> 64]
+            bits.state = fresh
+            gen.standard_normal(out=row)
+
     def next_block(self) -> int:
         """Reserve the next block index and advance the counter."""
         block = self.counter
         self.counter += 1
         return block
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_row_pool = None  # (pid, executor) of the split fills' worker thread
+_row_pool_lock = threading.Lock()
+
+
+def _row_worker():
+    """The executor whose one thread fills the second half of a split draw.
+
+    It is made on first use, so importing the module starts no thread. A
+    forked child does not have the parent's thread, so a child makes its own.
+    """
+    global _row_pool
+    with _row_pool_lock:
+        if _row_pool is None or _row_pool[0] != os.getpid():
+            # imported here, so that importing duelopt does not import it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _row_pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="duelopt-rows"))
+        return _row_pool[1]
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,10 @@ class Trajectory:
         return sum(rec.oracle_calls for rec in self.records)
 
     @property
+    def skipped_iterations(self) -> int:
+        return sum(rec.skipped for rec in self.records)
+
+    @property
     def min_grad_norm(self) -> float | None:
         """Best gradient norm seen along the trajectory (synthetic runs only)."""
         norms = [rec.grad_norm for rec in self.records if rec.grad_norm is not None]

@@ -207,7 +207,8 @@ def measure_bits(
     ``signs[i]`` is the oracle's answer at ``embed_perturbation(theta, row i,
     radius)``, asked once per row in index order. The rows are drawn by
     ``RngState.sphere_rows``, queried and added to the signed sum in chunks
-    of about ``_CHUNK_FLOATS`` floats, so no (m, k) matrix is ever held. The
+    of about ``_CHUNK_FLOATS`` floats, so no (m, k) matrix is ever held; the
+    chunks share their generators, so a batch opens at most two. The
     sum has the bits of one reduction over all m rows; at k = 1 that holds
     while m fits one chunk (65,536 rows), beyond which the pairwise column
     sum is taken per chunk.
@@ -221,8 +222,9 @@ def measure_bits(
     chunk = max(1, _CHUNK_FLOATS // k)
     signs = np.empty(m, dtype=np.int8)
     total = None
+    gens: list[np.random.Generator] = []
     for start in range(0, m, chunk):
-        rows = rng.sphere_rows(block, min(chunk, m - start), k, start)
+        rows = rng.sphere_rows(block, min(chunk, m - start), k, start, gens)
         _check_unit_rows(rows)
         for i, row in enumerate(rows, start):
             signs[i] = oracle(theta, embed_perturbation(theta, row, radius))

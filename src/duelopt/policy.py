@@ -58,15 +58,15 @@ def _response_logits(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n, V) logits of a response's n positions, their row maxima and exp-sums.
 
-    Each row is its own ``W @ phi`` gemv, as ``token_log_probs`` computes it
-    (a stacked gemm can change logit bits). The max, exp and sum of
-    ``_log_softmax`` then run once over the whole response; numpy reduces
-    each row as it reduces a lone 1-D array, so every value has the bits a
-    per-token ``_log_softmax`` gives.
+    The logits are one stacked matmul of ``W`` with the n feature columns,
+    which numpy runs as one ``W @ phi`` gemv per position, as
+    ``token_log_probs`` computes it; a (V, F) @ (F, n) gemm instead can
+    change logit bits. The max, exp and sum of ``_log_softmax`` then run
+    once over the whole response; numpy reduces each row as it reduces a
+    lone 1-D array, so every value has the bits a per-token
+    ``_log_softmax`` gives.
     """
-    logits = np.empty((features.shape[0], W.shape[0]))
-    for i, phi in enumerate(features):
-        np.matmul(W, phi, out=logits[i])
+    logits = np.matmul(W, features[:, :, None])[:, :, 0]
     peak = logits.max(axis=1)
     return logits, peak, np.exp(logits - peak[:, None]).sum(axis=1)
 
@@ -534,7 +534,8 @@ def run_pipeline(
 
     Degenerate splits degrade gracefully: no clean pairs leaves the baseline
     equal to the reference; no noisy pairs ends the pipeline after stage two
-    with a warning record.
+    with a warning record. A refinement that skips every step also leaves a
+    warning, since its final policy is the clean baseline.
     """
     warnings: list[str] = []
     split = split_by_margin(ref_policy, dataset, config.delta)
@@ -562,6 +563,11 @@ def run_pipeline(
     trajectory = run_practical(
         oracle, ParamVector(dpo_clean.flat_params), practical, data_stream=list(split.noisy)
     )
+    if trajectory.skipped_iterations == len(trajectory.records):
+        warnings.append(
+            f"all {len(trajectory.records)} refinement steps skipped; "
+            "final policy equals the clean baseline"
+        )
     final_policy = dpo_clean.with_flat_params(trajectory.final_theta.values)
     return PipelineResult(
         final_policy=final_policy,

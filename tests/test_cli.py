@@ -248,6 +248,25 @@ def test_cli_pipeline_with_a_saturating_dpo_margin_completes(tmp_path, raw):
     assert all(Path(path).is_file() for path in manifest["artifacts"].values())
 
 
+@pytest.mark.parametrize(
+    "raw, skipped, warned",
+    [
+        # four pairs per query: no step reaches the skip threshold's agreement
+        ({"mode": "pipeline", "n_clean": 40, "n_noisy": 20, "pairs_per_batch": 4}, 5, True),
+        ({"mode": "pipeline", "n_clean": 40, "n_noisy": 20, "pairs_per_batch": 2,
+          "skip_threshold": 0}, 0, False),
+    ],
+)
+def test_cli_pipeline_manifest_reports_skipped_refinement_steps(tmp_path, raw, skipped, warned):
+    config_path = write_config(tmp_path, dict(raw, seed=0))
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["summary"]
+    assert summary["skipped_iterations"] == skipped
+    expected = [f"all {skipped} refinement steps skipped; final policy equals the clean baseline"]
+    assert summary["warnings"] == (expected if warned else [])
+
+
 def test_cli_run_respects_overrides(tmp_path, capsys):
     config_path = write_config(
         tmp_path, {"mode": "practical", "d": 12, "s": 3, "T": 2, "m": 8, "r": 0.05}

@@ -1,11 +1,17 @@
 import dataclasses
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from duelopt import core
 from duelopt import (
     ParamVector,
     RngState,
@@ -92,6 +98,84 @@ def test_sphere_rows_equal_one_substream_per_row(seed, block, count, dim, start)
         assert _sphere_rows(wrapped, 1, dim)[0].tobytes() == row.tobytes()
         shifted = _sphere_rows(RngState(seed).substream(block, start + i), 1, dim)[0]
         assert chunk[i].tobytes() == shifted.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    block=st.integers(2**32, 2**40),
+    count=st.integers(1, 13),
+    extra=st.integers(0, 300),
+    start=st.integers(0, 12),
+)
+@example(seed=0, block=2**32, count=2, extra=0, start=0)
+@example(seed=2**64 - 1, block=2**40, count=13, extra=1, start=12)
+def test_long_rows_filled_on_two_threads_equal_one_substream_per_row(
+    seed, block, count, extra, start
+):
+    dim = core._SPLIT_MIN_DIM + extra
+    expected = [
+        _sphere_rows(RngState(seed).substream(block, start + i), 1, dim)[0].tobytes()
+        for i in range(count)
+    ]
+    # one CPU takes the serial path; two split any draw of two rows or more
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_cpu_count", lambda: cpus)
+            gens = []
+            rows = RngState(seed).sphere_rows(block, count, dim, start, gens)
+        assert len(gens) == (2 if cpus == 2 and count >= 2 else 1)
+        assert [row.tobytes() for row in rows] == expected
+
+
+def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    seed, block, count, dim = 7, 5, 9, core._SPLIT_MIN_DIM
+    expected = b"".join(
+        _sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
+        for i in range(count)
+    )
+    drawn, errors = [], []
+
+    def draw():
+        try:
+            for _ in range(5):
+                drawn.append(RngState(seed).sphere_rows(block, count, dim).tobytes())
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=draw) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    # callers share the one worker; switch threads as often as the interpreter allows
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert drawn == [expected] * 20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_its_draws_with_a_worker_of_its_own(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    dim = core._SPLIT_MIN_DIM
+    # starts this process's worker, which a forked child does not have
+    expected = RngState(3).sphere_rows(1, 4, dim).tobytes()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if RngState(3).sphere_rows(1, 4, dim).tobytes() == expected else 1)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
 
 
 @pytest.mark.parametrize("zero_row", [0, 2, 4])

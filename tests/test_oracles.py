@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from functools import partial
 
@@ -21,7 +22,7 @@ from duelopt import (
     measure_bits,
     point_with_gradient_norm,
 )
-from duelopt import oracles
+from duelopt import core, oracles
 from duelopt.core import _sphere_rows
 from duelopt.errors import InvalidBatchError, OracleError
 
@@ -228,6 +229,49 @@ def test_measure_bits_rows_and_signs_match_their_substreams(case):
         assert batch.signs[i] == oracle(theta, ParamVector(values, theta.scope_mask))
     expected = np.add.reduce(batch.signs[:, None] * rows, axis=0)
     assert batch.signed_direction_sum().tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [10_000, core._SPLIT_MIN_DIM - 1, core._SPLIT_MIN_DIM])
+def test_measure_bits_is_the_same_with_rows_filled_on_one_or_two_threads(monkeypatch, k):
+    # chunks of 6 rows at k = 10^4 and of 8 around the threshold, then a shorter tail
+    m = 20
+    obj = make_sparse_quadratic(k, 5, seed=k)
+    theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
+    batches = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        batches.append(measure_bits(obj.comparison_oracle(), theta, 0.01, m, RngState(9)))
+    serial, split = batches
+    assert serial.signs.tobytes() == split.signs.tobytes()
+    assert serial.signed_direction_sum().tobytes() == split.signed_direction_sum().tobytes()
+
+
+def test_measure_bits_opens_its_generators_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    opened, filled = [], set()
+    substream, fill_rows = RngState.substream, RngState._fill_rows
+
+    def recording_substream(self, block, index=0):
+        opened.append((threading.get_ident(), block))
+        return substream(self, block, index)
+
+    def recording_fill_rows(self, *args):
+        filled.add(threading.get_ident())
+        return fill_rows(self, *args)
+
+    monkeypatch.setattr(RngState, "substream", recording_substream)
+    monkeypatch.setattr(RngState, "_fill_rows", recording_fill_rows)
+    obj = make_sparse_quadratic(10_000, 5, seed=1)
+    theta = ParamVector(np.zeros(10_000))
+    rng = RngState(2)
+    for m in (1, 20, 40):
+        measure_bits(obj.comparison_oracle(), theta, 0.01, m, rng)
+    caller = threading.get_ident()
+    assert {ident for ident, _ in opened} == {caller}
+    per_batch = [[block for _, block in opened].count(b) for b in range(rng.counter)]
+    # one row has no second half; 20 and 40 rows split every chunk
+    assert per_batch == [1, 2, 2]
+    assert caller in filled and len(filled) == 2
 
 
 @st.composite

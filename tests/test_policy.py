@@ -263,11 +263,13 @@ def reference_dpo_grad(policy, ref, batch, beta):
 
 
 def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
-    """The response-level log-softmax and ordered gradient sum keep every bit.
+    """The response-level logits, log-softmax and ordered gradient sum keep every bit.
 
     Shapes: the narrowest policy (vocab 2 x feature 1, where V * F = 2 is the
     narrowest width at which numpy still adds the gradient rows in order),
-    an odd one, and the pipeline's 8 x 16; responses of 1 to 12 tokens.
+    an odd one, and the pipeline's 8 x 16; responses of 1 to 12 tokens. The
+    stacked logits matmul is also compared with one ``W @ phi`` per position
+    at wider shapes.
     """
     gen = np.random.default_rng(21)
     for vocab, feat in ((5, 7), (2, 1), (8, 16)):
@@ -293,6 +295,16 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
                     assert policy.sequence_log_likelihood(pair.prompt, response) == want
                     got_at = policy.log_likelihood_at(ref.flat_params, pair.prompt, response)
                     assert got_at == reference_log_likelihood(ref, pair.prompt, response)
+
+    for vocab, feat in ((2, 1), (3, 2), (5, 7), (8, 16), (16, 128), (32, 64)):
+        W = gen.standard_normal((vocab, feat))
+        for n in range(1, 13):
+            features = gen.standard_normal((n, feat))
+            per_position = np.empty((n, vocab))
+            for i, phi in enumerate(features):
+                np.matmul(W, phi, out=per_position[i])
+            logits, _, _ = policy_mod._response_logits(W, features)
+            assert logits.tobytes() == per_position.tobytes()
 
 
 def test_dpo_grad_batch_mean_of_duplicates():
