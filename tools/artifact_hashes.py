@@ -38,8 +38,9 @@ TOY_PAIRS = ROOT / "src" / "duelopt" / "data" / "toy_pairs.jsonl"
 
 # the benchmark's three workload configs, the two other bench suites at
 # reduced size, the cosine objective's oracle, a masked synthetic practical
-# run, the masked preference path, a dataset pipeline and a pipeline whose
-# oracle compares two pairs per query
+# run, the masked preference path, a dataset pipeline, a pipeline whose
+# oracle compares two pairs per query and a narrow pipeline whose large beta
+# pushes most DPO pairs past exp's range within one batch
 BASE_CONFIGS = {
     "sweep": {"mode": "bench-sweep"},
     "basic-10k": {"mode": "basic", "d": 10000, "s": 5, "c_m": 4, "epsilon": 0.1},
@@ -55,6 +56,10 @@ BASE_CONFIGS = {
     "pipeline-pairs2": {
         "mode": "pipeline", "n_clean": 40, "n_noisy": 20, "pairs_per_batch": 2,
         "skip_threshold": 0.0,
+    },
+    "pipeline-saturated": {
+        "mode": "pipeline", "vocab_size": 3, "feature_dim": 2, "n_clean": 10, "n_noisy": 5,
+        "beta": 50.0, "dpo_epochs": 20,
     },
 }
 
