@@ -33,7 +33,14 @@ import numpy as np
 from . import bench as bench_mod
 from . import policy as policy_mod
 from .core import ParamVector, RngState
-from .errors import ConfigError, DueloptError, MissingFieldError, RangeError, VocabularyError
+from .errors import (
+    ConfigError,
+    DueloptError,
+    InvalidScheduleError,
+    MissingFieldError,
+    RangeError,
+    VocabularyError,
+)
 from .optimizer import PracticalConfig, run_basic, run_practical, schedule_from_theorem
 from .oracles import compare_preference
 
@@ -313,6 +320,9 @@ def run_experiment(config: RunConfig) -> RunManifest:
     policy = pairs = None
     if config.dataset is not None and config.mode in ("practical", "pipeline"):
         pairs = _load_dataset(config.dataset, config.vocab_size)
+        if not pairs and config.mode == "practical":
+            # run_practical rejects it too, but only after the out dir exists
+            raise InvalidScheduleError("data stream must contain at least one pair")
     if pairs is not None or config.mode == "pipeline":
         policy = _make_policy(config)
     if pairs is None and config.mode == "pipeline":
@@ -473,6 +483,8 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
         artifacts["dataset"] = dataset_path
 
     result = policy_mod.run_pipeline(dataset, pipeline_config, ref_policy=ref_policy)
+    profile = {f"{stage}_seconds": seconds for stage, seconds in result.stage_seconds.items()}
+    profile["likelihood_report_seconds"] = 0.0
     artifacts["split_report"] = export_results(result.split, out_dir / "split_report.csv")
     np.save(out_dir / "dpo_clean_weights.npy", result.dpo_clean_policy.weights)
     artifacts["dpo_clean_weights"] = out_dir / "dpo_clean_weights.npy"
@@ -480,9 +492,11 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
     artifacts["final_weights"] = out_dir / "final_weights.npy"
     if result.trajectory is not None:
         artifacts["trajectory"] = export_results(result.trajectory, out_dir / "trajectory.csv")
+        report_started = time.perf_counter()
         report = policy_mod.likelihood_report(
             result.dpo_clean_policy, result.final_policy, list(result.split.noisy)
         )
+        profile["likelihood_report_seconds"] = time.perf_counter() - report_started
         artifacts["likelihood_report"] = export_results(
             report, out_dir / "likelihood_report.csv"
         )
@@ -492,6 +506,7 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
         "noisy_pairs": len(result.split.noisy),
         "skipped_iterations": 0 if trajectory is None else trajectory.skipped_iterations,
         "warnings": list(result.warnings),
+        "profile": profile,
     }
     return artifacts, None, summary
 

@@ -196,6 +196,26 @@ def test_run_experiment_pipeline_on_bundled_dataset(tmp_path):
     assert len(split_lines) == manifest.summary["clean_pairs"] + manifest.summary["noisy_pairs"] + 1
 
 
+@pytest.mark.parametrize("raw, refined", [
+    ({"mode": "pipeline", "dataset": str(BUNDLED_DATASET), "m": 40, "T": 1, "dpo_epochs": 3},
+     True),
+    # no noisy pair: the refine stage and the likelihood report are skipped
+    ({"mode": "pipeline", "n_clean": 4, "n_noisy": 0, "dpo_epochs": 3}, False),
+])
+def test_pipeline_manifest_profiles_its_stages(tmp_path, raw, refined):
+    config_path = write_config(tmp_path, raw)
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    profile = manifest["summary"]["profile"]
+    assert set(profile) == {"split_seconds", "dpo_seconds", "refine_seconds",
+                            "likelihood_report_seconds"}
+    assert all(type(value) is float and value >= 0.0 for value in profile.values())
+    assert (profile["refine_seconds"] > 0.0) == refined
+    assert ("likelihood_report" in manifest["artifacts"]) == refined
+    assert sum(profile.values()) <= manifest["wall_clock_seconds"]
+
+
 def test_run_experiment_practical_synthetic_deterministic(tmp_path):
     payload = {
         "mode": "practical", "d": 16, "s": 4, "T": 4, "m": 12, "r": 0.05,
@@ -502,6 +522,13 @@ def test_cli_dataset_token_outside_vocabulary_is_an_error(tmp_path, capsys):
         assert "outside vocabulary" in one_line_error(capsys, argv)
         # checked when read, before any stage ran
         assert not (tmp_path / command / "out").exists(), command
+
+
+def test_cli_practical_on_an_empty_dataset_is_an_error(tmp_path, capsys):
+    # a dataset of blank lines holds no pair
+    line = one_line_error(capsys, dataset_argv(tmp_path, "practical", ""))
+    assert "at least one pair" in line
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("token", ["1.7", "true", '"3"'])

@@ -184,6 +184,11 @@ def test_dpo_grad_zero_for_identical_responses():
     pair = PreferencePair((0,), (1, 2), (1, 2))
     grad = dpo_grad(policy, policy, [pair], beta=0.1)
     assert np.array_equal(grad, np.zeros_like(grad))
+    # a stacked batch of them, of lengths 1 to 12, against another policy:
+    # each term is -0.0, and the sum from +0.0 is +0.0
+    batch = [PreferencePair((3, 1), (n % 4,) * n, (n % 4,) * n) for n in range(12, 0, -1)]
+    grad = dpo_grad(small_policy(seed=9), policy, batch, beta=0.7)
+    assert grad.tobytes() == np.zeros_like(grad).tobytes()
 
 
 def test_dpo_grad_saturates_where_exp_overflows():
@@ -255,7 +260,10 @@ def reference_dpo_grad(policy, ref, batch, beta):
             reference_log_likelihood(policy, pair.prompt, pair.dispreferred)
             - reference_log_likelihood(ref, pair.prompt, pair.dispreferred)
         )
-        coeff = -beta / (1.0 + math.exp(beta * h))
+        try:
+            coeff = -beta / (1.0 + math.exp(beta * h))
+        except OverflowError:
+            coeff = -0.0
         grad += coeff * (
             loglik_grad(pair.prompt, pair.preferred) - loglik_grad(pair.prompt, pair.dispreferred)
         )
@@ -313,7 +321,44 @@ def test_dpo_grad_batch_mean_of_duplicates():
     pair = PreferencePair((1,), (0, 2), (3,))
     single = dpo_grad(policy, ref, [pair], beta=0.2)
     doubled = dpo_grad(policy, ref, [pair, pair], beta=0.2)
-    assert np.allclose(single, doubled, atol=1e-15)
+    # (0 + t + t) / 2 rounds to t exactly
+    assert single.tobytes() == doubled.tobytes()
+
+
+def test_dpo_grad_bit_equal_to_per_pair_reference_at_batch_sizes_up_to_40():
+    """The stacked pass keeps every bit of the per-pair loop over whole batches.
+
+    Responses of 1 to 12 tokens stack in another order than the batch's, so
+    a wrong offset or pair order changes bits. Each batch also holds an
+    identical-response pair (an exact zero term) and a duplicate pair; the
+    second beta saturates the pair of largest margin and keeps pairs of
+    negative margin inside exp's range, in one batch.
+    """
+    gen = np.random.default_rng(34)
+    for vocab, feat in ((2, 1), (5, 7), (8, 16)):
+
+        def seq(lo, hi):
+            return tuple(int(t) for t in gen.integers(0, vocab, size=int(gen.integers(lo, hi))))
+
+        for trial, size in enumerate((3, 8, 19, 33, 40)):
+            policy = make_toy_policy(vocab_size=vocab, feature_dim=feat, max_context=4,
+                                     weight_seed=trial)
+            ref = make_toy_policy(vocab_size=vocab, feature_dim=feat, max_context=4,
+                                  weight_seed=50 + trial)
+            pair = PreferencePair(seq(1, 4), seq(1, 13), seq(1, 13))
+            if policy_mod._pair_margin(policy, ref, pair) < 0:
+                pair = PreferencePair(pair.prompt, pair.dispreferred, pair.preferred)
+            same = seq(1, 13)
+            batch = [PreferencePair(seq(1, 4), same, same), pair, pair]
+            batch += [PreferencePair(seq(1, 4), seq(1, 13), seq(1, 13)) for _ in range(size - 3)]
+            batch = [batch[i] for i in gen.permutation(size)]
+            margins = [policy_mod._pair_margin(policy, ref, pair) for pair in batch]
+            saturating = 1000.0 / max(margins)
+            if size > 3:
+                assert min(margins) < 0
+            for beta in (float(gen.uniform(0.05, 2.0)), saturating):
+                expected = reference_dpo_grad(policy, ref, batch, beta)
+                assert dpo_grad(policy, ref, batch, beta).tobytes() == expected.tobytes()
 
 
 # ----- training ---------------------------------------------------------------
@@ -325,6 +370,25 @@ def test_train_dpo_zero_epochs_is_identity():
     pair = PreferencePair((0,), (1,), (2,))
     out = train_dpo(policy, ref, [pair], DpoConfig(epochs=0))
     assert np.array_equal(out.weights, policy.weights)
+
+
+def test_train_dpo_bit_equal_to_per_pair_reference_loop():
+    policy = make_toy_policy(vocab_size=5, feature_dim=7, max_context=4, weight_seed=3)
+    ref = make_toy_policy(vocab_size=5, feature_dim=7, max_context=4, weight_seed=4)
+    gen = np.random.default_rng(8)
+
+    def seq(lo, hi):
+        return tuple(int(t) for t in gen.integers(0, 5, size=int(gen.integers(lo, hi))))
+
+    dataset = [PreferencePair(seq(1, 4), seq(1, 13), seq(1, 13)) for _ in range(24)]
+    config = DpoConfig(beta=0.5, learning_rate=0.5, epochs=3)
+    expected = policy
+    for _ in range(config.epochs):
+        grad = reference_dpo_grad(expected, ref, dataset, config.beta)
+        expected = expected.with_flat_params(expected.flat_params - config.learning_rate * grad)
+    trained = train_dpo(policy, ref, dataset, config)
+    assert trained.weights.tobytes() == expected.weights.tobytes()
+    assert trained.weights.tobytes() != policy.weights.tobytes()
 
 
 def test_train_dpo_separable_pair_converges():
