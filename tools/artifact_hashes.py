@@ -39,8 +39,9 @@ TOY_PAIRS = ROOT / "src" / "duelopt" / "data" / "toy_pairs.jsonl"
 # the benchmark's three workload configs, the two other bench suites at
 # reduced size, the cosine objective's oracle, a masked synthetic practical
 # run, the masked preference path, a dataset pipeline, a pipeline whose
-# oracle compares two pairs per query and a narrow pipeline whose large beta
-# pushes most DPO pairs past exp's range within one batch
+# oracle compares two pairs per query, a narrow pipeline whose large beta
+# pushes most DPO pairs past exp's range within one batch, and the narrowest
+# policy (V x F = 2 x 1) through all three stages
 BASE_CONFIGS = {
     "sweep": {"mode": "bench-sweep"},
     "basic-10k": {"mode": "basic", "d": 10000, "s": 5, "c_m": 4, "epsilon": 0.1},
@@ -60,6 +61,10 @@ BASE_CONFIGS = {
     "pipeline-saturated": {
         "mode": "pipeline", "vocab_size": 3, "feature_dim": 2, "n_clean": 10, "n_noisy": 5,
         "beta": 50.0, "dpo_epochs": 20,
+    },
+    "pipeline-narrow": {
+        "mode": "pipeline", "vocab_size": 2, "feature_dim": 1, "n_clean": 10, "n_noisy": 5,
+        "dpo_epochs": 5,
     },
 }
 
