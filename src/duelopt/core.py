@@ -87,6 +87,11 @@ class RngState:
         passes one list to every chunk and opens each generator once.
         Without ``gens`` the generators are local to the call. The worker
         only ever gets a generator and the rows it fills.
+
+        The rows are scaled to unit length after one pass over the chunk for
+        their norms: the square root of each row's sum of squares, the sum
+        ``np.linalg.norm(rows, axis=1)`` takes for float64, without the
+        copy of the chunk its ``conj()`` makes.
         """
         rows = np.empty((count, dim), dtype=np.float64)
         gens = [] if gens is None else gens
@@ -105,7 +110,7 @@ class RngState:
                 worker.result()
         else:
             self._fill_rows(gens[0], rows, block, start)
-        norms = np.linalg.norm(rows, axis=1)
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
         for i in np.flatnonzero(norms == 0.0):
             # probability zero; redone exactly as its own substream would
             rows[i] = _sphere_rows(self.substream(block, start + int(i)), 1, dim)[0]
@@ -123,7 +128,9 @@ class RngState:
         fresh substream starts in: the row's key, counter 0 and an empty
         buffer. The state is given as plain ints, which gives the same bytes
         as uint64 arrays in less time, and so shortens the part of each row
-        that holds the interpreter lock.
+        that holds the interpreter lock. Of the key's two 64-bit words only
+        the row index changes between rows: the low word is ``self.seed``,
+        the high word ``block | i << 32`` (both halves modulo 2**32).
         """
         bits = gen.bit_generator
         fresh = {
@@ -134,9 +141,10 @@ class RngState:
             "has_uint32": 0,
             "uinteger": 0,
         }
+        key = fresh["state"]["key"] = [self.seed, 0]
+        high = block & _MASK32
         for i, row in enumerate(rows, start):
-            key = self._key(block, i)
-            fresh["state"]["key"] = [key & _MASK64, key >> 64]
+            key[1] = high | (i & _MASK32) << 32
             bits.state = fresh
             gen.standard_normal(out=row)
 
@@ -247,7 +255,8 @@ class ParamVector:
         instead of copied. ``ParamVector(...)`` keeps every check for input
         from outside.
         """
-        if not np.isfinite(values).all():
+        # the reduction ``.all()`` runs, without the method's Python wrapper
+        if not np.logical_and.reduce(np.isfinite(values)):
             raise ValueError("parameter vector contains NaN or Inf")
         values.setflags(write=False)
         out = object.__new__(cls)

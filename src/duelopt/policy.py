@@ -55,20 +55,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _response_logits(
-    W: np.ndarray, features: np.ndarray
+    W: np.ndarray, columns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n, V) logits of a response's n positions, their row maxima and exp-sums.
 
-    The logits are one stacked matmul of ``W`` with the n feature columns,
-    which numpy runs as one ``W @ phi`` gemv per position, as
-    ``token_log_probs`` computes it; a (V, F) @ (F, n) gemm instead can
-    change logit bits. The max, exp and sum of ``_log_softmax`` then run
-    once over the whole response; numpy reduces each row as it reduces a
-    lone 1-D array, so every value has the bits a per-token
-    ``_log_softmax`` gives. The reductions are the ufunc kernels ``.max``
-    and ``.sum`` call, without the method wrappers.
+    ``columns`` is the (n, F, 1) stack of the positions' feature columns.
+    The logits are one stacked matmul of ``W`` with them, which numpy runs
+    as one ``W @ phi`` gemv per position, as ``token_log_probs`` computes
+    it; a (V, F) @ (F, n) gemm instead can change logit bits. The max, exp
+    and sum of ``_log_softmax`` then run once over the whole response; numpy
+    reduces each row as it reduces a lone 1-D array, so every value has the
+    bits a per-token ``_log_softmax`` gives. The reductions are the ufunc
+    kernels ``.max`` and ``.sum`` call, without the method wrappers.
     """
-    logits = np.matmul(W, features[:, :, None])[:, :, 0]
+    logits = np.matmul(W, columns)[:, :, 0]
     peak = np.maximum.reduce(logits, axis=1)
     return logits, peak, np.add.reduce(np.exp(logits - peak[:, None]), axis=1)
 
@@ -181,11 +181,15 @@ class ToyPolicy:
 
     def _response_features(
         self, prompt: Sequence[int], response: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Response tokens and the (n, F) matrix of their context features, tokens checked.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A response's tokens, context features, picks and columns, tokens checked.
 
-        Row i is ``features(prompt, response[:i])``. Depends only on the
-        feature map, so instances built by ``with_weights`` share the table.
+        ``features`` is the (n, F) matrix whose row i is
+        ``features(prompt, response[:i])``; ``columns`` is its (n, F, 1)
+        view, the operand ``_response_logits`` takes. ``picks`` holds the
+        flat indices ``i * V + tokens[i]`` of each token's logit in the
+        C-ordered (n, V) logits. Depends only on the feature map, so
+        instances built by ``with_weights`` share the table.
         """
         key = (tuple(prompt), tuple(response))
         steps = self._context_cache.get(key)
@@ -200,9 +204,10 @@ class ToyPolicy:
                 prefix = prefix + (int(tok),)
             tokens = np.asarray(prefix, dtype=np.intp)
             features = np.array(rows, dtype=np.float64).reshape(len(rows), self.feature_dim)
-            tokens.setflags(write=False)
-            features.setflags(write=False)
-            steps = self._context_cache[key] = (tokens, features)
+            picks = np.arange(tokens.size) * self.vocab_size + tokens
+            for array in (tokens, features, picks):
+                array.setflags(write=False)
+            steps = self._context_cache[key] = (tokens, features, picks, features[:, :, None])
         return steps
 
     def sequence_log_likelihood(
@@ -213,9 +218,9 @@ class ToyPolicy:
             if key in self._loglik_memo:
                 return self._loglik_memo[key]
         W = self.weights if weights is None else weights
-        tokens, features = self._response_features(prompt, response)
-        logits, peak, sums = _response_logits(W, features)
-        picked = logits[np.arange(tokens.size), tokens]
+        _, _, picks, columns = self._response_features(prompt, response)
+        logits, peak, sums = _response_logits(W, columns)
+        picked = logits.ravel().take(picks)
         total = 0.0
         # the one log-softmax entry needed per token, added in token order
         for lp, top, norm in zip(picked.tolist(), peak.tolist(), sums.tolist()):
@@ -330,7 +335,7 @@ def dpo_grad(
     tokens = np.concatenate([steps[i][0] for i in order])[gather]
     features = np.concatenate([steps[i][1] for i in order])[gather]
 
-    logits, peak, sums = _response_logits(policy.weights, features)
+    logits, peak, sums = _response_logits(policy.weights, features[:, :, None])
     logp = logits - (peak + np.array([math.log(norm) for norm in sums.tolist()]))[:, None]
     rows = np.arange(tokens.size)
     picked = logp[rows, tokens]

@@ -311,8 +311,31 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
             per_position = np.empty((n, vocab))
             for i, phi in enumerate(features):
                 np.matmul(W, phi, out=per_position[i])
-            logits, _, _ = policy_mod._response_logits(W, features)
+            logits, _, _ = policy_mod._response_logits(W, features[:, :, None])
             assert logits.tobytes() == per_position.tobytes()
+
+
+def test_log_likelihood_at_explicit_weights_bit_equal_to_token_log_probs():
+    """The cached picks and columns give the per-token reference's bits at any weights.
+
+    Explicit weights bypass the memo, so every call runs the kernel. The
+    narrowest policy (V x F = 2 x 1) and 1-token responses are included, and
+    the policy's own weights are asked for in between, so a cache keyed by
+    response alone must not mix the two.
+    """
+    gen = np.random.default_rng(44)
+    for vocab, feat in ((2, 1), (3, 2), (8, 16)):
+        policy = make_toy_policy(vocab_size=vocab, feature_dim=feat, max_context=4,
+                                 weight_seed=vocab)
+        for n in range(1, 9):
+            prompt = tuple(int(t) for t in gen.integers(0, vocab, size=2))
+            response = tuple(int(t) for t in gen.integers(0, vocab, size=n))
+            W = gen.standard_normal((vocab, feat)) * gen.uniform(0.1, 30.0)
+            want = reference_log_likelihood(policy.with_weights(W), prompt, response)
+            own = reference_log_likelihood(policy, prompt, response)
+            for _ in range(2):
+                assert policy.sequence_log_likelihood(prompt, response, weights=W) == want
+                assert policy.sequence_log_likelihood(prompt, response) == own
 
 
 def test_dpo_grad_batch_mean_of_duplicates():
