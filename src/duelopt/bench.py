@@ -160,8 +160,11 @@ def point_with_gradient_norm(
 def _scale_reaching(fn: Callable[[float], float], target: float) -> float:
     """Scale at which the increasing ``fn`` first reaches ``target``.
 
-    Doubles from 1 to bracket the crossing, bisects it 200 times and returns
-    the upper end, so ``fn`` at the result is at least ``target``.
+    Doubles from 1 to bracket the crossing, bisects it for at most 200 steps
+    and returns the upper end, so ``fn`` at the result is at least
+    ``target``. The bisection stops at the first step that leaves its
+    bracket unchanged, since every later step would repeat it, so the result
+    has the bits of all 200.
     """
     hi = 1.0
     while fn(hi) < target:
@@ -172,8 +175,12 @@ def _scale_reaching(fn: Callable[[float], float], target: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if fn(mid) < target:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return hi
 

@@ -15,6 +15,7 @@ Two estimators over the signed direction sum ``c = sum_i y_i z_i``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,15 +125,23 @@ def _threshold_for_ratio(mags: np.ndarray, s: float) -> float:
     ``(A_j - j tau)^2 / (Q_j - 2 A_j tau + j tau^2)`` with A, Q prefix sums of
     sorted magnitudes; it is non-increasing in tau (Cauchy-Schwarz), which
     makes both the interval scan and the bisection monotone.
+
+    The ratio is taken in Python floats, the IEEE operations numpy scalars
+    run, at a fraction of their cost. The bisection makes at most 100 steps
+    and stops at the first step that leaves its bracket unchanged, since
+    every later step would repeat it; the result has the bits of all 100.
     """
     a = np.sort(mags[mags > 0])[::-1]
     k = a.size
     prefix_sum = np.cumsum(a)
     prefix_sq = np.cumsum(a * a)
 
-    def ratio_sq(tau: float, j: int) -> float:
-        l1 = prefix_sum[j - 1] - j * tau
-        l2_sq = prefix_sq[j - 1] - 2.0 * prefix_sum[j - 1] * tau + j * tau * tau
+    def ratio_sq(tau: float) -> float:
+        l1 = total - j * tau
+        l2_sq = total_sq - 2.0 * total * tau + j * tau * tau
+        if l2_sq == 0.0:
+            # numpy's quotient: +inf over a positive numerator, NaN over 0
+            return math.inf if l1 * l1 > 0.0 else math.nan
         return l1 * l1 / l2_sq
 
     for j in range(1, k + 1):
@@ -144,13 +153,19 @@ def _threshold_for_ratio(mags: np.ndarray, s: float) -> float:
         # the previous interval's end a hair above s. If rounding puts even
         # tau = 0 below s, the scan ends on the last interval and the
         # bisection returns a tau near 0.
-        if lo < hi and ratio_sq(lo, j) >= s:
-            break
+        if lo < hi:
+            total, total_sq = float(prefix_sum[j - 1]), float(prefix_sq[j - 1])
+            if ratio_sq(lo) >= s:
+                break
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if ratio_sq(mid, j) > s:
+        if ratio_sq(mid) > s:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     # the hi endpoint keeps the final l1 norm on the feasible side
     return hi

@@ -4,7 +4,8 @@ Nothing here may import from the code paths it checks: the linear-objective
 maximizer uses projected ascent with Dykstra's alternating projections, the
 optimality certificate uses weak duality over a one-dimensional multiplier
 grid, the gradient oracle uses central finite differences, and the policy
-oracle uses exhaustive sequence enumeration.
+oracle uses exhaustive sequence enumeration. The two bisections are the
+fixed-step versions the early-stopping ones must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -123,3 +124,46 @@ def enumerate_sequence_probs(policy, prompt: tuple[int, ...], length: int) -> di
                 nxt[prefix + (tok,)] = prob * float(token_probs[tok])
         out = nxt
     return out
+
+
+def reference_threshold_for_ratio(mags: np.ndarray, s: float) -> float:
+    """The exact solver's threshold search in numpy scalars, 100 bisection steps always."""
+    a = np.sort(mags[mags > 0])[::-1]
+    k = a.size
+    prefix_sum = np.cumsum(a)
+    prefix_sq = np.cumsum(a * a)
+
+    def ratio_sq(tau: float, j: int) -> float:
+        l1 = prefix_sum[j - 1] - j * tau
+        l2_sq = prefix_sq[j - 1] - 2.0 * prefix_sum[j - 1] * tau + j * tau * tau
+        return l1 * l1 / l2_sq
+
+    for j in range(1, k + 1):
+        lo = float(a[j]) if j < k else 0.0
+        hi = float(a[j - 1])
+        if lo < hi and ratio_sq(lo, j) >= s:
+            break
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if ratio_sq(mid, j) > s:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def reference_scale_reaching(fn, target: float) -> float:
+    """Scale at which the increasing ``fn`` reaches ``target``: 200 bisection steps always."""
+    hi = 1.0
+    while fn(hi) < target:
+        hi *= 2.0
+        if hi > 1e12:
+            raise ValueError(f"could not bracket the target {target}")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelopt import (
     ParamVector,
@@ -17,8 +20,10 @@ from duelopt import (
     point_with_gradient_norm,
     sweep_convergence,
 )
-from duelopt.bench import start_with_gap
+from duelopt.bench import _scale_reaching, start_with_gap
 from duelopt.errors import InvalidTestError
+
+from reference_solvers import reference_scale_reaching
 
 
 def sampled_smoothness_holds(obj, n_pairs=1000, seed=0):
@@ -137,6 +142,33 @@ def test_point_with_gradient_norm_hits_target():
         obj = factory(20, 5, seed=11)
         theta = point_with_gradient_norm(obj, 1.0, gen)
         assert np.linalg.norm(obj.gradient(theta)) == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    scale=st.floats(1e-3, 1e3),
+    power=st.floats(0.25, 4.0),
+    levels=st.sampled_from([0, 1, 3, 1000]),
+    target=st.floats(1e-12, 1e6),
+)
+def test_scale_reaching_equals_the_fixed_step_bisection(scale, power, levels, target):
+    """Stopping at the first step that leaves the bracket unchanged keeps every bit.
+
+    ``fn`` is a power law, or a staircase of it with plateaus the target can
+    sit on; targets past ``fn(1e12)`` must fail to bracket in both versions.
+    """
+
+    def fn(x):
+        y = scale * x**power
+        return math.floor(y * levels) / levels if levels else y
+
+    try:
+        want = reference_scale_reaching(fn, target)
+    except ValueError:
+        with pytest.raises(InvalidTestError):
+            _scale_reaching(fn, target)
+        return
+    assert _scale_reaching(fn, target).hex() == want.hex()
 
 
 def test_start_with_gap_matches_requested_gap():

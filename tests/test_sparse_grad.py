@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duelopt import (
@@ -12,7 +12,11 @@ from duelopt import (
 from duelopt.errors import DegenerateMeasurementError
 from duelopt.sparse_grad import _threshold_for_ratio
 
-from reference_solvers import dual_upper_bound, maximize_linear_brute_batch
+from reference_solvers import (
+    dual_upper_bound,
+    maximize_linear_brute_batch,
+    reference_threshold_for_ratio,
+)
 
 
 def batch_from(directions, signs, radius=1.0):
@@ -163,6 +167,55 @@ def test_threshold_scan_finds_a_crossing_on_a_breakpoint():
     direction = shrunk / np.linalg.norm(shrunk)
     assert tau == pytest.approx(0.1, abs=1e-12)
     assert abs(direction.sum() - np.sqrt(2.0)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.one_of(st.integers(2, 60), st.integers(61, 10**4)),
+    exponents=st.tuples(st.integers(-200, 200), st.integers(-200, 200)),
+    ties=st.sampled_from(["none", "some", "max"]),
+    zeros=st.booleans(),
+    s_frac=st.floats(0.0, 1.0),
+)
+# every magnitude tied: only the last interval, which ends at tau = 0, is nonempty
+@example(seed=0, k=7, exponents=(0, 0), ties="none", zeros=False, s_frac=1.0)
+# squares that underflow to 0 and overflow to inf
+@example(seed=1, k=30, exponents=(-200, -170), ties="none", zeros=True, s_frac=0.1)
+@example(seed=2, k=30, exponents=(160, 200), ties="some", zeros=False, s_frac=0.1)
+@example(seed=3, k=10**4, exponents=(-3, 0), ties="max", zeros=True, s_frac=0.5)
+def test_threshold_for_ratio_equals_the_fixed_step_bisection(
+    seed, k, exponents, ties, zeros, s_frac
+):
+    """Bisecting in Python floats and stopping at a fixed bracket keeps every bit.
+
+    The reference runs all 100 steps in numpy scalars. s runs from 1 to k,
+    so the scan also ends on the last interval (lo = 0), and magnitudes from
+    1e-200 to 1e200 put zeros, infs and NaNs into the ratio.
+    """
+    gen = np.random.default_rng(seed)
+    mags = 10.0 ** gen.uniform(min(exponents), max(exponents), size=k)
+    if ties == "some":
+        mags[: k // 2] = gen.choice(mags[k // 2:][:3], size=k // 2)
+    elif ties == "max":
+        mags[: k // 3] = mags.max()
+    if zeros:
+        mags[1:][gen.random(k - 1) < 0.3] = 0.0
+    gen.shuffle(mags)
+    assert_threshold_bits_equal_reference(mags, float(1 + round(s_frac * (k - 1))))
+
+
+# the last step of these sets hi = lo: a bracket that closes on its lower end
+@pytest.mark.parametrize("mags, s", [([1.0, 2.0], 1.0), ([4.0, 2.0], 1.0), ([0.0, 3.0], 1.0)])
+def test_threshold_for_ratio_keeps_a_bracket_that_closes_on_its_lower_end(mags, s):
+    assert_threshold_bits_equal_reference(np.array(mags), s)
+
+
+def assert_threshold_bits_equal_reference(mags, s):
+    with np.errstate(all="ignore"):
+        want = reference_threshold_for_ratio(mags, s)
+        got = _threshold_for_ratio(mags, s)
+    assert float(got).hex() == float(want).hex()
 
 
 def test_exact_recovers_planted_direction_small():
