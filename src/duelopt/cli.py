@@ -311,17 +311,18 @@ def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
 def run_experiment(config: RunConfig) -> RunManifest:
     """Dispatch one experiment and write its artifacts and manifest.
 
-    A policy run's reference policy and pairs are built first, so a bad
-    dataset, non-finite reference weights or a pair-synthesis failure leave
-    no out dir behind.
+    A policy run's reference policy and pairs are built first, so a bad or
+    empty dataset, non-finite reference weights or a pair-synthesis failure
+    leave no out dir behind.
     """
     out_dir = _out_dir(config.out_dir)
     started = time.perf_counter()
     policy = pairs = None
     if config.dataset is not None and config.mode in ("practical", "pipeline"):
         pairs = _load_dataset(config.dataset, config.vocab_size)
-        if not pairs and config.mode == "practical":
-            # run_practical rejects it too, but only after the out dir exists
+        if not pairs:
+            # run_practical rejects it too, but only after the out dir exists,
+            # and a pipeline would split nothing and save the reference twice
             raise InvalidScheduleError("data stream must contain at least one pair")
     if pairs is not None or config.mode == "pipeline":
         policy = _make_policy(config)

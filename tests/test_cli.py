@@ -531,6 +531,13 @@ def test_cli_practical_on_an_empty_dataset_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_pipeline_on_an_empty_dataset_is_an_error(tmp_path, capsys):
+    # the same input error as in practical mode, found before any stage ran
+    line = one_line_error(capsys, dataset_argv(tmp_path, "pipeline", ""))
+    assert line == "error: data stream must contain at least one pair"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("token", ["1.7", "true", '"3"'])
 def test_cli_dataset_non_integer_token_is_an_error(tmp_path, capsys, token):
     record = '{"prompt":[1,2],"preferred":[%s],"dispreferred":[3]}' % token
