@@ -136,6 +136,7 @@ def _threshold_for_ratio(mags: np.ndarray, s: float) -> float:
     prefix_sum = np.cumsum(a)
     prefix_sq = np.cumsum(a * a)
 
+    # on the prefix sums of support size j, set by the scan below
     def ratio_sq(tau: float) -> float:
         l1 = total - j * tau
         l2_sq = total_sq - 2.0 * total * tau + j * tau * tau

@@ -275,9 +275,11 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
 
     Shapes: the narrowest policy (vocab 2 x feature 1, where V * F = 2 is the
     narrowest width at which numpy still adds the gradient rows in order),
-    an odd one, and the pipeline's 8 x 16; responses of 1 to 12 tokens. The
-    stacked logits matmul is also compared with one ``W @ phi`` per position
-    at wider shapes.
+    an odd one, and the pipeline's 8 x 16; responses of 1 to 12 tokens.
+    Likelihoods are checked at the policy's own weights (memoized), at
+    another policy's and at explicit weights passed to
+    ``sequence_log_likelihood``. The stacked logits matmul is also compared
+    with one ``W @ phi`` per position at wider shapes.
     """
     gen = np.random.default_rng(21)
     for vocab, feat in ((5, 7), (2, 1), (8, 16)):
@@ -303,6 +305,12 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
                     assert policy.sequence_log_likelihood(pair.prompt, response) == want
                     got_at = policy.log_likelihood_at(ref.flat_params, pair.prompt, response)
                     assert got_at == reference_log_likelihood(ref, pair.prompt, response)
+                    # explicit weights, large enough to push the softmax to its tails
+                    W = 30.0 * np.random.default_rng(trial).standard_normal((vocab, feat))
+                    got_w = policy.sequence_log_likelihood(pair.prompt, response, weights=W)
+                    assert got_w == reference_log_likelihood(
+                        policy.with_weights(W), pair.prompt, response
+                    )
 
     for vocab, feat in ((2, 1), (3, 2), (5, 7), (8, 16), (16, 128), (32, 64)):
         W = gen.standard_normal((vocab, feat))
@@ -313,29 +321,6 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
                 np.matmul(W, phi, out=per_position[i])
             logits, _, _ = policy_mod._response_logits(W, features[:, :, None])
             assert logits.tobytes() == per_position.tobytes()
-
-
-def test_log_likelihood_at_explicit_weights_bit_equal_to_token_log_probs():
-    """The cached picks and columns give the per-token reference's bits at any weights.
-
-    Explicit weights bypass the memo, so every call runs the kernel. The
-    narrowest policy (V x F = 2 x 1) and 1-token responses are included, and
-    the policy's own weights are asked for in between, so a cache keyed by
-    response alone must not mix the two.
-    """
-    gen = np.random.default_rng(44)
-    for vocab, feat in ((2, 1), (3, 2), (8, 16)):
-        policy = make_toy_policy(vocab_size=vocab, feature_dim=feat, max_context=4,
-                                 weight_seed=vocab)
-        for n in range(1, 9):
-            prompt = tuple(int(t) for t in gen.integers(0, vocab, size=2))
-            response = tuple(int(t) for t in gen.integers(0, vocab, size=n))
-            W = gen.standard_normal((vocab, feat)) * gen.uniform(0.1, 30.0)
-            want = reference_log_likelihood(policy.with_weights(W), prompt, response)
-            own = reference_log_likelihood(policy, prompt, response)
-            for _ in range(2):
-                assert policy.sequence_log_likelihood(prompt, response, weights=W) == want
-                assert policy.sequence_log_likelihood(prompt, response) == own
 
 
 def test_dpo_grad_batch_mean_of_duplicates():
