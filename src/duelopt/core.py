@@ -10,8 +10,8 @@ fills row i from a generator re-keyed to ``(seed, block, i)`` just before
 it, which gives the same bytes as one fresh substream per row without paying
 for a generator per row. A row depends on its key alone, so a chunk of rows
 starting at row ``start`` has the bytes of the same rows drawn in one call,
-and long rows are filled on two threads with every byte the same.
-``oracles`` is the one place that checks the rows are unit.
+and ``RngState.sphere_chunks`` fills long rows on two threads with every
+byte the same. ``oracles`` is the one place that checks the rows are unit.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from .errors import DimensionError
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-# Rows at least this long are filled on two threads. A split draw pays for
-# waking the worker, and each row takes the interpreter lock for a few us
-# around its fill, which runs without it; the more rows a chunk holds, the
-# more often the two threads wait on each other. In the descent loop on a
-# 2-core VM, a run at d = 10^4 (6 rows per chunk) took about 15% less time;
-# d = 6000 was no faster, and d = 2000 and the bench sweep's d = 800 were
-# slower.
+# Rows at least this long are filled on two threads. Each row takes the
+# interpreter lock for a few us around its fill, which runs without it; the
+# more rows a chunk holds, the more often the two threads wait on each other.
+# In the descent loop on a 2-core VM, halving each chunk's draw made a run at
+# d = 10^4 (6 rows per chunk) about 15% faster; d = 6000 was no faster, and
+# d = 2000 and the bench sweep's d = 800 were slower.
 _SPLIT_MIN_DIM = 8192
 
 
@@ -63,59 +62,66 @@ class RngState:
     def _key(self, block: int, index: int) -> int:
         return self.seed | ((block & _MASK32) << 64) | ((index & _MASK32) << 96)
 
-    def sphere_rows(
-        self,
-        block: int,
-        count: int,
-        dim: int,
-        start: int = 0,
-        gens: list[np.random.Generator] | None = None,
-    ) -> np.ndarray:
+    def sphere_rows(self, block: int, count: int, dim: int, start: int = 0) -> np.ndarray:
         """(count, dim) unit rows; row i is the first row of ``substream(block, start + i)``.
 
-        Every row is filled by ``_fill_rows``, which re-keys its generator
-        to the row's own substream first, so a row's bytes depend on nothing
-        but its key: rows drawn in chunks equal rows drawn at once, and any
-        thread may fill any row. Two or more rows of at least
-        ``_SPLIT_MIN_DIM`` floats are split when the process may run on two
-        CPUs: one worker thread fills the second half while the calling
-        thread fills the first.
-
-        ``gens`` holds the generators the fills use, one per half. Each is
-        opened through ``substream`` on the calling thread when first
-        needed and kept in the list, so a caller drawing one block in chunks
-        passes one list to every chunk and opens each generator once.
-        Without ``gens`` the generators are local to the call. The worker
-        only ever gets a generator and the rows it fills.
-
-        The rows are scaled to unit length after one pass over the chunk for
-        their norms: the square root of each row's sum of squares, the sum
-        ``np.linalg.norm(rows, axis=1)`` takes for float64, without the
-        copy of the chunk its ``conj()`` makes.
+        The one-thread reference draw. Every row is filled by ``_fill_rows``,
+        which re-keys its generator to the row's own substream first, so a
+        row's bytes depend on nothing but its key: rows drawn in chunks equal
+        rows drawn at once, and any thread may fill any row.
         """
         rows = np.empty((count, dim), dtype=np.float64)
-        gens = [] if gens is None else gens
-        if not gens:
-            gens.append(self.substream(block, start))
-        half = count // 2
-        if half and dim >= _SPLIT_MIN_DIM and _cpu_count() >= 2:
-            if len(gens) == 1:
-                gens.append(self.substream(block, start + half))
-            worker = _row_worker().submit(
-                self._fill_rows, gens[1], rows[half:], block, start + half
-            )
-            try:
-                self._fill_rows(gens[0], rows[:half], block, start)
-            finally:
-                worker.result()
-        else:
-            self._fill_rows(gens[0], rows, block, start)
+        self._fill_rows(self.substream(block, start), rows, block, start)
+        return self._normalize(rows, block, start)
+
+    def sphere_chunks(self, block: int, count: int, dim: int, chunk: int):
+        """Yield ``(start, rows)``, the rows of ``sphere_rows(block, count, dim)`` by ``chunk``.
+
+        ``rows`` is a view into a buffer a later step refills. Two or more rows
+        of at least ``_SPLIT_MIN_DIM`` floats on two CPUs are filled ahead:
+        while the caller uses chunk j, the worker fills chunk j+1 from its last
+        row down, then the calling thread fills the rest from the first row up.
+        Both generators are opened here; once the iterator is closed, no fill runs.
+        """
+        size = min(chunk, count)
+        starts = range(0, count, size)
+        gen = self.substream(block)
+        if count < 2 or dim < _SPLIT_MIN_DIM or _cpu_count() < 2:
+            buffer = np.empty((size, dim), dtype=np.float64)
+            for start in starts:
+                rows = buffer[:count - start]
+                self._fill_rows(gen, rows, block, start)
+                yield start, self._normalize(rows, block, start)
+            return
+        buffers = np.empty((2, size, dim), dtype=np.float64)
+        worker, worker_gen = _row_worker(), self.substream(block, count - 1)
+
+        def ahead(j: int) -> _Claims:
+            rows = buffers[j % 2, :count - starts[j]]
+            return _Claims(self, rows, block, starts[j], worker, worker_gen)
+
+        claims = ahead(0)
+        try:
+            for j, start in enumerate(starts):
+                rows = claims.rows
+                claims.fill(gen, True)
+                claims.close()
+                if j + 1 < len(starts):
+                    claims = ahead(j + 1)
+                yield start, self._normalize(rows, block, start)
+        finally:
+            claims.close()
+
+    def _normalize(self, rows: np.ndarray, block: int, start: int) -> np.ndarray:
+        """Scale ``rows``, rows ``start``... of ``block``, to unit length in place."""
+        # the sum of squares np.linalg.norm(rows, axis=1) takes for float64,
+        # without the copy of the rows its conj() makes
         norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
         for i in np.flatnonzero(norms == 0.0):
             # probability zero; redone exactly as its own substream would
-            rows[i] = _sphere_rows(self.substream(block, start + int(i)), 1, dim)[0]
+            rows[i] = _sphere_rows(self.substream(block, start + int(i)), 1, rows.shape[1])[0]
             norms[i] = 1.0
-        # divided in place, not into a second (count, dim) array
+        # divided in place, not into a second array of the rows' shape
         rows /= norms[:, None]
         return rows
 
@@ -162,12 +168,45 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-_row_pool = None  # (pid, executor) of the split fills' worker thread
+class _Claims:
+    """One chunk's rows, claimed one at a time under one lock: the calling
+    thread takes them from the first row up, the worker from the last down."""
+
+    def __init__(self, rng: RngState, rows: np.ndarray, block: int, start: int, worker, gen):
+        self.rng, self.rows, self.block, self.start = rng, rows, block, start
+        self.low, self.high = 0, len(rows)  # rows low..high-1 are unclaimed
+        self.lock = threading.Lock()
+        self.job = worker.submit(self.fill, gen, False)  # the worker's part
+
+    def fill(self, gen: np.random.Generator, from_low: bool) -> None:
+        """Fill rows from one end, one at a time, until none is unclaimed."""
+        rows = self.rows  # read before any claim: ``close`` drops it once all are claimed
+        while True:
+            with self.lock:
+                if self.low == self.high:
+                    return
+                if from_low:
+                    i, self.low = self.low, self.low + 1
+                else:
+                    self.high -= 1
+                    i = self.high
+            self.rng._fill_rows(gen, rows[i:i + 1], self.block, self.start + i)
+
+    def close(self) -> None:
+        """Claim every row left; wait for the worker's row in flight and raise its error."""
+        with self.lock:
+            self.low = self.high
+        self.rows = None  # a job the worker has not started keeps no buffer alive
+        if not self.job.cancel():  # a job not started is dropped, not waited for
+            self.job.result()
+
+
+_row_pool = None  # (pid, executor) of the worker thread that fills rows ahead
 _row_pool_lock = threading.Lock()
 
 
 def _row_worker():
-    """The executor whose one thread fills the second half of a split draw.
+    """The executor whose one thread fills rows ahead for ``sphere_chunks``.
 
     It is made on first use, so importing the module starts no thread. A
     forked child does not have the parent's thread, so a child makes its own.

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Sequence
+from contextlib import closing
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -122,7 +123,8 @@ class BitMeasurementBatch:
 def _check_unit_rows(rows: np.ndarray) -> None:
     # row norms without an (m, k) temporary; the 1e-9 tolerance hides their last bits
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    # written so that a NaN norm fails too
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
         raise InvalidBatchError("direction rows must be unit vectors")
 
 
@@ -205,13 +207,13 @@ def measure_bits(
     Direction i is the unit row that the substream ``(seed, block, i)`` gives,
     so the batch is identical no matter how the oracle queries are scheduled.
     ``signs[i]`` is the oracle's answer at ``embed_perturbation(theta, row i,
-    radius)``, asked once per row in index order. The rows are drawn by
-    ``RngState.sphere_rows``, queried and added to the signed sum in chunks
-    of about ``_CHUNK_FLOATS`` floats, so no (m, k) matrix is ever held; the
-    chunks share their generators, so a batch opens at most two. The
-    sum has the bits of one reduction over all m rows; at k = 1 that holds
-    while m fits one chunk (65,536 rows), beyond which the pairwise column
-    sum is taken per chunk.
+    radius)``, asked once per row in index order. The rows come from
+    ``RngState.sphere_chunks`` and are checked, queried and added to the
+    signed sum in chunks of about ``_CHUNK_FLOATS`` floats, so no (m, k)
+    matrix is ever held; long rows of the next chunk are filled while this
+    one is queried. The sum has the bits of one reduction over all m rows;
+    at k = 1 that holds while m fits one chunk (65,536 rows), beyond which
+    the pairwise column sum is taken per chunk.
     """
     if m < 1:
         raise InvalidBatchError(f"m must be >= 1, got {m}")
@@ -219,14 +221,13 @@ def measure_bits(
         raise InvalidBatchError(f"radius must be > 0, got {radius}")
     block = rng.next_block()
     k = theta.scope_dim
-    chunk = max(1, _CHUNK_FLOATS // k)
     signs = np.empty(m, dtype=np.int8)
     total = None
-    gens: list[np.random.Generator] = []
-    for start in range(0, m, chunk):
-        rows = rng.sphere_rows(block, min(chunk, m - start), k, start, gens)
-        _check_unit_rows(rows)
-        for i, row in enumerate(rows, start):
-            signs[i] = oracle(theta, embed_perturbation(theta, row, radius))
-        total = _add_signed_rows(total, rows, signs[start:start + len(rows)])
+    # closed on the way out, so that no row is filled once this returns
+    with closing(rng.sphere_chunks(block, m, k, max(1, _CHUNK_FLOATS // k))) as chunks:
+        for start, rows in chunks:
+            _check_unit_rows(rows)
+            for i, row in enumerate(rows, start):
+                signs[i] = oracle(theta, embed_perturbation(theta, row, radius))
+            total = _add_signed_rows(total, rows, signs[start:start + len(rows)])
     return BitMeasurementBatch._streamed(signs, total, radius, block)

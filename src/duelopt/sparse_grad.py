@@ -58,7 +58,7 @@ def clip_small_entries(v: np.ndarray, lambda_g: float) -> np.ndarray:
 
     Entries exactly at the threshold survive; ``lambda_g = 0`` is the identity.
     """
-    if lambda_g < 0:
+    if not lambda_g >= 0:
         raise ValueError(f"lambda_g must be >= 0, got {lambda_g}")
     v = np.asarray(v, dtype=np.float64)
     return np.where(np.abs(v) >= lambda_g, v, 0.0)

@@ -103,47 +103,61 @@ def test_sphere_rows_equal_one_substream_per_row(seed, block, count, dim, start)
         assert chunk[i].tobytes() == shifted.tobytes()
 
 
+def chunked(rng, block, count, dim, chunk):
+    """Bytes of each row ``sphere_chunks`` yields, and the (start, length) of each chunk."""
+    rows, chunks = [], []
+    for start, part in rng.sphere_chunks(block, count, dim, chunk):
+        chunks.append((start, len(part)))
+        rows.extend(row.tobytes() for row in part)
+    return rows, chunks
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     block=st.integers(2**32, 2**40),
     count=st.integers(1, 13),
     extra=st.integers(0, 300),
-    start=st.integers(0, 12),
+    chunk=st.integers(1, 14),
 )
-@example(seed=0, block=2**32, count=2, extra=0, start=0)
-@example(seed=2**64 - 1, block=2**40, count=13, extra=1, start=12)
+@example(seed=0, block=2**32, count=2, extra=0, chunk=2)
+@example(seed=2**64 - 1, block=2**40, count=13, extra=1, chunk=4)
 def test_long_rows_filled_on_two_threads_equal_one_substream_per_row(
-    seed, block, count, extra, start
+    seed, block, count, extra, chunk
 ):
     dim = core._SPLIT_MIN_DIM + extra
     expected = [
-        _sphere_rows(RngState(seed).substream(block, start + i), 1, dim)[0].tobytes()
+        _sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
         for i in range(count)
     ]
-    # one CPU takes the serial path; two split any draw of two rows or more
+    starts = list(range(0, count, chunk))
+    # one CPU takes the one-thread path; two fill ahead any draw of two rows or more
     for cpus in (1, 2):
+        opened = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_cpu_count", lambda: cpus)
-            gens = []
-            rows = RngState(seed).sphere_rows(block, count, dim, start, gens)
-        assert len(gens) == (2 if cpus == 2 and count >= 2 else 1)
-        assert [row.tobytes() for row in rows] == expected
+            substream = RngState.substream
+            mp.setattr(RngState, "substream", lambda *a: opened.append(a) or substream(*a))
+            rows, chunks = chunked(RngState(seed), block, count, dim, chunk)
+        assert len(opened) == (2 if cpus == 2 and count >= 2 else 1)
+        assert rows == expected
+        assert chunks == [(start, min(chunk, count - start)) for start in starts]
 
 
 def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
-    seed, block, count, dim = 7, 5, 9, core._SPLIT_MIN_DIM
-    expected = b"".join(
+    # three chunks, the last one short
+    seed, block, count, dim, chunk = 7, 5, 9, core._SPLIT_MIN_DIM, 4
+    expected = [
         _sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
         for i in range(count)
-    )
+    ]
     drawn, errors = [], []
 
     def draw():
         try:
             for _ in range(5):
-                drawn.append(RngState(seed).sphere_rows(block, count, dim).tobytes())
+                drawn.append(chunked(RngState(seed), block, count, dim, chunk)[0])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -168,10 +182,10 @@ def test_a_forked_child_splits_its_draws_with_a_worker_of_its_own(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     dim = core._SPLIT_MIN_DIM
     # starts this process's worker, which a forked child does not have
-    expected = RngState(3).sphere_rows(1, 4, dim).tobytes()
+    expected = chunked(RngState(3), 1, 4, dim, 2)
     pid = os.fork()
     if pid == 0:
-        os._exit(0 if RngState(3).sphere_rows(1, 4, dim).tobytes() == expected else 1)
+        os._exit(0 if chunked(RngState(3), 1, 4, dim, 2) == expected else 1)
     deadline = time.monotonic() + 60
     while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -211,6 +225,11 @@ def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero
         got = rng.sphere_rows(3, 5, 4, start)
         assert opened == [start, start + zero_row]
         assert got.tobytes() == expected[start:start + 5].tobytes()
+    # drawn in chunks of 3, the zero row is redrawn by its index in the block
+    opened.clear()
+    rows, _ = chunked(rng, 3, 7, 4, 3)
+    assert opened == [0, zero_row]
+    assert rows == [row.tobytes() for row in expected]
 
 
 def test_embed_with_mask_matches_example():

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -233,23 +234,26 @@ def test_measure_bits_rows_and_signs_match_their_substreams(case):
 
 @pytest.mark.parametrize("k", [10_000, core._SPLIT_MIN_DIM - 1, core._SPLIT_MIN_DIM])
 def test_measure_bits_is_the_same_with_rows_filled_on_one_or_two_threads(monkeypatch, k):
-    # chunks of 6 rows at k = 10^4 and of 8 around the threshold, then a shorter tail
-    m = 20
     obj = make_sparse_quadratic(k, 5, seed=k)
     theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
-    batches = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
-        batches.append(measure_bits(obj.comparison_oracle(), theta, 0.01, m, RngState(9)))
-    serial, split = batches
-    assert serial.signs.tobytes() == split.signs.tobytes()
-    assert serial.signed_direction_sum().tobytes() == split.signed_direction_sum().tobytes()
+    # chunks of 6 rows at k = 10^4 and of 8 around the threshold: one row,
+    # one chunk, and three or more chunks with a shorter tail
+    for m in (1, 5, 20):
+        batches = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+            batches.append(measure_bits(obj.comparison_oracle(), theta, 0.01, m, RngState(9)))
+        serial, split = batches
+        assert serial.signs.tobytes() == split.signs.tobytes()
+        assert serial.signed_direction_sum().tobytes() == split.signed_direction_sum().tobytes()
 
 
 def test_measure_bits_opens_its_generators_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     opened, filled = [], set()
+    worker_filled = threading.Event()
     substream, fill_rows = RngState.substream, RngState._fill_rows
+    caller = threading.get_ident()
 
     def recording_substream(self, block, index=0):
         opened.append((threading.get_ident(), block))
@@ -257,21 +261,79 @@ def test_measure_bits_opens_its_generators_on_the_calling_thread(monkeypatch):
 
     def recording_fill_rows(self, *args):
         filled.add(threading.get_ident())
-        return fill_rows(self, *args)
+        fill_rows(self, *args)
+        if threading.get_ident() != caller:
+            worker_filled.set()
 
     monkeypatch.setattr(RngState, "substream", recording_substream)
     monkeypatch.setattr(RngState, "_fill_rows", recording_fill_rows)
     obj = make_sparse_quadratic(10_000, 5, seed=1)
     theta = ParamVector(np.zeros(10_000))
+    inner = obj.comparison_oracle()
+
+    def oracle(a, b):
+        # the worker fills rows of the next chunk while this one is queried
+        assert worker_filled.wait(timeout=60)
+        return inner(a, b)
+
     rng = RngState(2)
-    for m in (1, 20, 40):
-        measure_bits(obj.comparison_oracle(), theta, 0.01, m, rng)
-    caller = threading.get_ident()
+    for m in (20, 40, 1):
+        measure_bits(oracle, theta, 0.01, m, rng)
     assert {ident for ident, _ in opened} == {caller}
     per_batch = [[block for _, block in opened].count(b) for b in range(rng.counter)]
-    # one row has no second half; 20 and 40 rows split every chunk
-    assert per_batch == [1, 2, 2]
+    # 20 and 40 rows fill ahead with a second generator; one row takes one thread
+    assert per_batch == [2, 2, 1]
     assert caller in filled and len(filled) == 2
+
+
+def test_measure_bits_stops_its_fills_when_the_oracle_raises(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    k, m, seed = 10_000, 20, 5
+    caller = threading.get_ident()
+    fills, active, lock = [], [0], threading.Lock()
+    chunk2_started = threading.Event()
+    fill_rows = RngState._fill_rows
+
+    def recording_fill_rows(self, gen, rows, block, start):
+        with lock:
+            fills.append(start)
+            active[0] += 1
+        try:
+            if threading.get_ident() != caller and start >= 12:
+                chunk2_started.set()
+                time.sleep(0.05)  # keeps a row of chunk 2 in flight when the oracle raises
+            fill_rows(self, gen, rows, block, start)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(RngState, "_fill_rows", recording_fill_rows)
+    obj = make_sparse_quadratic(k, 5, seed=2)
+    theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
+    inner, asked = obj.comparison_oracle(), [0]
+
+    def oracle(a, b):
+        asked[0] += 1
+        if asked[0] == 8:  # row 7, in chunk 1 (rows 6 to 11)
+            assert chunk2_started.wait(timeout=60)
+            raise OracleError("failed on purpose")
+        return inner(a, b)
+
+    rng = RngState(seed)
+    with pytest.raises(OracleError, match="on purpose"):
+        measure_bits(oracle, theta, 0.01, m, rng)
+    assert active[0] == 0
+    # chunk 2 (rows 12 to 17) was claimed at the error, not filled to the end
+    assert 1 <= len([start for start in fills if start >= 12]) < 6
+    seen = len(fills)
+    # every job handed to the worker before it has run once this one has
+    core._row_worker().submit(lambda: None).result(timeout=60)
+    assert len(fills) == seen
+    monkeypatch.setattr(RngState, "_fill_rows", fill_rows)
+    after = measure_bits(inner, theta, 0.01, m, rng)
+    fresh = measure_bits(inner, theta, 0.01, m, RngState(seed, counter=after.iteration))
+    assert after.signs.tobytes() == fresh.signs.tobytes()
+    assert after.signed_direction_sum().tobytes() == fresh.signed_direction_sum().tobytes()
 
 
 @st.composite
@@ -351,6 +413,8 @@ def test_bit_measurement_batch_rejects_malformed_batches():
     batch()
     with pytest.raises(InvalidBatchError, match="unit"):
         batch(directions=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-4], [0.0, 0.0, 1.0]]))
+    with pytest.raises(InvalidBatchError, match="unit"):
+        batch(directions=np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(InvalidBatchError, match="signs must be"):
         batch(signs=np.array([1, 0, -1]))
     with pytest.raises(InvalidBatchError, match="length"):

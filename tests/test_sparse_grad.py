@@ -354,6 +354,9 @@ def test_clip_examples():
     assert np.array_equal(clip_small_entries(np.array([0.2]), 0.2), [0.2])  # boundary kept
     v = np.array([0.5, -0.4, 0.0])
     assert np.array_equal(clip_small_entries(v, 0.0), v)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="lambda_g"):
+            clip_small_entries(v, bad)
 
 
 def test_clip_idempotent():

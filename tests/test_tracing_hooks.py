@@ -8,6 +8,7 @@ the wrapped names are called and that uninstalling restores the package.
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,15 @@ OWNERS = (
     bench, cli, core, optimizer, oracles, policy,
     core.RngState, core.ParamVector, oracles.BitMeasurementBatch, policy.ToyPolicy,
 )
+
+
+RUNS = {
+    "basic": {"mode": "basic", "d": 30, "s": 3, "Delta": 0.3, "c_m": 2.0, "T": 3},
+    "pipeline": {"mode": "pipeline", "n_clean": 4, "n_noisy": 2, "dpo_epochs": 1, "m": 10},
+    # m = 25 rows of the shortest length filled ahead: chunks of 8, 8, 8 and 1
+    "basic-long": {"mode": "basic", "d": core._SPLIT_MIN_DIM, "s": 2, "Delta": 0.3,
+                   "c_m": 1.2, "epsilon": 0.5},
+}
 
 
 def load_spans():
@@ -45,7 +55,10 @@ def replaced(before, after):
     }
 
 
-def test_install_wraps_caller_names_and_uninstall_restores(tmp_path):
+def test_install_wraps_caller_names_and_uninstall_restores(tmp_path, monkeypatch):
+    # the long basic run fills rows ahead on the worker thread on any machine
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    core._row_worker()  # made on first use; made here, it is no change the runs make
     spans = load_spans()
     before = attributes()
     tracer = spans.Tracer()
@@ -58,11 +71,8 @@ def test_install_wraps_caller_names_and_uninstall_restores(tmp_path):
             ("duelopt.cli", "run_basic"),
             ("duelopt.policy", "run_practical"),
         } <= replaced(before, attributes())
-        for raw in (
-            {"mode": "basic", "d": 30, "s": 3, "Delta": 0.3, "c_m": 2.0, "T": 3},
-            {"mode": "pipeline", "n_clean": 4, "n_noisy": 2, "dpo_epochs": 1, "m": 10},
-        ):
-            cli.run_experiment(cli.build_config(dict(raw, out_dir=str(tmp_path / raw["mode"]))))
+        for name, raw in RUNS.items():
+            cli.run_experiment(cli.build_config(dict(raw, out_dir=str(tmp_path / name))))
     finally:
         uninstall()
     assert replaced(before, attributes()) == set()
@@ -78,9 +88,17 @@ def test_install_wraps_caller_names_and_uninstall_restores(tmp_path):
     # one measurement batch per loop iteration, counted at the loop entry points
     assert calls["oracles.measure_bits"] == tracer.counts["iterations"] >= 2
     # one query span per oracle call each trajectory records
-    for mode, query in (
-        ("basic", "bench.compare_function"), ("pipeline", "policy.compare_preference"),
-    ):
-        header, *rows = (tmp_path / mode / "trajectory.csv").read_text().splitlines()
+    oracle_calls, batches = {}, {}
+    for name in RUNS:
+        header, *rows = (tmp_path / name / "trajectory.csv").read_text().splitlines()
         column = header.split(",").index("oracle_calls")
-        assert calls[query] == sum(int(r.split(",")[column]) for r in rows), mode
+        oracle_calls[name] = sum(int(r.split(",")[column]) for r in rows)
+        batches[name] = len(rows)
+    assert calls["bench.compare_function"] == oracle_calls["basic"] + oracle_calls["basic-long"]
+    assert calls["policy.compare_preference"] == oracle_calls["pipeline"]
+    # the worker thread calls no wrapped name: every generator is opened by
+    # measure_bits on the calling thread, two per batch of the long run
+    parent = tracer.columns()["parent"][label == tracer.labels.index("core.substream")]
+    assert set(label[parent]) == {tracer.labels.index("oracles.measure_bits")}
+    per_batch = Counter(parent.tolist()).values()
+    assert set(per_batch) == {1, 2} and list(per_batch).count(2) == batches["basic-long"]
