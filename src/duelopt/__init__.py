@@ -7,12 +7,7 @@ preference-alignment pipeline (margin split, margin-loss baseline,
 comparison-driven refinement on the noisy pairs).
 """
 
-from .core import (
-    ParamVector,
-    RngState,
-    embed_perturbation,
-    sample_unit_sphere_batch,
-)
+from .core import ParamVector, RngState, embed_perturbation
 from .oracles import (
     BitMeasurementBatch,
     Sign,
@@ -71,7 +66,7 @@ from .bench import (
 from . import errors
 
 __all__ = [
-    "ParamVector", "RngState", "embed_perturbation", "sample_unit_sphere_batch",
+    "ParamVector", "RngState", "embed_perturbation",
     "BitMeasurementBatch", "Sign", "compare_function", "compare_preference",
     "measure_bits",
     "GradientEstimate", "clip_small_entries", "estimate_normalized_clip",

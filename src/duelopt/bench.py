@@ -11,19 +11,20 @@ oracle-call scaling of the full loop as the dimension grows.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .core import ParamVector, RngState, _sphere_rows, sample_unit_sphere_batch
+from .core import ParamVector, RngState
 from .errors import DegenerateMeasurementError, InvalidTestError
 from .optimizer import run_basic, schedule_from_theorem
 from .oracles import BitMeasurementBatch, compare_function
 from .sparse_grad import solve_1bge_exact
 
-_CHUNK = 4096  # rows per block in vectorized Monte-Carlo sweeps
+_CHUNK = 4096  # direction rows per chunk of the sign-agreement check
 
 
 @dataclass(frozen=True)
@@ -209,17 +210,15 @@ def check_sign_agreement(
     if radius is None:
         radius = epsilon / (40.0 * objective.ell * math.sqrt(objective.dim))
     f_base = objective.value(theta)
-    agree = 0
-    remaining = int(n_samples)
-    if remaining < 1:
+    n_samples = int(n_samples)
+    if n_samples < 1:
         raise InvalidTestError("n_samples must be >= 1")
-    while remaining > 0:
-        block = min(_CHUNK, remaining)
-        Z = sample_unit_sphere_batch(objective.dim, block, rng)
-        measured = np.where(objective.value_batch(theta + radius * Z) < f_base, -1, 1)
-        linear = np.where(Z @ grad < 0.0, -1, 1)
-        agree += int(np.count_nonzero(measured == linear))
-        remaining -= block
+    agree, block = 0, rng.next_block()
+    with closing(rng.sphere_chunks(block, n_samples, objective.dim, _CHUNK)) as chunks:
+        for _, Z in chunks:
+            measured = np.where(objective.value_batch(theta + radius * Z) < f_base, -1, 1)
+            linear = np.where(Z @ grad < 0.0, -1, 1)
+            agree += int(np.count_nonzero(measured == linear))
     return agree / float(n_samples)
 
 
@@ -267,7 +266,7 @@ def check_estimator_error(
         while np.linalg.norm(v) == 0.0:  # retry a degenerate draw
             v = gen.standard_normal(s)
         planted[np.sort(gen.choice(d, size=s, replace=False))] = v / np.linalg.norm(v)
-        Z = _sphere_rows(gen, m, d)
+        Z = rng.sphere_rows(rng.next_block(), m, d)
         signs = np.where(Z @ planted < 0.0, -1, 1)
         flips = np.where(gen.random(m) < flip_prob, -1, 1)
         batch = BitMeasurementBatch(

@@ -198,8 +198,11 @@ class RunManifest:
 
 def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Load a JSON config file and build it with ``build_config``."""
-    with open(path, "r", encoding="utf8") as handle:
-        text = handle.read().strip()
+    try:
+        with open(path, "r", encoding="utf8") as handle:
+            text = handle.read().strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not valid UTF-8: {exc}") from None
     raw = json.loads(text) if text else {}
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -70,6 +70,8 @@ class RngState:
         row's bytes depend on nothing but its key: rows drawn in chunks equal
         rows drawn at once, and any thread may fill any row.
         """
+        if dim < 1:  # a row of no floats has norm zero, and would be redrawn forever
+            raise DimensionError(f"dimension must be >= 1, got {dim}")
         rows = np.empty((count, dim), dtype=np.float64)
         self._fill_rows(self.substream(block, start), rows, block, start)
         return self._normalize(rows, block, start)
@@ -83,6 +85,8 @@ class RngState:
         row down, then the calling thread fills the rest from the first row up.
         Both generators are opened here; once the iterator is closed, no fill runs.
         """
+        if dim < 1:
+            raise DimensionError(f"dimension must be >= 1, got {dim}")
         size = min(chunk, count)
         starts = range(0, count, size)
         gen = self.substream(block)
@@ -118,9 +122,12 @@ class RngState:
         # without the copy of the rows its conj() makes
         norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
         for i in np.flatnonzero(norms == 0.0):
-            # probability zero; redone exactly as its own substream would
-            rows[i] = _sphere_rows(self.substream(block, start + int(i)), 1, rows.shape[1])[0]
-            norms[i] = 1.0
+            # probability zero; redrawn from the row's own substream, past
+            # every draw of norm zero
+            row, gen = rows[i:i + 1], self.substream(block, start + int(i))
+            while norms[i] == 0.0:
+                row[...] = gen.standard_normal(row.shape)
+                norms[i] = np.sqrt(np.add.reduce(row * row, axis=1))[0]
         # divided in place, not into a second array of the rows' shape
         rows /= norms[:, None]
         return rows
@@ -321,28 +328,6 @@ class ParamVector:
     def content_hash(self) -> str:
         """SHA-256 of the raw float64 bytes (mask excluded)."""
         return hashlib.sha256(np.ascontiguousarray(self.values).tobytes()).hexdigest()
-
-
-def sample_unit_sphere_batch(dim: int, count: int, rng: RngState) -> np.ndarray:
-    """Draw ``count`` uniform sphere points as a (count, dim) matrix from one block."""
-    if dim < 1:
-        raise DimensionError(f"dimension must be >= 1, got {dim}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    gen = rng.substream(rng.next_block())
-    return _sphere_rows(gen, count, dim)
-
-
-def _sphere_rows(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    # normalized Gaussian rows are uniform on the sphere by rotational invariance
-    rows = gen.standard_normal((count, dim))
-    norms = np.linalg.norm(rows, axis=1)
-    # a zero draw has probability zero but would poison the normalization
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        rows[bad] = gen.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(rows, axis=1)
-    return rows / norms[:, None]
 
 
 def embed_perturbation(theta: ParamVector, z: np.ndarray, radius: float) -> ParamVector:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ParamVector
-from .errors import InvalidBatchError, VocabularyError
+from .errors import InvalidBatchError, InvalidScheduleError, VocabularyError
 from .optimizer import PracticalConfig, Trajectory, run_practical
 from .oracles import compare_preference
 
@@ -382,13 +382,21 @@ def train_dpo(
     dataset: Sequence[PreferencePair],
     config: DpoConfig,
 ) -> ToyPolicy:
-    """Full-batch gradient descent on the margin loss; 0 epochs is a no-op."""
+    """Full-batch gradient descent on the margin loss; 0 epochs is a no-op.
+
+    The first epoch whose weights are not finite raises ``InvalidScheduleError``.
+    """
     if len(dataset) == 0:
         raise InvalidBatchError("dataset must be nonempty")
     current = policy
-    for _ in range(config.epochs):
-        grad = dpo_grad(current, ref_policy, dataset, config.beta)
-        theta = current.flat_params - config.learning_rate * grad
+    for epoch in range(1, config.epochs + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = dpo_grad(current, ref_policy, dataset, config.beta)
+            theta = current.flat_params - config.learning_rate * grad
+        if not np.isfinite(theta).all():
+            raise InvalidScheduleError(
+                f"DPO weights are not finite after epoch {epoch}; lower learning_rate or beta"
+            )
         current = current.with_flat_params(theta)
     return current
 
@@ -629,22 +637,26 @@ def _token_array(rec: dict, name: str) -> tuple[int, ...]:
 def load_preference_dataset(path: str | Path) -> list[PreferencePair]:
     """Read line-delimited JSON records with integer token arrays."""
     pairs = []
-    with open(path, "r", encoding="utf8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                pairs.append(
-                    PreferencePair(
-                        prompt=_token_array(rec, "prompt"),
-                        preferred=_token_array(rec, "preferred"),
-                        dispreferred=_token_array(rec, "dispreferred"),
-                    )
+    try:
+        with open(path, "r", encoding="utf8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise InvalidBatchError(f"{path}: dataset is not valid UTF-8: {exc}") from None
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            pairs.append(
+                PreferencePair(
+                    prompt=_token_array(rec, "prompt"),
+                    preferred=_token_array(rec, "preferred"),
+                    dispreferred=_token_array(rec, "dispreferred"),
                 )
-            except (KeyError, TypeError, ValueError, InvalidBatchError) as exc:
-                raise InvalidBatchError(f"{path}:{line_no}: bad preference record: {exc}")
+            )
+        except (KeyError, TypeError, ValueError, InvalidBatchError) as exc:
+            raise InvalidBatchError(f"{path}:{line_no}: bad preference record: {exc}")
     return pairs
 
 

@@ -5,7 +5,9 @@ maximizer uses projected ascent with Dykstra's alternating projections, the
 optimality certificate uses weak duality over a one-dimensional multiplier
 grid, the gradient oracle uses central finite differences, and the policy
 oracle uses exhaustive sequence enumeration. The two bisections are the
-fixed-step versions the early-stopping ones must equal bit for bit.
+fixed-step versions the early-stopping ones must equal bit for bit, and the
+sphere draw is the plain one-generator draw every keyed direction row must
+equal.
 """
 
 from __future__ import annotations
@@ -167,3 +169,15 @@ def reference_scale_reaching(fn, target: float) -> float:
         else:
             hi = mid
     return hi
+
+
+def reference_sphere_rows(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    # normalized Gaussian rows are uniform on the sphere by rotational invariance
+    rows = gen.standard_normal((count, dim))
+    norms = np.linalg.norm(rows, axis=1)
+    # a zero draw has probability zero but would poison the normalization
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        rows[bad] = gen.standard_normal((int(bad.sum()), dim))
+        norms = np.linalg.norm(rows, axis=1)
+    return rows / norms[:, None]

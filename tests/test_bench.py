@@ -20,6 +20,7 @@ from duelopt import (
     point_with_gradient_norm,
     sweep_convergence,
 )
+from duelopt import bench
 from duelopt.bench import _scale_reaching, start_with_gap
 from duelopt.errors import InvalidTestError
 
@@ -206,6 +207,22 @@ def test_sign_agreement_exact_for_linear():
     theta = np.zeros(6)
     agreement = check_sign_agreement(obj, theta, epsilon=1.0, n_samples=5000, rng=RngState(1))
     assert agreement == 1.0
+
+
+def test_sign_agreement_draws_its_directions_as_rows_of_one_block():
+    obj = make_sparse_quadratic(12, 3, seed=17)
+    rng = RngState(18, counter=5)
+    theta = point_with_gradient_norm(obj, 1.0, rng.substream(rng.next_block()))
+    # three chunks, the last one short
+    n, block = 2 * bench._CHUNK + 3, rng.counter
+    # a radius at which about 7% of the signs disagree, so every row counts
+    agreement = check_sign_agreement(obj, theta, 1.0, n, rng, radius=1.0)
+    assert rng.counter == block + 1
+    # the same rows drawn in one piece
+    Z = RngState(18).sphere_rows(block, n, obj.dim)
+    measured = np.where(obj.value_batch(theta + Z) < obj.value(theta), -1, 1)
+    linear = np.where(Z @ obj.gradient(theta) < 0.0, -1, 1)
+    assert agreement == np.count_nonzero(measured == linear) / n
 
 
 def test_sign_agreement_requires_large_gradient():

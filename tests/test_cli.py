@@ -268,6 +268,19 @@ def test_cli_pipeline_with_a_saturating_dpo_margin_completes(tmp_path, raw):
     assert all(Path(path).is_file() for path in manifest["artifacts"].values())
 
 
+@pytest.mark.parametrize("n_noisy", [2, 0])
+def test_cli_pipeline_whose_dpo_weights_overflow_is_an_error(tmp_path, capsys, n_noisy):
+    # with no noisy pair, the NaN weights were once saved as the final policy
+    path = write_config(tmp_path, {
+        "mode": "pipeline", "n_clean": 2, "n_noisy": n_noisy, "learning_rate": -1e308,
+    })
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert "DPO weights are not finite" in one_line_error(capsys, argv)
+    assert not (tmp_path / "out" / "final_weights.npy").exists()
+
+
 @pytest.mark.parametrize(
     "raw, skipped, warned",
     [
@@ -493,6 +506,10 @@ def test_cli_malformed_config_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"mode": "basic",')
     one_line_error(capsys, ["run", "--config", str(path)])
+    # bytes that are not UTF-8 are named with their file
+    path.write_bytes(b'\xff{"mode": "basic"}')
+    line = one_line_error(capsys, ["run", "--config", str(path)])
+    assert str(path) in line and "UTF-8" in line
 
 
 def test_cli_missing_config_is_an_error(tmp_path, capsys):
@@ -543,6 +560,16 @@ def test_cli_dataset_non_integer_token_is_an_error(tmp_path, capsys, token):
     record = '{"prompt":[1,2],"preferred":[%s],"dispreferred":[3]}' % token
     line = one_line_error(capsys, dataset_argv(tmp_path, "pipeline", record))
     assert "pairs.jsonl:2:" in line and "integers" in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "practical", "split"])
+def test_cli_dataset_not_utf8_is_an_error(tmp_path, capsys, command):
+    argv = dataset_argv(tmp_path, command, '{"prompt":[1],"preferred":[2],"dispreferred":[3]}')
+    dataset = tmp_path / "pairs.jsonl"
+    dataset.write_bytes(b"\xff" + dataset.read_bytes())
+    line = one_line_error(capsys, argv)
+    assert str(dataset) in line and "UTF-8" in line
     assert not (tmp_path / "out").exists()
 
 

@@ -12,19 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duelopt import core
-from duelopt import (
-    ParamVector,
-    RngState,
-    embed_perturbation,
-    sample_unit_sphere_batch,
-)
-from duelopt.core import _sphere_rows
+from duelopt import ParamVector, RngState, embed_perturbation
 from duelopt.errors import DimensionError
+
+from reference_solvers import reference_sphere_rows
 
 
 def test_sphere_dim1_is_plus_or_minus_one():
     rng = RngState(7)
-    seen = {float(sample_unit_sphere_batch(1, 1, rng)[0, 0]) for _ in range(64)}
+    seen = {float(rng.sphere_rows(rng.next_block(), 1, 1)[0, 0]) for _ in range(64)}
     assert seen <= {1.0, -1.0}
     assert len(seen) == 2
 
@@ -32,7 +28,7 @@ def test_sphere_dim1_is_plus_or_minus_one():
 def test_sphere_norm_holds_for_consecutive_draws():
     rng = RngState(123)
     for _ in range(10_000):
-        v = sample_unit_sphere_batch(6, 1, rng)[0]
+        v = rng.sphere_rows(rng.next_block(), 1, 6)[0]
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
@@ -42,21 +38,26 @@ def test_sphere_rotational_symmetry_monte_carlo():
     total = np.zeros(3)
     n = 100_000
     for _ in range(n // 1000):
-        total += sample_unit_sphere_batch(3, 1000, rng).sum(axis=0)
+        total += rng.sphere_rows(rng.next_block(), 1000, 3).sum(axis=0)
     assert np.all(np.abs(total / n) < 0.01)
 
 
 def test_sphere_rejects_zero_dim():
-    with pytest.raises(DimensionError):
-        sample_unit_sphere_batch(0, 1, RngState(0))
+    # a row of no floats has norm zero, so its redraw would never end
+    rng = RngState(1)
+    for dim in (0, -1):
+        with pytest.raises(DimensionError):
+            rng.sphere_rows(0, 2, dim)
+        with pytest.raises(DimensionError):
+            next(rng.sphere_chunks(0, 2, dim, 1))
 
 
 def test_fixed_seed_gives_identical_sample_trajectory():
     a = RngState(99)
     b = RngState(99)
     for _ in range(20):
-        va = sample_unit_sphere_batch(8, 1, a)[0]
-        vb = sample_unit_sphere_batch(8, 1, b)[0]
+        va = a.sphere_rows(a.next_block(), 1, 8)[0]
+        vb = b.sphere_rows(b.next_block(), 1, 8)[0]
         assert va.tobytes() == vb.tobytes()
 
 
@@ -94,12 +95,12 @@ def test_sphere_rows_equal_one_substream_per_row(seed, block, count, dim, start)
     assert rng.counter == 3
     assert first.shape == chunk.shape == (count, dim)
     for i in range(count):
-        row = _sphere_rows(RngState(seed).substream(block, i), 1, dim)[0]
+        row = reference_sphere_rows(RngState(seed).substream(block, i), 1, dim)[0]
         # block and index enter the key modulo 2**32
         wrapped = RngState(seed).substream(block + 2**32, i + 2**32)
         assert first[i].tobytes() == row.tobytes() == second[i].tobytes()
-        assert _sphere_rows(wrapped, 1, dim)[0].tobytes() == row.tobytes()
-        shifted = _sphere_rows(RngState(seed).substream(block, start + i), 1, dim)[0]
+        assert reference_sphere_rows(wrapped, 1, dim)[0].tobytes() == row.tobytes()
+        shifted = reference_sphere_rows(RngState(seed).substream(block, start + i), 1, dim)[0]
         assert chunk[i].tobytes() == shifted.tobytes()
 
 
@@ -127,7 +128,7 @@ def test_long_rows_filled_on_two_threads_equal_one_substream_per_row(
 ):
     dim = core._SPLIT_MIN_DIM + extra
     expected = [
-        _sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
+        reference_sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
         for i in range(count)
     ]
     starts = list(range(0, count, chunk))
@@ -149,7 +150,7 @@ def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
     # three chunks, the last one short
     seed, block, count, dim, chunk = 7, 5, 9, core._SPLIT_MIN_DIM, 4
     expected = [
-        _sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
+        reference_sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
         for i in range(count)
     ]
     drawn, errors = [], []
@@ -322,7 +323,7 @@ def test_embed_never_touches_out_of_scope_bits():
         k = int(gen.integers(1, d))
         mask = np.sort(gen.choice(d, size=k, replace=False))
         theta = ParamVector(gen.standard_normal(d), scope_mask=mask)
-        z = sample_unit_sphere_batch(k, 1, rng)[0]
+        z = rng.sphere_rows(rng.next_block(), 1, k)[0]
         out = embed_perturbation(theta, z, float(gen.uniform(0.01, 2.0)))
         outside = np.setdiff1d(np.arange(d), mask)
         assert out.values[outside].tobytes() == theta.values[outside].tobytes()

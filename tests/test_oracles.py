@@ -24,8 +24,9 @@ from duelopt import (
     point_with_gradient_norm,
 )
 from duelopt import core, oracles
-from duelopt.core import _sphere_rows
 from duelopt.errors import InvalidBatchError, OracleError
+
+from reference_solvers import reference_sphere_rows
 
 
 def sq_norm(theta):
@@ -223,7 +224,7 @@ def test_measure_bits_rows_and_signs_match_their_substreams(case):
     rows = RngState(seed).sphere_rows(batch.iteration, m, theta.scope_dim)
     in_scope = np.arange(theta.dim) if theta.scope_mask is None else theta.scope_mask
     for i in range(m):
-        row = _sphere_rows(RngState(seed).substream(block, i), 1, theta.scope_dim)[0]
+        row = reference_sphere_rows(RngState(seed).substream(block, i), 1, theta.scope_dim)[0]
         assert rows[i].tobytes() == row.tobytes()
         values = theta.values.copy()
         values[in_scope] += radius * row

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import warnings
 import weakref
 from functools import partial
 
@@ -397,6 +398,18 @@ def test_train_dpo_bit_equal_to_per_pair_reference_loop():
     trained = train_dpo(policy, ref, dataset, config)
     assert trained.weights.tobytes() == expected.weights.tobytes()
     assert trained.weights.tobytes() != policy.weights.tobytes()
+
+
+def test_train_dpo_raises_at_the_first_epoch_whose_weights_are_not_finite():
+    ref = small_policy(seed=31)
+    pairs = generate_preference_data(ref, 4, 4, 3.0, np.random.default_rng(4))
+    # ascent at this rate leaves float range in epoch 20, overflowing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trained = train_dpo(ref, ref, pairs, DpoConfig(learning_rate=-1e308, epochs=19))
+        assert np.isfinite(trained.weights).all()
+        with pytest.raises(InvalidScheduleError, match="not finite after epoch 20;"):
+            train_dpo(ref, ref, pairs, DpoConfig(learning_rate=-1e308, epochs=25))
 
 
 def test_train_dpo_separable_pair_converges():
