@@ -203,7 +203,10 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             text = handle.read().strip()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not valid UTF-8: {exc}") from None
-    raw = json.loads(text) if text else {}
+    try:
+        raw = json.loads(text) if text else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return build_config(raw, overrides)
@@ -314,9 +317,10 @@ def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
 def run_experiment(config: RunConfig) -> RunManifest:
     """Dispatch one experiment and write its artifacts and manifest.
 
-    A policy run's reference policy and pairs are built first, so a bad or
-    empty dataset, non-finite reference weights or a pair-synthesis failure
-    leave no out dir behind.
+    A policy run's reference policy and pairs are built first, and
+    ``export_results`` makes the out dir at a run's first artifact, once its
+    work is done. So a failing input or stage leaves no out dir behind, and
+    writes nothing into an out dir that was there before.
     """
     out_dir = _out_dir(config.out_dir)
     started = time.perf_counter()
@@ -334,7 +338,6 @@ def run_experiment(config: RunConfig) -> RunManifest:
         pairs = policy_mod.generate_preference_data(
             policy, config.n_clean, config.n_noisy, config.delta, gen
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
     runner = {
         "basic": _run_basic_mode,
         "practical": _run_practical_mode,
@@ -479,17 +482,14 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
         ),
         refine_epochs=config.refine_epochs,
     )
-    artifacts = {}
-    if config.dataset is None:
-        # synthesized before the out dir existed, written with the other artifacts
-        dataset_path = out_dir / "dataset.jsonl"
-        policy_mod.save_preference_dataset(dataset, dataset_path)
-        artifacts["dataset"] = dataset_path
-
     result = policy_mod.run_pipeline(dataset, pipeline_config, ref_policy=ref_policy)
     profile = {f"{stage}_seconds": seconds for stage, seconds in result.stage_seconds.items()}
     profile["likelihood_report_seconds"] = 0.0
-    artifacts["split_report"] = export_results(result.split, out_dir / "split_report.csv")
+    artifacts = {"split_report": export_results(result.split, out_dir / "split_report.csv")}
+    if config.dataset is None:
+        # synthesized before any stage ran, written with the other artifacts
+        artifacts["dataset"] = out_dir / "dataset.jsonl"
+        policy_mod.save_preference_dataset(dataset, artifacts["dataset"])
     np.save(out_dir / "dpo_clean_weights.npy", result.dpo_clean_policy.weights)
     artifacts["dpo_clean_weights"] = out_dir / "dpo_clean_weights.npy"
     np.save(out_dir / "final_weights.npy", result.final_policy.weights)
@@ -635,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_split(args)
-    except (DueloptError, json.JSONDecodeError, OSError) as exc:
+    except (DueloptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,23 +138,14 @@ class RngState:
         """Fill row i of ``rows`` with the first normals of ``substream(block, start + i)``.
 
         Before each row, ``gen``'s Philox bit generator is set to the state a
-        fresh substream starts in: the row's key, counter 0 and an empty
-        buffer. The state is given as plain ints, which gives the same bytes
-        as uint64 arrays in less time, and so shortens the part of each row
-        that holds the interpreter lock. Of the key's two 64-bit words only
-        the row index changes between rows: the low word is ``self.seed``,
-        the high word ``block | i << 32`` (both halves modulo 2**32).
+        fresh substream starts in (``_fresh_philox``). Of the key's two 64-bit
+        words only the row index changes between rows: the low word is
+        ``self.seed``, the high word ``block | i << 32`` (both halves modulo
+        2**32).
         """
         bits = gen.bit_generator
-        fresh = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        key = fresh["state"]["key"] = [self.seed, 0]
+        key = [self.seed, 0]
+        fresh = _fresh_philox(key)
         high = block & _MASK32
         for i, row in enumerate(rows, start):
             key[1] = high | (i & _MASK32) << 32
@@ -166,6 +157,17 @@ class RngState:
         block = self.counter
         self.counter += 1
         return block
+
+
+def _fresh_philox(key: list[int]) -> dict:
+    """State of a fresh ``Philox(key=key[0] | key[1] << 64)``, ``key`` held, not copied.
+
+    Set as a ``bit_generator.state``, it re-keys a generator to a fresh one's
+    bytes. Plain ints do it faster than uint64 arrays, holding the interpreter
+    lock for less time.
+    """
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _cpu_count() -> int:

@@ -361,7 +361,7 @@ def run_practical(
 def _bind_pairs(oracle, pairs: list, iteration: int, per_batch: int) -> Callable:
     n = len(pairs)
     start = (iteration * per_batch) % n
-    chosen = [pairs[(start + j) % n] for j in range(min(per_batch, n))]
+    chosen = tuple(pairs[(start + j) % n] for j in range(min(per_batch, n)))
 
     def bound(theta: ParamVector, theta_prime: ParamVector):
         return oracle(theta, theta_prime, chosen)

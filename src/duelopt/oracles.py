@@ -35,8 +35,8 @@ class Sign(enum.IntEnum):
 
 # (theta, theta_prime) -> Sign
 ComparisonOracle = Callable[[ParamVector, ParamVector], Sign]
-# (theta_values, prompt, response) -> log-likelihood
-LikelihoodEvaluator = Callable[[np.ndarray, Sequence[int], Sequence[int]], float]
+# (theta_values, pairs) -> [pref_0, disp_0, pref_1, disp_1, ...] log-likelihoods
+LikelihoodEvaluator = Callable[[np.ndarray, tuple], Sequence[float]]
 
 
 # directions per chunk times chunk length stays near this many floats (512 KiB)
@@ -175,22 +175,21 @@ def compare_preference(
     MINUS iff for EVERY pair the candidate strictly raises the preferred
     log-likelihood and strictly lowers the dispreferred one; any equality or
     reversal anywhere yields PLUS. Comparisons happen in log space, which is
-    monotone-equivalent to raw likelihoods and safe for long sequences. The
-    base likelihoods come from ``theta.evaluate``, so a batch of queries
-    about one base point evaluates each (pair, response) once.
+    monotone-equivalent to raw likelihoods and safe for long sequences.
+    ``policy_at`` gives every pair's two values in one call; the base values
+    come from ``theta.evaluate``, so a batch of queries about one base point
+    evaluates them once.
     """
     if len(batch) == 0:
         raise InvalidBatchError("preference batch must be nonempty")
     if theta.dim != theta_prime.dim:
         raise DimensionError("points must share a dimension")
-    for pair in batch:
-        lp_base = theta.evaluate(policy_at, pair.prompt, pair.preferred)
-        lp_cand = policy_at(theta_prime.values, pair.prompt, pair.preferred)
-        if not lp_cand > lp_base:
-            return Sign.PLUS
-        lm_base = theta.evaluate(policy_at, pair.prompt, pair.dispreferred)
-        lm_cand = policy_at(theta_prime.values, pair.prompt, pair.dispreferred)
-        if not lm_cand < lm_base:
+    pairs = tuple(batch)
+    base = theta.evaluate(policy_at, pairs)
+    cand = policy_at(theta_prime.values, pairs)
+    # entries 2j and 2j + 1 are pair j's preferred and dispreferred values
+    for j in range(0, len(cand), 2):
+        if not (cand[j] > base[j] and cand[j + 1] < base[j + 1]):
             return Sign.PLUS
     return Sign.MINUS
 

@@ -15,9 +15,11 @@ starting from that baseline.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ParamVector
+from .core import ParamVector, _fresh_philox
 from .errors import InvalidBatchError, InvalidScheduleError, VocabularyError
 from .optimizer import PracticalConfig, Trajectory, run_practical
 from .oracles import compare_preference
@@ -73,6 +75,35 @@ def _response_logits(
     return logits, peak, np.add.reduce(np.exp(logits - peak[:, None]), axis=1)
 
 
+def _log_likelihoods(W: np.ndarray, stack: tuple) -> list[float]:
+    """Log-likelihoods of a ``ToyPolicy._stack``'s responses, from one ``_response_logits``."""
+    _, _, picks, columns, lengths = stack
+    logits, peak, sums = _response_logits(W, columns)
+    terms = zip(logits.ravel().take(picks).tolist(), peak.tolist(), sums.tolist())
+    totals = []
+    for length in lengths:
+        total = 0.0
+        # the one log-softmax entry needed per token, added in token order
+        for _, (lp, top, norm) in zip(range(length), terms):
+            total += lp - (top + math.log(norm))
+        totals.append(total)
+    return totals
+
+
+def _responses(pairs: Sequence[PreferencePair]) -> list[tuple]:
+    """(prompt, response) items: pair j's preferred one is item 2j, its dispreferred 2j + 1."""
+    return [(pair.prompt, resp) for pair in pairs for resp in (pair.preferred, pair.dispreferred)]
+
+
+@functools.cache
+def _feature_generator() -> np.random.Generator:
+    """The one generator feature draws re-key; made on first use, not at import."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+_feature_lock = threading.Lock()  # holds a re-key and its draw together
+
+
 class ToyPolicy:
     """Linear-softmax policy over fixed random context features.
 
@@ -82,13 +113,13 @@ class ToyPolicy:
     Instances sharing (vocab_size, feature_dim, max_context, feature_seed)
     share the same feature map and differ only in weights.
 
-    ``sequence_log_likelihood`` at the policy's own weights caches its value
-    per (prompt, response): the weights are a read-only copy and
-    ``with_weights`` builds a new instance, so the value can never go stale.
-    ``log_likelihood_at`` keeps nothing; the preference oracle keeps a base
-    point's likelihoods on the base ``ParamVector`` (``ParamVector.evaluate``).
-    The per-response context features (tokens checked once) live in a dict
-    that ``with_weights`` shares, like the feature cache itself.
+    ``sequence_log_likelihood`` caches its value per (prompt, response):
+    the weights are a read-only copy and ``with_weights`` builds a new
+    instance, so the value can never go stale. The preference oracle keeps a
+    base point's values on the base ``ParamVector``. ``_context_cache``,
+    shared by ``with_weights`` like the feature cache, keeps what depends
+    only on the feature map: the ``_stack`` of each (prompt, response) and
+    each pair batch, and each DPO batch's token-major layout.
     """
 
     def __init__(
@@ -163,83 +194,72 @@ class ToyPolicy:
 
     def features(self, prompt: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
         ctx = (tuple(prompt) + tuple(prefix))[-self.max_context:]
-        key = ctx
-        feat = self._feature_cache.get(key)
+        feat = self._feature_cache.get(ctx)
         if feat is None:
             raw = np.asarray((len(ctx),) + ctx, dtype="<i8").tobytes()
             raw += self.feature_seed.to_bytes(8, "little", signed=True)
             digest = hashlib.blake2b(raw, digest_size=8).digest()
-            gen = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "big")))
-            feat = gen.standard_normal(self.feature_dim) / math.sqrt(self.feature_dim)
+            with _feature_lock:  # the bytes of a fresh Philox(key=digest)
+                gen = _feature_generator()
+                gen.bit_generator.state = _fresh_philox([int.from_bytes(digest, "big"), 0])
+                feat = gen.standard_normal(self.feature_dim)
+            feat /= math.sqrt(self.feature_dim)
             feat.setflags(write=False)
-            self._feature_cache[key] = feat
+            self._feature_cache[ctx] = feat
         return feat
 
     def token_log_probs(self, prompt: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
         """Log-softmax over the vocabulary for the next token."""
         return _log_softmax(self.weights @ self.features(prompt, prefix))
 
-    def _response_features(
-        self, prompt: Sequence[int], response: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """A response's tokens, context features, picks and columns, tokens checked.
+    def _stack(self, key, responses: Sequence[tuple]) -> tuple:
+        """Tokens, features, picks, columns and lengths of (prompt, response) items, kept.
 
-        ``features`` is the (n, F) matrix whose row i is
-        ``features(prompt, response[:i])``; ``columns`` is its (n, F, 1)
-        view, the operand ``_response_logits`` takes. ``picks`` holds the
-        flat indices ``i * V + tokens[i]`` of each token's logit in the
-        C-ordered (n, V) logits. Depends only on the feature map, so
-        instances built by ``with_weights`` share the table.
+        Positions are stacked in item order: ``features`` row i is position
+        i's context feature, ``columns`` its (n, F, 1) view, and ``picks``
+        holds ``i * V + tokens[i]``, the flat index of each token's logit.
         """
-        key = (tuple(prompt), tuple(response))
-        steps = self._context_cache.get(key)
-        if steps is None:
-            for tok in prompt:
-                self._check_token(tok)
-            rows = []
-            prefix: tuple[int, ...] = ()
-            for tok in response:
-                self._check_token(tok)
-                rows.append(self.features(prompt, prefix))
-                prefix = prefix + (int(tok),)
-            tokens = np.asarray(prefix, dtype=np.intp)
+        stack = self._context_cache.get(key)
+        if stack is None:
+            rows, tokens, lengths = [], [], []
+            for prompt, response in responses:
+                for tok in prompt:
+                    self._check_token(tok)
+                prefix: tuple[int, ...] = ()
+                for tok in response:
+                    self._check_token(tok)
+                    rows.append(self.features(prompt, prefix))
+                    prefix = prefix + (int(tok),)
+                tokens.extend(prefix)
+                lengths.append(len(prefix))
+            tokens = np.asarray(tokens, dtype=np.intp)
             features = np.array(rows, dtype=np.float64).reshape(len(rows), self.feature_dim)
             picks = np.arange(tokens.size) * self.vocab_size + tokens
             for array in (tokens, features, picks):
                 array.setflags(write=False)
-            steps = self._context_cache[key] = (tokens, features, picks, features[:, :, None])
-        return steps
+            stack = (tokens, features, picks, features[:, :, None], tuple(lengths))
+            self._context_cache[key] = stack
+        return stack
 
-    def sequence_log_likelihood(
-        self, prompt: Sequence[int], response: Sequence[int], weights: np.ndarray | None = None
-    ) -> float:
-        if weights is None:
-            key = (tuple(prompt), tuple(response))
-            if key in self._loglik_memo:
-                return self._loglik_memo[key]
-        W = self.weights if weights is None else weights
-        _, _, picks, columns = self._response_features(prompt, response)
-        logits, peak, sums = _response_logits(W, columns)
-        picked = logits.ravel().take(picks)
-        total = 0.0
-        # the one log-softmax entry needed per token, added in token order
-        for lp, top, norm in zip(picked.tolist(), peak.tolist(), sums.tolist()):
-            total += lp - (top + math.log(norm))
-        if weights is None:
+    def sequence_log_likelihood(self, prompt: Sequence[int], response: Sequence[int]) -> float:
+        key = (tuple(prompt), tuple(response))
+        total = self._loglik_memo.get(key)
+        if total is None:
+            (total,) = _log_likelihoods(self.weights, self._stack(key, (key,)))
             self._loglik_memo[key] = total
         return total
 
-    def log_likelihood_at(
-        self, theta_values: np.ndarray, prompt: Sequence[int], response: Sequence[int]
-    ) -> float:
-        """Likelihood evaluator over an arbitrary flat parameter vector.
+    def log_likelihood_at(self, theta_values: np.ndarray, pairs: Sequence) -> list[float]:
+        """``[pref_0, disp_0, pref_1, ...]``, the pairs' log-likelihoods at ``theta_values``.
 
-        This is the adapter handed to the preference comparison oracle. It
-        computes every value it is asked for; the oracle asks for the base
-        point's likelihoods through ``ParamVector.evaluate``, once per batch.
+        One stacked pass gives each value the bits ``sequence_log_likelihood``
+        gives it. This is the preference oracle's evaluator; the oracle asks
+        for a base point's values once, through ``ParamVector.evaluate``.
         """
         W = np.asarray(theta_values, dtype=np.float64).reshape(self.vocab_size, self.feature_dim)
-        return self.sequence_log_likelihood(prompt, response, weights=W)
+        pairs = tuple(pairs)
+        stack = self._context_cache.get(pairs) or self._stack(pairs, _responses(pairs))
+        return _log_likelihoods(W, stack)
 
     def _check_token(self, tok: int) -> None:
         if not (0 <= int(tok) < self.vocab_size):
@@ -309,11 +329,12 @@ def dpo_grad(
     One stacked pass serves every response of the batch, with the float
     operations of a per-pair loop in the same order. The positions are laid
     out token-major, longest response first, so the responses still running
-    at token t are a prefix; one ``_response_logits`` call gives every
-    position's log-softmax (``math.log`` per row, as ``_log_softmax`` takes
-    it). Each response's log-likelihood and its gradient, the sum over
-    tokens of ``outer(onehot(tok) - softmax, phi)``, are accumulated token by
-    token from +0.0. The pair terms are added in batch order from +0.0 by
+    at token t are a prefix; the layout depends only on the feature map, so
+    it is kept per batch in ``_context_cache``. One ``_response_logits``
+    call gives every position's log-softmax (``math.log`` per row, as
+    ``_log_softmax`` takes it). Each response's log-likelihood and its
+    gradient, the sum over tokens of ``outer(onehot(tok) - softmax, phi)``,
+    are accumulated token by token from +0.0. The pair terms are added in batch order from +0.0 by
     one reduction over the first axis of a C-contiguous array at least 2
     wide (V * F >= 2, since V >= 2), which adds its rows in order.
     """
@@ -321,28 +342,33 @@ def dpo_grad(
         raise ValueError(f"beta must be > 0, got {beta}")
     if len(batch) == 0:
         raise InvalidBatchError("batch must be nonempty")
-    # response 2j is pair j's preferred one, response 2j + 1 its dispreferred
-    responses = [(pair.prompt, response)
-                 for pair in batch for response in (pair.preferred, pair.dispreferred)]
-    steps = [policy._response_features(prompt, response) for prompt, response in responses]
-    # sorted, not np.argsort: its first call pages in sort kernels (~0.4 MiB of peak RSS)
-    order = np.array(sorted(range(len(steps)), key=lambda i: -steps[i][0].size))
-    lengths = np.array([steps[i][0].size for i in order])
-    running = [int(np.count_nonzero(lengths > t)) for t in range(int(lengths[0]))]
-    # row r of token t's block is position t of the r-th longest response
-    starts = np.cumsum(lengths) - lengths
-    gather = np.concatenate([starts[:count] + t for t, count in enumerate(running)])
-    tokens = np.concatenate([steps[i][0] for i in order])[gather]
-    features = np.concatenate([steps[i][1] for i in order])[gather]
+    batch = tuple(batch)
+    layout = policy._context_cache.get(("dpo", batch))
+    if layout is None:
+        responses = _responses(batch)
+        tokens, features, _, _, lengths = policy._stack(batch, responses)
+        # sorted, not np.argsort: its first call pages in sort kernels (~0.4 MiB of peak RSS)
+        order = np.array(sorted(range(len(lengths)), key=lambda i: -lengths[i]))
+        by_length = np.array(lengths)[order]
+        running = [int(np.count_nonzero(by_length > t)) for t in range(int(by_length[0]))]
+        # row r of token t's block is position t of the r-th longest response
+        starts = (np.cumsum(lengths) - lengths)[order]
+        gather = np.concatenate([starts[:count] + t for t, count in enumerate(running)])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        arrays = (np.arange(gather.size), tokens[gather], features[gather], rank[0::2], rank[1::2])
+        for array in arrays:
+            array.setflags(write=False)
+        layout = policy._context_cache["dpo", batch] = (responses, running, *arrays)
+    responses, running, rows, tokens, features, pos, neg = layout
 
     logits, peak, sums = _response_logits(policy.weights, features[:, :, None])
     logp = logits - (peak + np.array([math.log(norm) for norm in sums.tolist()]))[:, None]
-    rows = np.arange(tokens.size)
     picked = logp[rows, tokens]
     coeff = -np.exp(logp)
     coeff[rows, tokens] += 1.0
-    totals = np.zeros(len(steps))
-    grads = np.zeros((len(steps), policy.vocab_size, policy.feature_dim))
+    totals = np.zeros(len(responses))
+    grads = np.zeros((len(responses), policy.vocab_size, policy.feature_dim))
     lo = 0
     for count in running:
         hi = lo + count
@@ -350,9 +376,6 @@ def dpo_grad(
         grads[:count] += coeff[lo:hi, :, None] * features[lo:hi, None, :]
         lo = hi
 
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    pos, neg = rank[0::2], rank[1::2]
     ref = np.array([ref_policy.sequence_log_likelihood(*item) for item in responses])
     margins = (totals[pos] - ref[0::2]) - (totals[neg] - ref[1::2])
     scales = []

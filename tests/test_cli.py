@@ -279,6 +279,15 @@ def test_cli_pipeline_whose_dpo_weights_overflow_is_an_error(tmp_path, capsys, n
         warnings.simplefilter("error")
         assert "DPO weights are not finite" in one_line_error(capsys, argv)
     assert not (tmp_path / "out" / "final_weights.npy").exists()
+    assert not (tmp_path / "out").exists()
+    # an out dir that was there before the run is left as it was
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "kept.txt").write_text("kept")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one_line_error(capsys, argv)
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["kept.txt"]
+    assert (tmp_path / "out" / "kept.txt").read_text() == "kept"
 
 
 @pytest.mark.parametrize(
@@ -505,7 +514,8 @@ def test_cli_non_integer_list_entry_is_an_error(tmp_path, capsys, entries, mode,
 def test_cli_malformed_config_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"mode": "basic",')
-    one_line_error(capsys, ["run", "--config", str(path)])
+    line = one_line_error(capsys, ["run", "--config", str(path)])
+    assert str(path) in line and "not valid JSON" in line
     # bytes that are not UTF-8 are named with their file
     path.write_bytes(b'\xff{"mode": "basic"}')
     line = one_line_error(capsys, ["run", "--config", str(path)])

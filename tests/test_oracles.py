@@ -77,10 +77,13 @@ def softmax2_logprobs(theta):
     return logits - lse
 
 
-def direct_evaluator(theta_values, _prompt, response):
+def direct_evaluator(theta_values, pairs):
     # one-token responses over a 2-token vocabulary; theta holds the logits
     logp = softmax2_logprobs(theta_values)
-    return float(sum(logp[tok] for tok in response))
+    return [
+        float(sum(logp[tok] for tok in response))
+        for pair in pairs for response in (pair.preferred, pair.dispreferred)
+    ]
 
 
 def test_compare_preference_reflexive():
@@ -126,12 +129,10 @@ def test_compare_preference_log_matches_raw_probabilities():
         log_decision = compare_preference(
             policy.log_likelihood_at, ParamVector(theta), ParamVector(theta_prime), [pair]
         )
-        def raw(th, seq):
-            return math.exp(policy.log_likelihood_at(th, pair.prompt, seq))
-        raw_minus = (
-            raw(theta_prime, pair.preferred) > raw(theta, pair.preferred)
-            and raw(theta_prime, pair.dispreferred) < raw(theta, pair.dispreferred)
-        )
+        def raw(th):
+            return [math.exp(v) for v in policy.log_likelihood_at(th, [pair])]
+        (pos_prime, neg_prime), (pos, neg) = raw(theta_prime), raw(theta)
+        raw_minus = pos_prime > pos and neg_prime < neg
         assert (log_decision == Sign.MINUS) == raw_minus
 
 

@@ -1,6 +1,9 @@
 import collections
 import dataclasses
+import hashlib
 import math
+import sys
+import threading
 import warnings
 import weakref
 from functools import partial
@@ -80,6 +83,60 @@ def test_token_distributions_normalize():
         assert float(np.exp(logp).sum()) == pytest.approx(1.0, abs=1e-10)
 
 
+def fresh_feature_draw(policy, prompt, prefix):
+    """``policy.features(prompt, prefix)`` from a Philox generator built for it."""
+    ctx = (tuple(prompt) + tuple(prefix))[-policy.max_context:]
+    raw = np.asarray((len(ctx),) + ctx, dtype="<i8").tobytes()
+    raw += policy.feature_seed.to_bytes(8, "little", signed=True)
+    key = int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "big")
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.standard_normal(policy.feature_dim) / math.sqrt(policy.feature_dim)
+
+
+def test_features_equal_fresh_philox_draws_also_when_threads_draw_at_once():
+    gen = np.random.default_rng(4)
+    contexts = [
+        (tuple(int(t) for t in gen.integers(0, 8, size=int(gen.integers(1, 5)))),
+         tuple(int(t) for t in gen.integers(0, 8, size=int(gen.integers(0, 6)))))
+        for _ in range(200)
+    ]
+    # a negative feature seed packs as a signed word, as a positive one does
+    for feature_seed in (7, -3):
+        policy = make_toy_policy(feature_dim=16, max_context=5, feature_seed=feature_seed)
+        for prompt, prefix in contexts:
+            want = fresh_feature_draw(policy, prompt, prefix)
+            assert policy.features(prompt, prefix).tobytes() == want.tobytes()
+
+    # four threads (more than the cores of a small host), each with a policy of
+    # its own so that every context is a miss, draw at once; a switch interval
+    # of 1 us makes them take turns between a re-key and its draw
+    def fresh_policy():
+        return make_toy_policy(feature_dim=16, max_context=5, feature_seed=-3)
+
+    want = [fresh_feature_draw(fresh_policy(), *context).tobytes() for context in contexts]
+    start = threading.Barrier(4, timeout=60)
+
+    def draw(out):
+        fresh = fresh_policy()
+        start.wait()
+        out.extend(fresh.features(prompt, prefix).tobytes() for prompt, prefix in contexts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = [[] for _ in range(4)]
+            threads = [threading.Thread(target=draw, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_toy_policy_rejects_degenerate_shapes():
     with pytest.raises(ValueError, match="vocab_size"):
         ToyPolicy(vocab_size=1, feature_dim=3)
@@ -110,10 +167,12 @@ def test_preference_oracle_evaluates_each_base_likelihood_once_per_batch():
     base_calls = collections.Counter()
     theta = None
 
-    def counted(values, prompt, response):
+    def counted(values, pairs):
         if np.array_equal(values, theta.values):
-            base_calls[prompt, response] += 1
-        return policy.log_likelihood_at(values, prompt, response)
+            for pair in pairs:
+                for response in (pair.preferred, pair.dispreferred):
+                    base_calls[pair.prompt, response] += 1
+        return policy.log_likelihood_at(values, pairs)
 
     oracle = partial(compare_preference, counted)
     m = 17
@@ -277,10 +336,10 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
     Shapes: the narrowest policy (vocab 2 x feature 1, where V * F = 2 is the
     narrowest width at which numpy still adds the gradient rows in order),
     an odd one, and the pipeline's 8 x 16; responses of 1 to 12 tokens.
-    Likelihoods are checked at the policy's own weights (memoized), at
-    another policy's and at explicit weights passed to
-    ``sequence_log_likelihood``. The stacked logits matmul is also compared
-    with one ``W @ phi`` per position at wider shapes.
+    Likelihoods are checked at the policy's own weights (memoized), and
+    through ``log_likelihood_at`` at another policy's and at explicit
+    weights. The stacked logits matmul is also compared with one
+    ``W @ phi`` per position at wider shapes.
     """
     gen = np.random.default_rng(21)
     for vocab, feat in ((5, 7), (2, 1), (8, 16)):
@@ -300,16 +359,19 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
             # twice: the second call answers the reference likelihoods from the memo
             for _ in range(2):
                 assert dpo_grad(policy, ref, batch, beta).tobytes() == expected.tobytes()
+            # one stacked pass over the batch gives each response's bits
+            got_at = policy.log_likelihood_at(ref.flat_params, batch)
+            want_at = [reference_log_likelihood(ref, pair.prompt, response)
+                       for pair in batch for response in (pair.preferred, pair.dispreferred)]
+            assert np.array(got_at).tobytes() == np.array(want_at).tobytes()
+            # explicit weights, large enough to push the softmax to its tails
+            W = 30.0 * np.random.default_rng(trial).standard_normal((vocab, feat))
+            got_w = policy.log_likelihood_at(W.ravel(), batch)
             for pair in batch:
                 for response in (pair.preferred, pair.dispreferred):
                     want = reference_log_likelihood(policy, pair.prompt, response)
                     assert policy.sequence_log_likelihood(pair.prompt, response) == want
-                    got_at = policy.log_likelihood_at(ref.flat_params, pair.prompt, response)
-                    assert got_at == reference_log_likelihood(ref, pair.prompt, response)
-                    # explicit weights, large enough to push the softmax to its tails
-                    W = 30.0 * np.random.default_rng(trial).standard_normal((vocab, feat))
-                    got_w = policy.sequence_log_likelihood(pair.prompt, response, weights=W)
-                    assert got_w == reference_log_likelihood(
+                    assert got_w.pop(0) == reference_log_likelihood(
                         policy.with_weights(W), pair.prompt, response
                     )
 
@@ -332,6 +394,32 @@ def test_dpo_grad_batch_mean_of_duplicates():
     doubled = dpo_grad(policy, ref, [pair, pair], beta=0.2)
     # (0 + t + t) / 2 rounds to t exactly
     assert single.tobytes() == doubled.tobytes()
+
+
+def test_dpo_grad_from_a_kept_layout_equals_a_fresh_policy():
+    """A batch's kept token-major layout gives the bits of a policy with no cache.
+
+    The layout is kept per batch in the context cache that ``with_weights``
+    shares, so a later epoch at other weights, and the same pairs in another
+    order, each read the right one.
+    """
+    batch = [
+        PreferencePair((0, 1), (2, 3, 1, 0), (3,)),
+        PreferencePair((2,), (0, 1), (1, 2, 3)),
+        PreferencePair((3, 3, 0), (1,), (2, 0)),
+    ]
+    policy, ref = small_policy(seed=3), small_policy(seed=4)
+    later = policy.flat_params + 0.5
+
+    def fresh_grad(theta, pairs):
+        fresh = small_policy(seed=3).with_flat_params(theta)
+        return dpo_grad(fresh, small_policy(seed=4), pairs, 0.3).tobytes()
+
+    for pairs in (batch, batch, batch[::-1]):
+        assert dpo_grad(policy, ref, pairs, 0.3).tobytes() == fresh_grad(policy.flat_params, pairs)
+        moved = policy.with_flat_params(later)
+        assert dpo_grad(moved, ref, pairs, 0.3).tobytes() == fresh_grad(later, pairs)
+    assert dpo_grad(policy, ref, batch, 0.3).tobytes() != dpo_grad(moved, ref, batch, 0.3).tobytes()
 
 
 def test_dpo_grad_bit_equal_to_per_pair_reference_at_batch_sizes_up_to_40():
