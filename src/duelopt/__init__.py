@@ -24,13 +24,11 @@ from .sparse_grad import (
 from .optimizer import (
     IterationRecord,
     PracticalConfig,
-    PracticalState,
     TheoremSchedule,
     Trajectory,
     run_basic,
     run_practical,
     schedule_from_theorem,
-    step_practical,
 )
 from .policy import (
     DpoConfig,
@@ -71,9 +69,8 @@ __all__ = [
     "measure_bits",
     "GradientEstimate", "clip_small_entries", "estimate_normalized_clip",
     "solve_1bge_exact",
-    "IterationRecord", "PracticalConfig", "PracticalState", "TheoremSchedule",
-    "Trajectory", "run_basic", "run_practical", "schedule_from_theorem",
-    "step_practical",
+    "IterationRecord", "PracticalConfig", "TheoremSchedule", "Trajectory",
+    "run_basic", "run_practical", "schedule_from_theorem",
     "DpoConfig", "LikelihoodReport", "PipelineConfig", "PipelineResult",
     "PreferencePair", "SplitDataset", "ToyPolicy", "dpo_grad", "dpo_loss",
     "generate_preference_data", "likelihood_report", "load_preference_dataset",

@@ -269,9 +269,7 @@ def check_estimator_error(
         Z = rng.sphere_rows(rng.next_block(), m, d)
         signs = np.where(Z @ planted < 0.0, -1, 1)
         flips = np.where(gen.random(m) < flip_prob, -1, 1)
-        batch = BitMeasurementBatch(
-            directions=Z, signs=signs * flips, radius=1.0, iteration=trial, oracle_calls=m
-        )
+        batch = BitMeasurementBatch.from_directions(Z, signs * flips, radius=1.0, iteration=trial)
         try:
             estimate = solve_1bge_exact(batch, s)
             errors[trial] = float(np.linalg.norm(estimate.direction - planted))

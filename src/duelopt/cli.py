@@ -139,18 +139,19 @@ FIELD_TYPES = typing.get_type_hints(RunConfig)
 # the accepted interval of every int and float field, shown as-is in RangeError;
 # `s` is checked against `d` in _validate_config. NaN and +-inf fall outside all.
 # Seeds become Philox keys and RngState seeds, which take [0, 2**64); the
-# feature seed is hashed as a signed 64-bit integer.
+# feature seed is hashed as a signed 64-bit integer. Counts and sizes end at
+# 2**63, the first int numpy cannot take as an int64.
 RANGES = {
     "seed": "[0, 2**64)", "objective_seed": "[0, 2**64)", "ref_weight_seed": "[0, 2**64)",
-    "feature_seed": "[-2**63, 2**63)", "d": "[1, inf)",
+    "feature_seed": "[-2**63, 2**63)", "d": "[1, 2**63)",
     "epsilon": "(0, inf)", "Lambda": "(0, 1)", "Delta": "(0, inf)", "c_m": "(0, inf)",
-    "gamma": "(0, inf)", "r": "(0, inf)", "m": "[1, inf)", "lambda_g": "[0, inf)",
-    "skip_threshold": "[0, 1)", "T": "[1, inf)", "pairs_per_batch": "[1, inf)",
+    "gamma": "(0, inf)", "r": "(0, inf)", "m": "[1, 2**63)", "lambda_g": "[0, inf)",
+    "skip_threshold": "[0, 1)", "T": "[1, 2**63)", "pairs_per_batch": "[1, 2**63)",
     "delta": "(0, inf)", "beta": "(0, inf)", "learning_rate": "(-inf, inf)",
-    "dpo_epochs": "[0, inf)", "refine_epochs": "[1, inf)", "vocab_size": "[2, inf)",
-    "feature_dim": "[1, inf)", "max_context": "[1, inf)", "ref_weight_scale": "(-inf, inf)",
-    "n_clean": "[0, inf)", "n_noisy": "[0, inf)",
-    "n_samples": "[1, inf)", "trials": "[1, inf)", "flip_prob": "[0, 0.5)", "bench_m": "[1, inf)",
+    "dpo_epochs": "[0, 2**63)", "refine_epochs": "[1, 2**63)", "vocab_size": "[2, 2**63)",
+    "feature_dim": "[1, 2**63)", "max_context": "[1, 2**63)", "ref_weight_scale": "(-inf, inf)",
+    "n_clean": "[0, 2**63)", "n_noisy": "[0, 2**63)", "n_samples": "[1, 2**63)",
+    "trials": "[1, 2**63)", "flip_prob": "[0, 0.5)", "bench_m": "[1, 2**63)",
 }
 
 
@@ -272,8 +273,8 @@ def _validate_config(config: RunConfig) -> None:
         ParamVector(np.zeros(dim), config.scope_mask)
     if not config.dims:
         raise RangeError("dims", config.dims, "nonempty list")
-    if config.mode == "bench-sweep" and min(config.dims) < config.s:
-        raise RangeError("dims", config.dims, f"entries in [s={config.s}, inf)")
+    if config.mode == "bench-sweep" and not all(config.s <= d < 2**63 for d in config.dims):
+        raise RangeError("dims", config.dims, f"entries in [s={config.s}, 2**63)")
     if not config.bench_seeds:
         raise RangeError("bench_seeds", config.bench_seeds, "nonempty list")
     if config.mode == "bench-sweep" and not all(
@@ -328,8 +329,8 @@ def run_experiment(config: RunConfig) -> RunManifest:
     if config.dataset is not None and config.mode in ("practical", "pipeline"):
         pairs = _load_dataset(config.dataset, config.vocab_size)
         if not pairs:
-            # run_practical rejects it too, but only after the out dir exists,
-            # and a pipeline would split nothing and save the reference twice
+            # run_practical rejects it too, but a pipeline would split
+            # nothing and save the reference twice before it got there
             raise InvalidScheduleError("data stream must contain at least one pair")
     if pairs is not None or config.mode == "pipeline":
         policy = _make_policy(config)
@@ -637,6 +638,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_split(args)
     except (DueloptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size in range that the machine cannot allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

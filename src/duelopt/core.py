@@ -28,6 +28,7 @@ from .errors import DimensionError
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+_MISSING = object()  # no value kept under a key yet
 
 # Rows at least this long are filled on two threads. Each row takes the
 # interpreter lock for a few us around its fill, which runs without it; the
@@ -253,7 +254,10 @@ class ParamVector:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if self.scope_mask is not None:
-            m = np.asarray(self.scope_mask, dtype=np.intp)
+            try:
+                m = np.asarray(self.scope_mask, dtype=np.intp)
+            except OverflowError:
+                raise DimensionError("scope mask index out of range") from None
             if m.ndim != 1 or m.size == 0:
                 raise DimensionError("scope mask must be a nonempty 1-D index array")
             if np.any(m < 0) or np.any(m >= v.size):
@@ -323,9 +327,10 @@ class ParamVector:
         """
         memo = self.__dict__.setdefault("_evaluated", {})
         key = (fn, *args)
-        if key not in memo:
-            memo[key] = fn(self.values, *args)
-        return memo[key]
+        value = memo.get(key, _MISSING)  # one hash of the key on a hit
+        if value is _MISSING:
+            value = memo[key] = fn(self.values, *args)
+        return value
 
     def content_hash(self) -> str:
         """SHA-256 of the raw float64 bytes (mask excluded)."""

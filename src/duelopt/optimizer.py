@@ -1,6 +1,6 @@
 """Iteration loops for comparison-driven descent, plus trajectory telemetry.
 
-Both schemes run the same step (``_step``): take m one-bit sphere
+Both schemes run the same loop (``_descend``): take m one-bit sphere
 measurements, estimate a direction, and move against it by a stepsize that
 is a function of rho, the fraction of improving responses, unless rho is at
 or below a skip threshold. The schemes differ only in those three choices:
@@ -195,15 +195,6 @@ class Trajectory:
         return rows
 
 
-@dataclass(frozen=True)
-class PracticalState:
-    """Loop state of the practical scheme: current iterate and iteration count."""
-
-    theta: ParamVector
-    iteration: int = 0
-    record: IterationRecord | None = None
-
-
 def _diagnostics(objective, theta: ParamVector) -> tuple[float | None, float | None]:
     if objective is None:
         return None, None
@@ -212,55 +203,47 @@ def _diagnostics(objective, theta: ParamVector) -> tuple[float | None, float | N
     return f_val, float(np.linalg.norm(grad))
 
 
-def _step(
-    oracle,
-    theta: ParamVector,
-    radius: float,
-    m: int,
-    rng: RngState,
-    iteration: int,
-    estimate: Callable,
-    stepsize: Callable[[float], float],
-    skip_threshold: float,
-    diagnostics: tuple[float | None, float | None],
-) -> tuple[ParamVector, IterationRecord]:
-    """One measure -> estimate -> step iteration shared by both schemes.
+def _descend(
+    oracle_at: Callable[[int], Callable], theta: ParamVector, iterations: int, radius: float,
+    m: int, rng: RngState, estimate: Callable, stepsize: Callable[[float], float],
+    skip_threshold: float, objective=None, stop_grad_norm: float | None = None,
+) -> Trajectory:
+    """The measure -> estimate -> step loop both schemes configure.
 
-    Steps by ``stepsize(rho)`` along the negative of ``estimate(batch)`` when
-    the improving fraction rho strictly exceeds ``skip_threshold``; otherwise,
-    and on a degenerate batch, the iterate is returned unchanged and the
-    iteration is flagged as skipped.
+    Iteration t (from 1) measures m bits with ``oracle_at(t)`` and steps by
+    ``stepsize(rho)`` along the negative of ``estimate(batch)`` when the
+    improving fraction rho strictly exceeds ``skip_threshold``; otherwise,
+    and on a degenerate batch, the iterate is kept and the iteration is
+    flagged as skipped. ``stop_grad_norm`` ends the run at the first iterate
+    whose true gradient norm (synthetic runs only) falls below it.
     """
-    try:
-        batch = measure_bits(oracle, theta, radius, m, rng)
-    except OracleError as exc:
-        raise OracleError(f"iteration {iteration}: {exc}") from exc
-    rho = batch.negative_fraction()
-    skipped = degenerate = False
-    step = 0.0
-    if rho > skip_threshold:
+    traj = Trajectory()
+    for t in range(1, iterations + 1):
+        f_val, grad_norm = _diagnostics(objective, theta)
+        if stop_grad_norm is not None and grad_norm is not None and grad_norm < stop_grad_norm:
+            break
         try:
-            direction = estimate(batch).direction
-            step = stepsize(rho)
-            theta = theta.with_scope_values(theta.scope_values() - step * direction)
-        except DegenerateMeasurementError:
-            skipped = degenerate = True
-            step = 0.0
-    else:
-        skipped = True
-    f_val, grad_norm = diagnostics
-    record = IterationRecord(
-        iteration=iteration,
-        oracle_calls=batch.oracle_calls,
-        negative_fraction=rho,
-        stepsize_applied=step,
-        skipped=skipped,
-        degenerate=degenerate,
-        theta_hash=theta.content_hash(),
-        f_value=f_val,
-        grad_norm=grad_norm,
-    )
-    return theta, record
+            batch = measure_bits(oracle_at(t), theta, radius, m, rng)
+        except OracleError as exc:
+            raise OracleError(f"iteration {t}: {exc}") from exc
+        rho = batch.negative_fraction()
+        step, skipped, degenerate = 0.0, rho <= skip_threshold, False
+        if not skipped:
+            try:
+                direction = estimate(batch).direction
+            except DegenerateMeasurementError:
+                skipped = degenerate = True
+            else:
+                step = stepsize(rho)
+                theta = theta.with_scope_values(theta.scope_values() - step * direction)
+        traj.records.append(IterationRecord(
+            iteration=t, oracle_calls=batch.oracle_calls, negative_fraction=rho,
+            stepsize_applied=step, skipped=skipped, degenerate=degenerate,
+            theta_hash=theta.content_hash(), f_value=f_val, grad_norm=grad_norm,
+        ))
+    traj.final_theta = theta
+    traj.final_f, traj.final_grad_norm = _diagnostics(objective, theta)
+    return traj
 
 
 def run_basic(
@@ -271,57 +254,15 @@ def run_basic(
     objective=None,
     stop_grad_norm: float | None = None,
 ) -> Trajectory:
-    """Fixed-stepsize descent driven by the exact direction solver.
-
-    A degenerate measurement batch (zero signed sum) leaves the iterate
-    unchanged and flags the iteration instead of aborting the run.
-    ``stop_grad_norm`` ends the run at the first iterate whose true gradient
-    norm (synthetic runs only) falls below it.
-    """
-    traj = Trajectory()
-    theta = theta0
-    for t in range(1, schedule.T + 1):
-        diagnostics = _diagnostics(objective, theta)
-        grad_norm = diagnostics[1]
-        if stop_grad_norm is not None and grad_norm is not None and grad_norm < stop_grad_norm:
-            break
-        theta, record = _step(
-            oracle, theta, schedule.r, schedule.m, rng, t,
-            estimate=lambda batch: solve_1bge_exact(batch, schedule.s),
-            stepsize=lambda rho: schedule.eta,
-            skip_threshold=-math.inf,  # the basic scheme uses every batch
-            diagnostics=diagnostics,
-        )
-        traj.records.append(record)
-    traj.final_theta = theta
-    traj.final_f, traj.final_grad_norm = _diagnostics(objective, theta)
-    return traj
-
-
-def step_practical(
-    state: PracticalState,
-    oracle,
-    config: PracticalConfig,
-    rng: RngState,
-    objective=None,
-) -> PracticalState:
-    """One iteration of the practical scheme.
-
-    Measures m bits in the masked subspace, estimates a clipped normalized
-    direction, and updates the in-scope coordinates by ``gamma * rho`` along
-    its negative, where rho is the fraction of improving responses. The step
-    happens only when rho strictly exceeds the skip threshold; otherwise (and
-    on a degenerate batch) the iterate is returned unchanged.
-    """
-    iteration = state.iteration + 1
-    theta, record = _step(
-        oracle, state.theta, config.radius, config.m, rng, iteration,
-        estimate=lambda batch: estimate_normalized_clip(batch, config.lambda_g),
-        stepsize=lambda rho: config.gamma * rho,
-        skip_threshold=config.skip_threshold,
-        diagnostics=_diagnostics(objective, state.theta),
+    """Fixed-stepsize descent driven by the exact direction solver, over every batch."""
+    return _descend(
+        lambda t: oracle, theta0, schedule.T, schedule.r, schedule.m, rng,
+        estimate=lambda batch: solve_1bge_exact(batch, schedule.s),
+        stepsize=lambda rho: schedule.eta,
+        skip_threshold=-math.inf,  # the basic scheme uses every batch
+        objective=objective,
+        stop_grad_norm=stop_grad_norm,
     )
-    return PracticalState(theta=theta, iteration=iteration, record=record)
 
 
 def run_practical(
@@ -334,36 +275,34 @@ def run_practical(
 ) -> Trajectory:
     """Iterate the practical scheme for ``config.iterations`` steps.
 
+    Each iteration measures m bits in the masked subspace, estimates a
+    clipped normalized direction, and updates the in-scope coordinates by
+    ``gamma * rho`` along its negative, where rho is the fraction of
+    improving responses, unless rho is at or below the skip threshold.
     With a preference ``data_stream``, iteration t binds the oracle to the
     next ``pairs_per_batch`` pairs in round-robin order (one epoch = one pass),
     and ``oracle`` must accept ``(theta, theta_prime, pairs)``. Without one,
     ``oracle`` is called as ``(theta, theta_prime)`` directly.
     """
-    if rng is None:
-        rng = RngState(config.seed)
     if config.scope_mask is not None:
         theta0 = ParamVector(theta0.values, np.asarray(config.scope_mask, dtype=np.intp))
     pairs = list(data_stream) if data_stream is not None else None
     if pairs is not None and not pairs:
         raise InvalidScheduleError("data stream must contain at least one pair")
 
-    traj = Trajectory()
-    state = PracticalState(theta=theta0)
-    for t in range(config.iterations):
-        bound = oracle if pairs is None else _bind_pairs(oracle, pairs, t, config.pairs_per_batch)
-        state = step_practical(state, bound, config, rng, objective=objective)
-        traj.records.append(state.record)
-    traj.final_theta = state.theta
-    traj.final_f, traj.final_grad_norm = _diagnostics(objective, state.theta)
-    return traj
+    def oracle_at(t: int) -> Callable:
+        if pairs is None:
+            return oracle
+        n = len(pairs)
+        start = ((t - 1) * config.pairs_per_batch) % n
+        chosen = tuple(pairs[(start + j) % n] for j in range(min(config.pairs_per_batch, n)))
+        return lambda theta, theta_prime: oracle(theta, theta_prime, chosen)
 
-
-def _bind_pairs(oracle, pairs: list, iteration: int, per_batch: int) -> Callable:
-    n = len(pairs)
-    start = (iteration * per_batch) % n
-    chosen = tuple(pairs[(start + j) % n] for j in range(min(per_batch, n)))
-
-    def bound(theta: ParamVector, theta_prime: ParamVector):
-        return oracle(theta, theta_prime, chosen)
-
-    return bound
+    return _descend(
+        oracle_at, theta0, config.iterations, config.radius, config.m,
+        rng if rng is not None else RngState(config.seed),
+        estimate=lambda batch: estimate_normalized_clip(batch, config.lambda_g),
+        stepsize=lambda rho: config.gamma * rho,
+        skip_threshold=config.skip_threshold,
+        objective=objective,
+    )

@@ -18,7 +18,7 @@ import enum
 import math
 from collections.abc import Callable, Sequence
 from contextlib import closing
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,69 +47,53 @@ _CHUNK_FLOATS = 1 << 16
 class BitMeasurementBatch:
     """m one-bit measurements: the oracle signs and their signed direction sum.
 
-    ``signs`` holds the m +/-1 responses and ``iteration`` the counter block
-    whose substreams gave the directions, so direction i can be regenerated
-    as row i of ``RngState(seed).sphere_rows(iteration, m, k)``.
-    ``oracle_calls`` must equal m. The batch keeps only the sum
-    ``sum_i signs[i] * directions[i]``, not the (m, k) rows: constructing it
-    from ``directions`` checks that the rows are unit (within 1e-9) and
-    reduces them once, and ``measure_bits`` builds it from a sum it streamed
-    chunk by chunk.
+    ``signs`` holds the m +/-1 responses, ``direction_sum`` the sum
+    ``sum_i signs[i] * directions[i]`` (a read-only copy of the caller's),
+    and ``iteration`` the counter block whose substreams gave the directions,
+    so direction i can be regenerated as row i of
+    ``RngState(seed).sphere_rows(iteration, m, k)``. The batch keeps the
+    sum, not the (m, k) rows: ``measure_bits`` streams it chunk by chunk,
+    and ``from_directions`` reduces rows a caller holds.
     """
 
-    directions: InitVar[np.ndarray]
     signs: np.ndarray
+    direction_sum: np.ndarray = field(repr=False)
     radius: float
     iteration: int
-    oracle_calls: int
-    _direction_sum: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, directions: np.ndarray) -> None:
+    def __post_init__(self) -> None:
+        total = np.array(self.direction_sum, dtype=np.float64)
+        if total.ndim != 1 or total.size == 0:
+            raise InvalidBatchError("direction sum must be a nonempty 1-D array")
+        object.__setattr__(self, "signs", _checked_signs(self.signs))
+        if not self.radius > 0:
+            raise InvalidBatchError(f"radius must be > 0, got {self.radius}")
+        total.setflags(write=False)
+        object.__setattr__(self, "direction_sum", total)
+
+    @classmethod
+    def from_directions(
+        cls, directions: np.ndarray, signs: np.ndarray, radius: float, iteration: int
+    ) -> BitMeasurementBatch:
+        """The batch of the unit rows ``directions`` (within 1e-9), reduced once in index order."""
         # a copy of the caller's rows, since the sum is taken in place
         dirs = np.array(directions, dtype=np.float64)
         if dirs.ndim != 2 or dirs.shape[0] < 1:
             raise InvalidBatchError("directions must be a nonempty (m, k) matrix")
-        self._check_and_freeze(dirs.shape[0])
-        _check_unit_rows(dirs)
-        self._set_sum(_add_signed_rows(None, dirs, self.signs))
-
-    @classmethod
-    def _streamed(
-        cls, signs: np.ndarray, direction_sum: np.ndarray, radius: float, iteration: int
-    ) -> BitMeasurementBatch:
-        """A batch whose unit rows were checked and summed chunk by chunk."""
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "signs", signs)
-        object.__setattr__(batch, "radius", radius)
-        object.__setattr__(batch, "iteration", iteration)
-        object.__setattr__(batch, "oracle_calls", len(signs))
-        batch._check_and_freeze(len(signs))
-        batch._set_sum(direction_sum)
-        return batch
-
-    def _check_and_freeze(self, m: int) -> None:
-        # values are checked before the int8 cast, which would wrap 255 or truncate 1.7
-        raw = np.asarray(self.signs)
-        if raw.shape != (m,):
+        signs = _checked_signs(signs)
+        if signs.shape != dirs.shape[:1]:
             raise InvalidBatchError("signs length must match direction count")
-        if not np.all((raw == 1) | (raw == -1)):
-            raise InvalidBatchError("signs must be +1 or -1")
-        if not self.radius > 0:
-            raise InvalidBatchError(f"radius must be > 0, got {self.radius}")
-        if self.oracle_calls != m:
-            raise InvalidBatchError(f"oracle_calls must equal m = {m}, got {self.oracle_calls}")
-        signs = raw.astype(np.int8)
-        signs.setflags(write=False)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "oracle_calls", m)
-
-    def _set_sum(self, direction_sum: np.ndarray) -> None:
-        direction_sum.setflags(write=False)
-        object.__setattr__(self, "_direction_sum", direction_sum)
+        _check_unit_rows(dirs)
+        return cls(signs, _add_signed_rows(None, dirs, signs), radius, iteration)
 
     @property
     def m(self) -> int:
         return len(self.signs)
+
+    @property
+    def oracle_calls(self) -> int:
+        """One oracle call per measurement."""
+        return self.m
 
     def negative_fraction(self) -> float:
         """Fraction of queries where the perturbed point was strictly better."""
@@ -117,7 +101,20 @@ class BitMeasurementBatch:
 
     def signed_direction_sum(self) -> np.ndarray:
         """Sum of sign-weighted directions, accumulated in index order (a fresh copy)."""
-        return self._direction_sum.copy()
+        return self.direction_sum.copy()
+
+
+def _checked_signs(signs) -> np.ndarray:
+    """``signs`` as a read-only int8 array, once each is known to be +1 or -1."""
+    # values are checked before the int8 cast, which would wrap 255 or truncate 1.7
+    raw = np.asarray(signs)
+    if raw.ndim != 1 or raw.size == 0:
+        raise InvalidBatchError("signs must be a nonempty 1-D array")
+    if not np.all((raw == 1) | (raw == -1)):
+        raise InvalidBatchError("signs must be +1 or -1")
+    out = raw.astype(np.int8)
+    out.setflags(write=False)
+    return out
 
 
 def _check_unit_rows(rows: np.ndarray) -> None:
@@ -229,4 +226,4 @@ def measure_bits(
             for i, row in enumerate(rows, start):
                 signs[i] = oracle(theta, embed_perturbation(theta, row, radius))
             total = _add_signed_rows(total, rows, signs[start:start + len(rows)])
-    return BitMeasurementBatch._streamed(signs, total, radius, block)
+    return BitMeasurementBatch(signs, total, radius, block)

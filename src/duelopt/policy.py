@@ -213,39 +213,41 @@ class ToyPolicy:
         return _log_softmax(self.weights @ self.features(prompt, prefix))
 
     def _stack(self, key, responses: Sequence[tuple]) -> tuple:
-        """Tokens, features, picks, columns and lengths of (prompt, response) items, kept.
+        """Tokens, features, picks, columns and lengths of (prompt, response) items.
 
         Positions are stacked in item order: ``features`` row i is position
         i's context feature, ``columns`` its (n, F, 1) view, and ``picks``
         holds ``i * V + tokens[i]``, the flat index of each token's logit.
+        The stack is kept in ``_context_cache`` under ``key``; callers look
+        it up there first, so a kept stack costs one lookup.
         """
-        stack = self._context_cache.get(key)
-        if stack is None:
-            rows, tokens, lengths = [], [], []
-            for prompt, response in responses:
-                for tok in prompt:
-                    self._check_token(tok)
-                prefix: tuple[int, ...] = ()
-                for tok in response:
-                    self._check_token(tok)
-                    rows.append(self.features(prompt, prefix))
-                    prefix = prefix + (int(tok),)
-                tokens.extend(prefix)
-                lengths.append(len(prefix))
-            tokens = np.asarray(tokens, dtype=np.intp)
-            features = np.array(rows, dtype=np.float64).reshape(len(rows), self.feature_dim)
-            picks = np.arange(tokens.size) * self.vocab_size + tokens
-            for array in (tokens, features, picks):
-                array.setflags(write=False)
-            stack = (tokens, features, picks, features[:, :, None], tuple(lengths))
-            self._context_cache[key] = stack
+        rows, tokens, lengths = [], [], []
+        for prompt, response in responses:
+            for tok in prompt:
+                self._check_token(tok)
+            prefix: tuple[int, ...] = ()
+            for tok in response:
+                self._check_token(tok)
+                rows.append(self.features(prompt, prefix))
+                prefix = prefix + (int(tok),)
+            tokens.extend(prefix)
+            lengths.append(len(prefix))
+        tokens = np.asarray(tokens, dtype=np.intp)
+        features = np.array(rows, dtype=np.float64).reshape(len(rows), self.feature_dim)
+        picks = np.arange(tokens.size) * self.vocab_size + tokens
+        for array in (tokens, features, picks):
+            array.setflags(write=False)
+        stack = self._context_cache[key] = (
+            tokens, features, picks, features[:, :, None], tuple(lengths)
+        )
         return stack
 
     def sequence_log_likelihood(self, prompt: Sequence[int], response: Sequence[int]) -> float:
         key = (tuple(prompt), tuple(response))
         total = self._loglik_memo.get(key)
         if total is None:
-            (total,) = _log_likelihoods(self.weights, self._stack(key, (key,)))
+            stack = self._context_cache.get(key) or self._stack(key, (key,))
+            (total,) = _log_likelihoods(self.weights, stack)
             self._loglik_memo[key] = total
         return total
 
@@ -346,7 +348,8 @@ def dpo_grad(
     layout = policy._context_cache.get(("dpo", batch))
     if layout is None:
         responses = _responses(batch)
-        tokens, features, _, _, lengths = policy._stack(batch, responses)
+        stack = policy._context_cache.get(batch) or policy._stack(batch, responses)
+        tokens, features, _, _, lengths = stack
         # sorted, not np.argsort: its first call pages in sort kernels (~0.4 MiB of peak RSS)
         order = np.array(sorted(range(len(lengths)), key=lambda i: -lengths[i]))
         by_length = np.array(lengths)[order]

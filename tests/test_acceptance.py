@@ -14,7 +14,6 @@ from duelopt import (
     BitMeasurementBatch,
     ParamVector,
     PracticalConfig,
-    PracticalState,
     PreferencePair,
     RngState,
     Sign,
@@ -32,7 +31,6 @@ from duelopt import (
     run_practical,
     solve_1bge_exact,
     split_by_margin,
-    step_practical,
     sweep_convergence,
 )
 from duelopt.cli import build_config, run_experiment
@@ -111,9 +109,7 @@ def test_criterion_4_exact_solver_vs_brute_force():
         directions = gen.standard_normal((m, k))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         signs = np.where(gen.random(m) < 0.5, 1, -1)
-        batch = BitMeasurementBatch(
-            directions=directions, signs=signs, radius=1.0, iteration=0, oracle_calls=m
-        )
+        batch = BitMeasurementBatch.from_directions(directions, signs, radius=1.0, iteration=0)
         c = batch.signed_direction_sum()
         if np.linalg.norm(c) == 0.0:
             continue
@@ -234,10 +230,10 @@ def test_criterion_7_exactness_properties():
         config = PracticalConfig(
             gamma=1.0, radius=0.3, m=m, lambda_g=0.0, skip_threshold=lam, iterations=1
         )
-        state = step_practical(PracticalState(theta), oracle, config, RngState(i))
+        traj = run_practical(oracle, theta, config, rng=RngState(i))
         if rho <= lam:
-            assert state.record.skipped
-            assert state.theta.values.tobytes() == theta.values.tobytes()
+            assert traj.records[0].skipped
+            assert traj.final_theta.values.tobytes() == theta.values.tobytes()
 
     # (b) clip semantics: no surviving entry below the threshold, idempotent
     for _ in range(cases):

@@ -496,6 +496,36 @@ def test_cli_config_value_of_wrong_json_type_is_an_error(tmp_path, capsys, paylo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"mode": "basic", "d": 10**30}, "'d'"),
+    ({"mode": "basic", "T": 2**63}, "'T'"),
+    ({"mode": "practical", "m": 2**63}, "'m'"),
+    ({"mode": "pipeline", "n_noisy": 10**30}, "'n_noisy'"),
+    ({"mode": "bench-proposition", "bench_m": 2**63}, "'bench_m'"),
+    ({"mode": "bench-sweep", "dims": [10**30]}, "'dims'"),
+    ({"mode": "bench-sweep", "dims": [50, 2**63]}, "'dims'"),
+    ({"mode": "basic", "scope_mask": [10**30]}, "scope mask"),
+    ({"mode": "practical", "scope_mask": [0, -(10**30)]}, "scope mask"),
+])
+def test_cli_integer_outside_int64_is_an_error(tmp_path, capsys, payload, field):
+    path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+    assert field in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_fields_take_sizes_below_2_to_the_63():
+    top = 2**63 - 1
+    config = build_config({"mode": "bench-sweep", "T": top, "m": top, "dims": [top]})
+    assert (config.T, config.m, config.dims) == (top, top, (top,))
+
+
+def test_cli_size_the_machine_cannot_allocate_is_an_error(tmp_path, capsys):
+    # 4 EiB of signs: refused at once by the allocator, so no memory is touched
+    path = write_config(tmp_path, {"mode": "practical", "m": 2**62, "out_dir": str(tmp_path / "out")})
+    assert "out of memory" in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
 def test_json_integer_is_accepted_for_a_float_field():
     config = build_config({"mode": "basic", "c_m": 4, "Delta": 1})
     assert config.c_m == 4 and config.Delta == 1

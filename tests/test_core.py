@@ -346,6 +346,12 @@ def test_param_vector_rejects_bad_masks():
         ParamVector(values, scope_mask=np.array([4]))  # out of range
 
 
+def test_param_vector_mask_entry_outside_intp_is_a_dimension_error():
+    for entry in (10**30, -(10**30), 2**63):
+        with pytest.raises(DimensionError, match="out of range"):
+            ParamVector(np.zeros(4), scope_mask=[0, entry])
+
+
 def test_scope_roundtrip():
     theta = ParamVector(np.array([1.0, 2.0, 3.0, 4.0]), scope_mask=np.array([1, 3]))
     assert theta.scope_dim == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from duelopt import (
     ParamVector,
     PracticalConfig,
-    PracticalState,
     PreferencePair,
     RngState,
     Sign,
@@ -16,7 +16,6 @@ from duelopt import (
     run_basic,
     run_practical,
     schedule_from_theorem,
-    step_practical,
 )
 from duelopt.bench import start_with_gap
 from duelopt.errors import InvalidScheduleError
@@ -158,35 +157,36 @@ def test_run_basic_oracle_accounting_and_stop():
     assert calls is not None and calls <= traj.total_oracle_calls
 
 
-# ----- practical step ----------------------------------------------------
+# ----- practical step: one-iteration runs ----------------------------------
 
 
 def test_step_practical_skips_at_threshold_bitwise():
     # one improving response out of ten: rho = 0.1 <= 0.2 skips
     theta = ParamVector(np.array([1.0, 2.0, 3.0]))
     oracle = scripted_oracle([-1] + [1] * 9)
-    state = step_practical(PracticalState(theta), oracle, practical_config(), RngState(0))
-    assert state.record.skipped
-    assert state.record.stepsize_applied == 0.0
-    assert state.theta is theta  # bitwise unchanged, same object
-    assert state.theta.values.tobytes() == theta.values.tobytes()
+    traj = run_practical(oracle, theta, practical_config(), rng=RngState(0))
+    (record,) = traj.records
+    assert record.skipped
+    assert record.stepsize_applied == 0.0
+    assert traj.final_theta is theta  # bitwise unchanged, same object
+    assert traj.final_theta.values.tobytes() == theta.values.tobytes()
 
 
 def test_step_practical_step_size_is_gamma_rho():
     theta = ParamVector(np.zeros(4))
     oracle = scripted_oracle([-1, -1, -1] + [1] * 7)
-    state = step_practical(PracticalState(theta), oracle, practical_config(), RngState(1))
-    assert not state.record.skipped
-    assert state.record.stepsize_applied == pytest.approx(0.3)
-    assert state.record.negative_fraction == pytest.approx(0.3)
+    (record,) = run_practical(oracle, theta, practical_config(), rng=RngState(1)).records
+    assert not record.skipped
+    assert record.stepsize_applied == pytest.approx(0.3)
+    assert record.negative_fraction == pytest.approx(0.3)
 
 
 def test_step_practical_full_negative_gives_gamma():
     theta = ParamVector(np.zeros(4))
     oracle = scripted_oracle([-1])
     config = practical_config(skip_threshold=0.0, gamma=0.7)
-    state = step_practical(PracticalState(theta), oracle, config, RngState(2))
-    assert state.record.stepsize_applied == pytest.approx(0.7)
+    (record,) = run_practical(oracle, theta, config, rng=RngState(2)).records
+    assert record.stepsize_applied == pytest.approx(0.7)
 
 
 def test_step_practical_degenerate_counts_as_skip():
@@ -205,10 +205,11 @@ def test_step_practical_degenerate_counts_as_skip():
             seed = candidate
             break
     assert seed is not None
-    state = step_practical(PracticalState(theta), oracle, config, RngState(seed))
-    assert state.record.degenerate
-    assert state.record.skipped
-    assert state.theta.values.tobytes() == theta.values.tobytes()
+    traj = run_practical(oracle, theta, config, rng=RngState(seed))
+    (record,) = traj.records
+    assert record.degenerate
+    assert record.skipped
+    assert traj.final_theta.values.tobytes() == theta.values.tobytes()
 
 
 def test_step_practical_never_touches_out_of_scope():
@@ -220,11 +221,9 @@ def test_step_practical_never_touches_out_of_scope():
         mask = np.sort(gen.choice(d, size=k, replace=False))
         theta = ParamVector(gen.standard_normal(d), scope_mask=mask)
         config = practical_config(m=6, skip_threshold=0.0, radius=0.05)
-        state = step_practical(
-            PracticalState(theta), obj.comparison_oracle(), config, RngState(trial)
-        )
+        traj = run_practical(obj.comparison_oracle(), theta, config, rng=RngState(trial))
         outside = np.setdiff1d(np.arange(d), mask)
-        assert state.theta.values[outside].tobytes() == theta.values[outside].tobytes()
+        assert traj.final_theta.values[outside].tobytes() == theta.values[outside].tobytes()
 
 
 # ----- practical loop -----------------------------------------------------
@@ -279,6 +278,39 @@ def test_run_practical_skip_rule_keeps_hash_chain():
         if rec.skipped:
             assert rec.theta_hash == prev.theta_hash
     assert len(set(hashes)) == 1  # all iterations skipped here
+
+
+def test_run_practical_equals_chained_one_iteration_runs():
+    # n iterations in one run, or n one-iteration runs that pass the iterate
+    # on and share one RngState: the same signs and theta bytes per iteration
+    obj = make_sparse_quadratic(12, 4, seed=2)
+    theta0 = ParamVector(np.linspace(-1.0, 1.0, 12))
+    config = practical_config(m=9, skip_threshold=0.3, radius=0.05, scope_mask=(0, 2, 3, 7, 11))
+    compare = obj.comparison_oracle()
+    n = 6
+
+    def answers_per_iteration(runs):
+        signs, thetas, rng, theta = [], [], RngState(4), theta0
+        for iterations in runs:
+            batches = []
+
+            def oracle(a, b):
+                batches.append(compare(a, b))
+                return batches[-1]
+
+            traj = run_practical(
+                oracle, theta, dataclasses.replace(config, iterations=iterations), rng=rng,
+                objective=obj,
+            )
+            signs += [batches[i * config.m:(i + 1) * config.m] for i in range(iterations)]
+            thetas += [rec.theta_hash for rec in traj.records]
+            theta = traj.final_theta
+        return signs, thetas, theta.values.tobytes(), rng.counter
+
+    whole = answers_per_iteration([n])
+    assert whole == answers_per_iteration([1] * n)
+    _, thetas, _, counter = whole
+    assert counter == n and len(set(thetas)) > 2  # some iterations step, not all skip
 
 
 def test_descent_inequality_on_schedule():

@@ -409,36 +409,46 @@ def test_bit_measurement_batch_rejects_malformed_batches():
     rows = np.eye(3)
     signs = np.array([1, -1, 1])
 
-    def batch(directions=rows, signs=signs, radius=0.5):
-        return BitMeasurementBatch(directions, signs, radius, iteration=0, oracle_calls=3)
+    def from_rows(directions=rows, signs=signs, radius=0.5):
+        return BitMeasurementBatch.from_directions(directions, signs, radius, iteration=0)
 
-    batch()
+    def from_sum(direction_sum=rows.sum(axis=0), signs=signs, radius=0.5):
+        return BitMeasurementBatch(signs, direction_sum, radius, iteration=0)
+
+    for batch in (from_rows, from_sum):
+        batch()
+        with pytest.raises(InvalidBatchError, match="signs must be"):
+            batch(signs=np.array([1, 0, -1]))
+        with pytest.raises(InvalidBatchError, match="radius"):
+            batch(radius=0.0)
+        with pytest.raises(InvalidBatchError, match="radius"):
+            batch(radius=math.nan)
+        # values are checked before the int8 cast, which would read 255 as -1
+        with pytest.raises(InvalidBatchError, match="signs must be"):
+            batch(signs=np.array([1, 255, -1]))
+        with pytest.raises(InvalidBatchError, match="signs must be"):
+            batch(signs=np.array([1.7, -1.2, 1.0]))
+        with pytest.raises(InvalidBatchError, match="signs must be a nonempty 1-D"):
+            batch(signs=np.array([], dtype=np.int8))
+    # only rows can be checked for unit length and counted against the signs
     with pytest.raises(InvalidBatchError, match="unit"):
-        batch(directions=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-4], [0.0, 0.0, 1.0]]))
+        from_rows(directions=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-4], [0.0, 0.0, 1.0]]))
     with pytest.raises(InvalidBatchError, match="unit"):
-        batch(directions=np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    with pytest.raises(InvalidBatchError, match="signs must be"):
-        batch(signs=np.array([1, 0, -1]))
+        from_rows(directions=np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(InvalidBatchError, match="length"):
-        batch(signs=np.array([1, -1]))
-    with pytest.raises(InvalidBatchError, match="radius"):
-        batch(radius=0.0)
-    with pytest.raises(InvalidBatchError, match="radius"):
-        batch(radius=math.nan)
-    # values are checked before the int8 cast, which would read 255 as -1
-    with pytest.raises(InvalidBatchError, match="signs must be"):
-        batch(signs=np.array([1, 255, -1]))
-    with pytest.raises(InvalidBatchError, match="signs must be"):
-        batch(signs=np.array([1.7, -1.2, 1.0]))
-    for calls in (2, 4):
-        with pytest.raises(InvalidBatchError, match="oracle_calls"):
-            BitMeasurementBatch(rows, signs, 0.5, iteration=0, oracle_calls=calls)
+        from_rows(signs=np.array([1, -1]))
+    with pytest.raises(InvalidBatchError, match="matrix"):
+        from_rows(directions=rows[0])
+    with pytest.raises(InvalidBatchError, match="direction sum"):
+        from_sum(direction_sum=rows)
+    with pytest.raises(InvalidBatchError, match="direction sum"):
+        from_sum(direction_sum=np.empty(0))
 
 
 def test_bit_measurement_batch_keeps_the_sum_not_the_rows():
     rows = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
     kept = rows.copy()
-    batch = BitMeasurementBatch(rows, [1, -1, -1], 0.5, iteration=4, oracle_calls=3)
+    batch = BitMeasurementBatch.from_directions(rows, [1, -1, -1], 0.5, iteration=4)
     assert not hasattr(batch, "directions")
     assert rows.tobytes() == kept.tobytes()
     assert batch.m == batch.oracle_calls == 3
@@ -447,6 +457,20 @@ def test_bit_measurement_batch_keeps_the_sum_not_the_rows():
     assert c.tobytes() == np.add.reduce(np.array([[0.6, 0.8], [-1.0, -0.0], [-0.0, 1.0]])).tobytes()
     c[0] = 9.0
     assert batch.signed_direction_sum()[0] == 0.6 - 1.0
+
+
+def test_bit_measurement_batch_copies_the_callers_sum_read_only():
+    total = np.array([0.25, -1.5])
+    signs = [1, -1, -1]
+    batch = BitMeasurementBatch(signs, total, 0.5, iteration=2)
+    total[0] = 9.0
+    assert batch.direction_sum.tobytes() == np.array([0.25, -1.5]).tobytes()
+    assert not batch.direction_sum.flags.writeable
+    with pytest.raises(ValueError):
+        batch.direction_sum[1] = 0.0
+    assert batch.m == batch.oracle_calls == 3 and batch.iteration == 2
+    assert batch.signs.dtype == np.int8 and not batch.signs.flags.writeable
+    assert batch.signed_direction_sum().tobytes() == batch.direction_sum.tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -466,12 +490,9 @@ def test_measure_bits_is_bit_identical_for_any_chunk_size(case):
             fresh = RngState(rng.seed, rng.counter)
             batches.append(measure_bits(oracle, theta, radius, m, fresh))
     first = batches[0]
-    whole = BitMeasurementBatch(
-        directions=RngState(rng.seed).sphere_rows(first.iteration, m, k),
-        signs=first.signs,
-        radius=radius,
+    whole = BitMeasurementBatch.from_directions(
+        RngState(rng.seed).sphere_rows(first.iteration, m, k), first.signs, radius,
         iteration=first.iteration,
-        oracle_calls=m,
     )
     for batch in batches:
         assert batch.iteration == rng.counter

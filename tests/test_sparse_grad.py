@@ -20,12 +20,8 @@ from reference_solvers import (
 
 
 def batch_from(directions, signs, radius=1.0):
-    return BitMeasurementBatch(
-        directions=np.asarray(directions, dtype=float),
-        signs=np.asarray(signs, dtype=np.int8),
-        radius=radius,
-        iteration=0,
-        oracle_calls=len(signs),
+    return BitMeasurementBatch.from_directions(
+        np.asarray(directions, dtype=float), np.asarray(signs, dtype=np.int8), radius, iteration=0
     )
 
 
