@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import ParamVector, RngState
 from .errors import DegenerateMeasurementError, InvalidTestError
-from .optimizer import run_basic, schedule_from_theorem
+from .optimizer import loop_profile, run_basic, schedule_from_theorem
 from .oracles import BitMeasurementBatch, compare_function
 from .sparse_grad import solve_1bge_exact
 
@@ -290,13 +290,14 @@ class SweepCell:
 
 @dataclass
 class SweepReport:
-    """Oracle calls to reach the gradient target, per dimension."""
+    """Oracle calls to reach the gradient target, per dimension, and the loops' ``profile``."""
 
     s: int
     epsilon: float
     Lambda: float
     c_m: float
     cells: list[SweepCell]
+    profile: dict = field(default_factory=lambda: loop_profile([]), compare=False)
 
     def mean_calls(self, d: int) -> float | None:
         calls = [c.oracle_calls for c in self.cells if c.d == d and c.converged]
@@ -349,6 +350,7 @@ def sweep_convergence(
     if not dims:
         raise InvalidTestError("dimension grid must be nonempty")
     cells: list[SweepCell] = []
+    trajectories = []
     for d in dims:
         for seed in seeds:
             objective = make_sparse_quadratic(d, s, seed=seed)
@@ -364,6 +366,7 @@ def sweep_convergence(
                 objective=objective,
                 stop_grad_norm=epsilon,
             )
+            trajectories.append(traj)
             calls = traj.oracle_calls_until_grad_below(epsilon)
             cells.append(
                 SweepCell(
@@ -375,7 +378,7 @@ def sweep_convergence(
                     min_grad_norm=float(traj.min_grad_norm),
                 )
             )
-    return SweepReport(s=s, epsilon=epsilon, Lambda=Lambda, c_m=c_m, cells=cells)
+    return SweepReport(s, epsilon, Lambda, c_m, cells, loop_profile(trajectories))
 
 
 def start_with_gap(objective: SyntheticObjective, gap: float) -> tuple[np.ndarray, float]:

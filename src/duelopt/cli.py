@@ -41,7 +41,7 @@ from .errors import (
     RangeError,
     VocabularyError,
 )
-from .optimizer import PracticalConfig, run_basic, run_practical, schedule_from_theorem
+from .optimizer import PracticalConfig, loop_profile, run_basic, run_practical, schedule_from_theorem
 from .oracles import compare_preference
 
 MODES = ("basic", "practical", "pipeline", "bench-lemma", "bench-proposition", "bench-sweep")
@@ -348,6 +348,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
         "bench-sweep": _run_bench_sweep,
     }[config.mode]
     artifacts, passed, summary = runner(config, out_dir, policy, pairs)
+    summary.setdefault("profile", loop_profile([]))  # zeros where no descent loop ran
     manifest = RunManifest(
         mode=config.mode,
         seed=config.seed,
@@ -425,6 +426,7 @@ def _run_basic_mode(config: RunConfig, out_dir: Path, _policy: None, _pairs: Non
         "iterations_run": len(traj.records),
         "total_oracle_calls": traj.total_oracle_calls,
         "min_grad_norm": traj.min_grad_norm,
+        "profile": loop_profile([traj]),
     }
     return artifacts, None, summary
 
@@ -470,7 +472,8 @@ def _run_practical_mode(config: RunConfig, out_dir: Path, policy, pairs: list | 
         summary = {"min_grad_norm": traj.min_grad_norm}
     artifacts["trajectory"] = export_results(traj, out_dir / "trajectory.csv")
     summary["total_oracle_calls"] = traj.total_oracle_calls
-    summary["skipped_iterations"] = traj.skipped_iterations
+    summary["profile"] = loop_profile([traj])
+    summary["skipped_iterations"] = summary["profile"]["skipped_iterations"]
     return artifacts, None, summary
 
 
@@ -484,7 +487,8 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
         refine_epochs=config.refine_epochs,
     )
     result = policy_mod.run_pipeline(dataset, pipeline_config, ref_policy=ref_policy)
-    profile = {f"{stage}_seconds": seconds for stage, seconds in result.stage_seconds.items()}
+    profile = loop_profile([] if result.trajectory is None else [result.trajectory])
+    profile.update({f"{stage}_seconds": seconds for stage, seconds in result.stage_seconds.items()})
     profile["likelihood_report_seconds"] = 0.0
     artifacts = {"split_report": export_results(result.split, out_dir / "split_report.csv")}
     if config.dataset is None:
@@ -505,11 +509,10 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
         artifacts["likelihood_report"] = export_results(
             report, out_dir / "likelihood_report.csv"
         )
-    trajectory = result.trajectory
     summary = {
         "clean_pairs": len(result.split.clean),
         "noisy_pairs": len(result.split.noisy),
-        "skipped_iterations": 0 if trajectory is None else trajectory.skipped_iterations,
+        "skipped_iterations": profile["skipped_iterations"],
         "warnings": list(result.warnings),
         "profile": profile,
     }
@@ -597,7 +600,7 @@ def _run_bench_sweep(config: RunConfig, out_dir: Path, _policy: None, _pairs: No
         "report": export_results(report, out_dir / "sweep_report.csv"),
         "summary": export_results(summary, out_dir / "sweep_summary.json"),
     }
-    return artifacts, passed, summary
+    return artifacts, passed, dict(summary, profile=report.profile)  # timings stay out of the JSON
 
 
 # ----- command line ----------------------------------------------------
@@ -639,7 +642,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DueloptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a size in range that the machine cannot allocate
+    except (MemoryError, ValueError) as exc:  # a size in range the machine or numpy cannot hold
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 

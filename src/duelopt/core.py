@@ -5,13 +5,12 @@ substream from ``(seed, block, index)``, so the i-th perturbation of block t
 is reproducible regardless of the order (or concurrency) in which substreams
 are actually drawn.
 
-Perturbation directions are plain float64 rows. ``RngState.sphere_rows``
-fills row i from a generator re-keyed to ``(seed, block, i)`` just before
-it, which gives the same bytes as one fresh substream per row without paying
-for a generator per row. A row depends on its key alone, so a chunk of rows
-starting at row ``start`` has the bytes of the same rows drawn in one call,
-and ``RngState.sphere_chunks`` fills long rows on two threads with every
-byte the same. ``oracles`` is the one place that checks the rows are unit.
+Perturbation directions are plain float64 rows. Row i of block t is the
+(i mod g)-th run of ``dim`` normals of ``substream(t, i // g)``: a row
+shorter than ``_SPLIT_MIN_DIM`` shares its key with the g rows of its chunk
+(g = ``_CHUNK_FLOATS // dim``), a longer one has a key of its own (g = 1).
+A row depends on its group's key alone, so rows drawn in chunks, on any
+thread, equal rows drawn at once. ``oracles`` checks that the rows are unit.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import hashlib
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,13 +30,16 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _MISSING = object()  # no value kept under a key yet
 
-# Rows at least this long are filled on two threads. Each row takes the
-# interpreter lock for a few us around its fill, which runs without it; the
-# more rows a chunk holds, the more often the two threads wait on each other.
-# In the descent loop on a 2-core VM, halving each chunk's draw made a run at
-# d = 10^4 (6 rows per chunk) about 15% faster; d = 6000 was no faster, and
-# d = 2000 and the bench sweep's d = 800 were slower.
+# Rows at least this long have a key each, and the two threads split a chunk's
+# rows (``_Claims``). On a 2-core VM that made a run at d = 10^4 (6 rows per
+# chunk) about 15% faster; d = 6000 was no faster, d = 2000 and 800 slower.
 _SPLIT_MIN_DIM = 8192
+# rows per chunk times row length stays near this many floats (512 KiB)
+_CHUNK_FLOATS = 1 << 16
+
+
+def _rows_per_key(dim: int) -> int:  # g: one long row, or a chunk's worth of short rows
+    return 1 if dim >= _SPLIT_MIN_DIM else _CHUNK_FLOATS // dim
 
 
 @dataclass
@@ -50,6 +53,8 @@ class RngState:
 
     seed: int
     counter: int = 0
+    # (pid, draw, job, generator, buffers) of a chunk filled ahead for the next draw
+    _ahead: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.seed = int(self.seed) & _MASK64
@@ -64,94 +69,109 @@ class RngState:
         return self.seed | ((block & _MASK32) << 64) | ((index & _MASK32) << 96)
 
     def sphere_rows(self, block: int, count: int, dim: int, start: int = 0) -> np.ndarray:
-        """(count, dim) unit rows; row i is the first row of ``substream(block, start + i)``.
+        """(count, dim) unit rows: rows ``start``... of ``block``, laid out as the module says.
 
-        The one-thread reference draw. Every row is filled by ``_fill_rows``,
-        which re-keys its generator to the row's own substream first, so a
-        row's bytes depend on nothing but its key: rows drawn in chunks equal
-        rows drawn at once, and any thread may fill any row.
+        The one-thread reference draw that tests and row regeneration use.
         """
         if dim < 1:  # a row of no floats has norm zero, and would be redrawn forever
             raise DimensionError(f"dimension must be >= 1, got {dim}")
         rows = np.empty((count, dim), dtype=np.float64)
-        self._fill_rows(self.substream(block, start), rows, block, start)
+        gen = self.substream(block, start // _rows_per_key(dim))
+        gen.standard_normal(start % _rows_per_key(dim) * dim)  # the group's rows before ``start``
+        self._fill_rows(gen, rows, block, start)
         return self._normalize(rows, block, start)
 
     def sphere_chunks(self, block: int, count: int, dim: int, chunk: int):
         """Yield ``(start, rows)``, the rows of ``sphere_rows(block, count, dim)`` by ``chunk``.
 
-        ``rows`` is a view into a buffer a later step refills. Two or more rows
-        of at least ``_SPLIT_MIN_DIM`` floats on two CPUs are filled ahead:
-        while the caller uses chunk j, the worker fills chunk j+1 from its last
-        row down, then the calling thread fills the rest from the first row up.
-        Both generators are opened here; once the iterator is closed, no fill runs.
+        ``rows`` is a view into a buffer that a later step, or this state's
+        next draw, refills. On two CPUs a worker thread fills chunk j+1, with
+        generators opened here, while the caller uses chunk j: short rows in
+        one job, and with the last chunk, chunk 0 of ``block + 1`` if that is
+        the next block, for a next draw of this shape (any other drops it);
+        long rows from the last row down, the caller taking the rest from the
+        first row up. Once the iterator is closed early, no fill runs.
         """
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
-        size = min(chunk, count)
+        size, long = min(chunk, count), dim >= _SPLIT_MIN_DIM
         starts = range(0, count, size)
-        gen = self.substream(block)
-        if count < 2 or dim < _SPLIT_MIN_DIM or _cpu_count() < 2:
-            buffer = np.empty((size, dim), dtype=np.float64)
-            for start in starts:
-                rows = buffer[:count - start]
-                self._fill_rows(gen, rows, block, start)
-                yield start, self._normalize(rows, block, start)
-            return
-        buffers = np.empty((2, size, dim), dtype=np.float64)
-        worker, worker_gen = _row_worker(), self.substream(block, count - 1)
-
-        def ahead(j: int) -> _Claims:
-            rows = buffers[j % 2, :count - starts[j]]
-            return _Claims(self, rows, block, starts[j], worker, worker_gen)
-
-        claims = ahead(0)
+        worker = _row_worker() if _cpu_count() >= 2 and (count >= 2 or not long) else None
+        ahead = self._take_ahead((block, count, dim, size) if worker and not long else None)
+        job, gen, buffers = ahead or (
+            None, self.substream(block), list(np.empty((1 + bool(worker), size, dim))))
+        if worker and long:  # the worker's part of each chunk, from a generator of its own
+            fill_ahead = partial(_Claims, self, worker, (gen, self.substream(block, count - 1)))
+            job = fill_ahead(buffers[0][:count], block, 0)
+        elif worker:
+            fill_ahead = partial(worker.submit, self._fill_rows, gen)
         try:
             for j, start in enumerate(starts):
-                rows = claims.rows
-                claims.fill(gen, True)
-                claims.close()
-                if j + 1 < len(starts):
-                    claims = ahead(j + 1)
+                rows = buffers[j % len(buffers)][:count - start]
+                if job is None or job.cancel():  # a job not started is dropped, not waited for
+                    self._fill_rows(gen, rows, block, start)
+                else:
+                    job.result()
+                job, spare = None, buffers[(j + 1) % len(buffers)]
+                if worker and j + 1 < len(starts):
+                    job = fill_ahead(spare[:count - starts[j + 1]], block, starts[j + 1])
+                elif worker and not long and self.counter == block + 1:
+                    self._ahead = (os.getpid(), (block + 1, count, dim, size),
+                                   fill_ahead(spare, block + 1, 0), gen, [spare, buffers[j % 2]])
                 yield start, self._normalize(rows, block, start)
-        finally:
-            claims.close()
+        except BaseException:  # closed before its end: no fill is left running
+            if job is not None:
+                job.cancel() or job.exception()
+            self._take_ahead(None)
+            raise
+
+    def _take_ahead(self, key):
+        """``(job, gen, buffers)`` of the fill made ahead for ``key``; any other is dropped."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None and ahead[0] == os.getpid():  # a forked child has no such fill
+            if ahead[1] == key:
+                return ahead[2:]
+            ahead[2].cancel() or ahead[2].exception()  # dropped: cancelled, or waited for
+        return None
 
     def _normalize(self, rows: np.ndarray, block: int, start: int) -> np.ndarray:
         """Scale ``rows``, rows ``start``... of ``block``, to unit length in place."""
         # the sum of squares np.linalg.norm(rows, axis=1) takes for float64,
         # without the copy of the rows its conj() makes
         norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+        dim, per_key = rows.shape[1], _rows_per_key(rows.shape[1])
         for i in np.flatnonzero(norms == 0.0):
-            # probability zero; redrawn from the row's own substream, past
-            # every draw of norm zero
-            row, gen = rows[i:i + 1], self.substream(block, start + int(i))
+            # probability zero; redrawn from its group's substream: its own
+            # run, then the runs past the group, up to one of nonzero norm
+            group, pos = divmod(start + int(i), per_key)
+            row, gen = rows[i:i + 1], self.substream(block, group)
+            gen.standard_normal(pos * dim)
+            later = (per_key - pos - 1) * dim  # the group's rows after this one
             while norms[i] == 0.0:
                 row[...] = gen.standard_normal(row.shape)
                 norms[i] = np.sqrt(np.add.reduce(row * row, axis=1))[0]
+                gen.standard_normal(later)
+                later = 0
         # divided in place, not into a second array of the rows' shape
         rows /= norms[:, None]
         return rows
 
-    def _fill_rows(
-        self, gen: np.random.Generator, rows: np.ndarray, block: int, start: int
-    ) -> None:
-        """Fill row i of ``rows`` with the first normals of ``substream(block, start + i)``.
+    def _fill_rows(self, gen: np.random.Generator, rows: np.ndarray, block: int, start: int):
+        """Fill ``rows``, rows ``start``... of ``block``; ``gen`` has drawn the group's rows before.
 
-        Before each row, ``gen``'s Philox bit generator is set to the state a
-        fresh substream starts in (``_fresh_philox``). Of the key's two 64-bit
-        words only the row index changes between rows: the low word is
-        ``self.seed``, the high word ``block | i << 32`` (both halves modulo
-        2**32).
+        At the first row of each key group, ``gen`` is re-keyed to the state a
+        fresh ``substream(block, group)`` starts in (``_fresh_philox``), and
+        each group's rows are drawn in one call.
         """
-        bits = gen.bit_generator
-        key = [self.seed, 0]
-        fresh = _fresh_philox(key)
-        high = block & _MASK32
-        for i, row in enumerate(rows, start):
-            key[1] = high | (i & _MASK32) << 32
-            bits.state = fresh
-            gen.standard_normal(out=row)
+        per_key, bits = _rows_per_key(rows.shape[1]), gen.bit_generator
+        i, end = start, start + len(rows)
+        while i < end:
+            group, skip = divmod(i, per_key)
+            if skip == 0:
+                bits.state = _fresh_philox([self.seed, self._key(block, group) >> 64])
+            n = min(per_key - skip, end - i)
+            gen.standard_normal(out=rows[i - start:i - start + n])
+            i += n
 
     def next_block(self) -> int:
         """Reserve the next block index and advance the counter."""
@@ -179,18 +199,18 @@ def _cpu_count() -> int:
 
 
 class _Claims:
-    """One chunk's rows, claimed one at a time under one lock: the calling
-    thread takes them from the first row up, the worker from the last down."""
+    """One chunk's long rows, claimed one at a time under one lock: the calling
+    thread takes them from the first row up, the worker from the last down.
+    ``cancel``, ``result`` and ``exception`` act on it as on the worker's job."""
 
-    def __init__(self, rng: RngState, rows: np.ndarray, block: int, start: int, worker, gen):
+    def __init__(self, rng: RngState, worker, gens: tuple, rows: np.ndarray, block: int, start: int):
         self.rng, self.rows, self.block, self.start = rng, rows, block, start
         self.low, self.high = 0, len(rows)  # rows low..high-1 are unclaimed
-        self.lock = threading.Lock()
-        self.job = worker.submit(self.fill, gen, False)  # the worker's part
+        self.lock, self.gen = threading.Lock(), gens[0]
+        self.job = worker.submit(self.fill, gens[1], False)  # the worker's part
 
     def fill(self, gen: np.random.Generator, from_low: bool) -> None:
         """Fill rows from one end, one at a time, until none is unclaimed."""
-        rows = self.rows  # read before any claim: ``close`` drops it once all are claimed
         while True:
             with self.lock:
                 if self.low == self.high:
@@ -200,15 +220,23 @@ class _Claims:
                 else:
                     self.high -= 1
                     i = self.high
-            self.rng._fill_rows(gen, rows[i:i + 1], self.block, self.start + i)
+            self.rng._fill_rows(gen, self.rows[i:i + 1], self.block, self.start + i)
 
-    def close(self) -> None:
-        """Claim every row left; wait for the worker's row in flight and raise its error."""
+    def cancel(self) -> bool:
+        """False: a split chunk is never dropped whole, ``result`` fills what is left."""
+        return False
+
+    def result(self) -> None:
+        """Fill the rows left from the first one up; wait for the worker's row, raising its error."""
+        self.fill(self.gen, True)
+        if not self.job.cancel():  # a part not started is dropped, not waited for
+            self.job.result()
+
+    def exception(self) -> None:
+        """Claim every row left; wait for the worker's row in flight."""
         with self.lock:
             self.low = self.high
-        self.rows = None  # a job the worker has not started keeps no buffer alive
-        if not self.job.cancel():  # a job not started is dropped, not waited for
-            self.job.result()
+        self.job.cancel() or self.job.exception()
 
 
 _row_pool = None  # (pid, executor) of the worker thread that fills rows ahead

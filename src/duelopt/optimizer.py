@@ -15,6 +15,7 @@ or below a skip threshold. The schemes differ only in those three choices:
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -150,14 +151,13 @@ class Trajectory:
     final_theta: ParamVector | None = None
     final_f: float | None = None
     final_grad_norm: float | None = None
+    # seconds in measure_bits and in the estimator, timed per batch
+    measure_seconds: float = field(default=0.0, compare=False)
+    estimate_seconds: float = field(default=0.0, compare=False)
 
     @property
     def total_oracle_calls(self) -> int:
         return sum(rec.oracle_calls for rec in self.records)
-
-    @property
-    def skipped_iterations(self) -> int:
-        return sum(rec.skipped for rec in self.records)
 
     @property
     def min_grad_norm(self) -> float | None:
@@ -195,6 +195,19 @@ class Trajectory:
         return rows
 
 
+def loop_profile(trajectories: Sequence[Trajectory]) -> dict:
+    """Counts and loop seconds of ``trajectories``, summed; wasted queries are skipped batches'."""
+    skipped = [rec for traj in trajectories for rec in traj.records if rec.skipped]
+    return {
+        "oracle_queries": sum(traj.total_oracle_calls for traj in trajectories),
+        "skipped_iterations": len(skipped),
+        "degenerate_iterations": sum(rec.degenerate for rec in skipped),
+        "wasted_queries": sum(rec.oracle_calls for rec in skipped),
+        "measure_seconds": sum(traj.measure_seconds for traj in trajectories),
+        "estimate_seconds": sum(traj.estimate_seconds for traj in trajectories),
+    }
+
+
 def _diagnostics(objective, theta: ParamVector) -> tuple[float | None, float | None]:
     if objective is None:
         return None, None
@@ -222,10 +235,12 @@ def _descend(
         f_val, grad_norm = _diagnostics(objective, theta)
         if stop_grad_norm is not None and grad_norm is not None and grad_norm < stop_grad_norm:
             break
+        started = time.perf_counter()
         try:
             batch = measure_bits(oracle_at(t), theta, radius, m, rng)
         except OracleError as exc:
             raise OracleError(f"iteration {t}: {exc}") from exc
+        traj.measure_seconds += (measured := time.perf_counter()) - started
         rho = batch.negative_fraction()
         step, skipped, degenerate = 0.0, rho <= skip_threshold, False
         if not skipped:
@@ -233,7 +248,8 @@ def _descend(
                 direction = estimate(batch).direction
             except DegenerateMeasurementError:
                 skipped = degenerate = True
-            else:
+            traj.estimate_seconds += time.perf_counter() - measured
+            if not skipped:
                 step = stepsize(rho)
                 theta = theta.with_scope_values(theta.scope_values() - step * direction)
         traj.records.append(IterationRecord(

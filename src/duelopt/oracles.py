@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParamVector, RngState, embed_perturbation
+from .core import _CHUNK_FLOATS, ParamVector, RngState, embed_perturbation
 from .errors import DimensionError, InvalidBatchError, OracleError
 
 
@@ -39,20 +39,16 @@ ComparisonOracle = Callable[[ParamVector, ParamVector], Sign]
 LikelihoodEvaluator = Callable[[np.ndarray, tuple], Sequence[float]]
 
 
-# directions per chunk times chunk length stays near this many floats (512 KiB)
-_CHUNK_FLOATS = 1 << 16
-
-
 @dataclass(frozen=True)
 class BitMeasurementBatch:
     """m one-bit measurements: the oracle signs and their signed direction sum.
 
     ``signs`` holds the m +/-1 responses, ``direction_sum`` the sum
     ``sum_i signs[i] * directions[i]`` (a read-only copy of the caller's),
-    and ``iteration`` the counter block whose substreams gave the directions,
-    so direction i can be regenerated as row i of
-    ``RngState(seed).sphere_rows(iteration, m, k)``. The batch keeps the
-    sum, not the (m, k) rows: ``measure_bits`` streams it chunk by chunk,
+    and ``iteration`` the counter block whose substreams gave the directions:
+    direction i is ``RngState(seed).sphere_rows(iteration, 1, k, i)[0]``,
+    which also draws the rows before it that share its key. The batch keeps
+    the sum, not the (m, k) rows: ``measure_bits`` streams it chunk by chunk,
     and ``from_directions`` reduces rows a caller holds.
     """
 
@@ -200,16 +196,16 @@ def measure_bits(
 ) -> BitMeasurementBatch:
     """Collect m one-bit measurements around ``theta``.
 
-    Direction i is the unit row that the substream ``(seed, block, i)`` gives,
-    so the batch is identical no matter how the oracle queries are scheduled.
-    ``signs[i]`` is the oracle's answer at ``embed_perturbation(theta, row i,
-    radius)``, asked once per row in index order. The rows come from
-    ``RngState.sphere_chunks`` and are checked, queried and added to the
-    signed sum in chunks of about ``_CHUNK_FLOATS`` floats, so no (m, k)
-    matrix is ever held; long rows of the next chunk are filled while this
-    one is queried. The sum has the bits of one reduction over all m rows;
-    at k = 1 that holds while m fits one chunk (65,536 rows), beyond which
-    the pairwise column sum is taken per chunk.
+    Direction i is row i of the block's keyed rows (``core``), so the batch
+    is identical no matter how the oracle queries are scheduled. ``signs[i]``
+    is the oracle's answer at ``embed_perturbation(theta, row i, radius)``,
+    asked once per row in index order. ``RngState.sphere_chunks`` gives the
+    rows in chunks of about ``_CHUNK_FLOATS`` floats, one key group of short
+    rows each, filled ahead while the last chunk is queried; each is checked,
+    queried and added to the signed sum, so no (m, k) matrix is ever held.
+    The sum has the bits of one reduction over all m rows; at k = 1 that
+    holds while m fits one chunk (65,536 rows), beyond which the pairwise
+    column sum is taken per chunk.
     """
     if m < 1:
         raise InvalidBatchError(f"m must be >= 1, got {m}")

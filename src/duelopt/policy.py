@@ -631,7 +631,7 @@ def run_pipeline(
     trajectory = run_practical(
         oracle, ParamVector(dpo_clean.flat_params), practical, data_stream=list(split.noisy)
     )
-    if trajectory.skipped_iterations == len(trajectory.records):
+    if all(rec.skipped for rec in trajectory.records):
         warnings.append(
             f"all {len(trajectory.records)} refinement steps skipped; "
             "final policy equals the clean baseline"

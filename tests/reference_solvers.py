@@ -6,8 +6,8 @@ optimality certificate uses weak duality over a one-dimensional multiplier
 grid, the gradient oracle uses central finite differences, and the policy
 oracle uses exhaustive sequence enumeration. The two bisections are the
 fixed-step versions the early-stopping ones must equal bit for bit, and the
-sphere draw is the plain one-generator draw every keyed direction row must
-equal.
+two sphere draws are the plain one-generator draws every keyed direction row
+must equal.
 """
 
 from __future__ import annotations
@@ -181,3 +181,24 @@ def reference_sphere_rows(gen: np.random.Generator, count: int, dim: int) -> np.
         rows[bad] = gen.standard_normal((int(bad.sum()), dim))
         norms = np.linalg.norm(rows, axis=1)
     return rows / norms[:, None]
+
+
+def reference_grouped_rows(substream, per_key: int, count: int, dim: int, start: int = 0):
+    """Rows ``start``... of a block whose rows share keys in groups of ``per_key``.
+
+    Row i is run ``i % per_key`` of ``dim`` normals of ``substream(i // per_key)``,
+    each group drawn whole by a fresh generator. A run of norm zero is
+    replaced by the first nonzero run past its group.
+    """
+    runs, raw = {}, np.empty((count, dim))
+    for j, i in enumerate(range(start, start + count)):
+        group, pos = divmod(i, per_key)
+        if group not in runs:
+            runs[group] = substream(group).standard_normal((per_key, dim))
+        raw[j] = runs[group][pos]
+        if not np.linalg.norm(raw[j:j + 1], axis=1)[0] > 0.0:
+            past = substream(group)
+            past.standard_normal((per_key, dim))
+            while not np.linalg.norm(raw[j:j + 1], axis=1)[0] > 0.0:
+                raw[j] = past.standard_normal(dim)
+    return raw / np.linalg.norm(raw, axis=1)[:, None]

@@ -208,12 +208,62 @@ def test_pipeline_manifest_profiles_its_stages(tmp_path, raw, refined):
     assert code == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     profile = manifest["summary"]["profile"]
-    assert set(profile) == {"split_seconds", "dpo_seconds", "refine_seconds",
-                            "likelihood_report_seconds"}
-    assert all(type(value) is float and value >= 0.0 for value in profile.values())
+    stages = {"split_seconds", "dpo_seconds", "refine_seconds", "likelihood_report_seconds"}
+    # beside the stage timers, the refinement loop's counters and timers
+    assert set(profile) == stages | set(LOOP_PROFILE)
+    stage_seconds = [profile[name] for name in stages]
+    assert all(type(value) is float and value >= 0.0 for value in stage_seconds)
     assert (profile["refine_seconds"] > 0.0) == refined
     assert ("likelihood_report" in manifest["artifacts"]) == refined
-    assert sum(profile.values()) <= manifest["wall_clock_seconds"]
+    assert sum(stage_seconds) <= manifest["wall_clock_seconds"]
+
+
+LOOP_PROFILE = ("oracle_queries", "skipped_iterations", "degenerate_iterations",
+                "wasted_queries", "measure_seconds", "estimate_seconds")
+
+
+@pytest.mark.parametrize("raw", [
+    {"mode": "basic", "d": 30, "s": 3, "Delta": 0.3, "c_m": 2.0, "T": 4},
+    # a high skip threshold makes skipped, wasted batches
+    {"mode": "practical", "d": 12, "s": 3, "T": 6, "m": 8, "r": 0.05, "skip_threshold": 0.5},
+    {"mode": "practical", "dataset": str(BUNDLED_DATASET), "m": 20, "T": 3},
+    {"mode": "pipeline", "n_clean": 4, "n_noisy": 2, "dpo_epochs": 2, "m": 10,
+     "pairs_per_batch": 2},
+    {"mode": "bench-sweep", "dims": [20, 40], "bench_seeds": [0, 1], "epsilon": 0.3},
+    {"mode": "bench-lemma", "d": 20, "n_samples": 500},
+    {"mode": "bench-proposition", "d": 20, "s": 2, "trials": 2},
+])
+def test_every_mode_profiles_its_descent_loops(tmp_path, monkeypatch, raw):
+    cells = []
+    run_basic = duelopt.bench.run_basic
+    monkeypatch.setattr(duelopt.bench, "run_basic", lambda *a, **k: cells.append(
+        run_basic(*a, **k)) or cells[-1])
+    manifest = run_experiment(build_config(dict(raw, out_dir=str(tmp_path))))
+    profile = manifest.summary["profile"]
+    assert set(LOOP_PROFILE) <= set(profile)
+    # the counts are the sums over the run's trajectories: every sweep cell's
+    if raw["mode"] == "bench-sweep":
+        records = [rec for traj in cells for rec in traj.records]
+        assert len(cells) == 4 and len(records) >= 4
+        assert profile["oracle_queries"] == sum(rec.oracle_calls for rec in records)
+        assert profile["skipped_iterations"] == profile["wasted_queries"] == 0
+        assert profile["measure_seconds"] == sum(traj.measure_seconds for traj in cells)
+    elif raw["mode"].startswith("bench-"):  # no descent loop runs
+        assert all(profile[name] == 0 for name in LOOP_PROFILE)
+    else:
+        header, *rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        columns = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert profile["oracle_queries"] == sum(int(c["oracle_calls"]) for c in columns)
+        skipped = [c for c in columns if c["skipped"] == "1"]
+        assert profile["skipped_iterations"] == len(skipped)
+        assert profile["wasted_queries"] == sum(int(c["oracle_calls"]) for c in skipped)
+        assert profile["degenerate_iterations"] <= len(skipped)
+        if raw["mode"] == "practical" and "dataset" not in raw:
+            assert 0 < len(skipped) < len(columns)
+    seconds = profile["measure_seconds"] + profile["estimate_seconds"]
+    assert all(profile[name] >= 0 for name in LOOP_PROFILE)
+    assert seconds <= manifest.wall_clock_seconds
+    assert (profile["measure_seconds"] > 0) == (profile["oracle_queries"] > 0)
 
 
 def test_run_experiment_practical_synthetic_deterministic(tmp_path):
@@ -523,6 +573,18 @@ def test_cli_size_the_machine_cannot_allocate_is_an_error(tmp_path, capsys):
     # 4 EiB of signs: refused at once by the allocator, so no memory is touched
     path = write_config(tmp_path, {"mode": "practical", "m": 2**62, "out_dir": str(tmp_path / "out")})
     assert "out of memory" in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"mode": "basic", "d": 2**63 - 1},
+    {"mode": "bench-sweep", "dims": [2**63 - 1]},
+    {"mode": "basic", "d": 2**60},
+])
+def test_cli_size_whose_bytes_numpy_cannot_address_is_an_error(tmp_path, capsys, payload):
+    # d float64s take 8 * d bytes, past numpy's index range from d = 2**60 on
+    path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+    assert "out of memory: array is too big" in one_line_error(capsys, ["run", "--config", str(path)])
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,7 @@ from duelopt import core
 from duelopt import ParamVector, RngState, embed_perturbation
 from duelopt.errors import DimensionError
 
-from reference_solvers import reference_sphere_rows
+from reference_solvers import reference_grouped_rows, reference_sphere_rows
 
 
 def test_sphere_dim1_is_plus_or_minus_one():
@@ -75,15 +75,15 @@ def test_substreams_are_order_independent():
     seed=st.integers(0, 2**64 - 1),
     block=st.one_of(st.integers(0, 9), st.integers(2**32 - 2, 2**40)),
     count=st.integers(1, 12),
-    # past 128 numpy sums a row's squares in pairwise blocks
-    dim=st.one_of(st.integers(1, 9), st.integers(120, 700)),
+    # a row this long has a key of its own; shorter rows share theirs
+    dim=st.integers(core._SPLIT_MIN_DIM, core._SPLIT_MIN_DIM + 700),
     start=st.integers(0, 12),
 )
-@example(seed=0, block=0, count=1, dim=1, start=0)
-@example(seed=3, block=1, count=3, dim=129, start=0)
-@example(seed=4, block=2, count=2, dim=1000, start=5)
-@example(seed=2**64 - 1, block=2**32 + 3, count=7, dim=1, start=0)
-@example(seed=5, block=2**33 - 1, count=1, dim=6, start=3)
+@example(seed=0, block=0, count=1, dim=core._SPLIT_MIN_DIM, start=0)
+@example(seed=3, block=1, count=3, dim=core._SPLIT_MIN_DIM + 129, start=0)
+@example(seed=4, block=2, count=2, dim=core._SPLIT_MIN_DIM + 1000, start=5)
+@example(seed=2**64 - 1, block=2**32 + 3, count=7, dim=core._SPLIT_MIN_DIM, start=0)
+@example(seed=5, block=2**33 - 1, count=1, dim=core._SPLIT_MIN_DIM + 6, start=3)
 def test_sphere_rows_equal_one_substream_per_row(seed, block, count, dim, start):
     rng = RngState(seed, counter=3)
     first = rng.sphere_rows(block, count, dim)
@@ -145,6 +145,132 @@ def test_long_rows_filled_on_two_threads_equal_one_substream_per_row(
         assert chunks == [(start, min(chunk, count - start)) for start in starts]
 
 
+def per_key(dim):
+    """Rows sharing one key: the rows of a chunk, or one row of at least _SPLIT_MIN_DIM."""
+    return 1 if dim >= core._SPLIT_MIN_DIM else core._CHUNK_FLOATS // dim
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    block=st.one_of(st.integers(0, 9), st.integers(2**32 - 2, 2**40)),
+    dim=st.one_of(
+        st.integers(1, 9), st.integers(120, 700),
+        st.integers(core._SPLIT_MIN_DIM - 2, core._SPLIT_MIN_DIM + 1),
+    ),
+    # rows per key when a smaller chunk is patched in, so a draw spans groups
+    group=st.one_of(st.none(), st.integers(1, 5)),
+    count=st.integers(1, 13),
+    start=st.integers(0, 12),
+    chunk=st.integers(1, 14),
+)
+@example(seed=0, block=0, dim=1, group=None, count=3, start=0, chunk=2)
+@example(seed=1, block=2, dim=1, group=3, count=7, start=2, chunk=3)
+@example(seed=2, block=2**32 - 1, dim=300, group=4, count=10, start=5, chunk=4)
+@example(seed=3, block=7, dim=core._SPLIT_MIN_DIM - 1, group=None, count=13, start=12, chunk=5)
+def test_rows_are_runs_of_their_key_groups_substream(
+    seed, block, dim, group, count, start, chunk
+):
+    with pytest.MonkeyPatch.context() as mp:
+        if group is not None and dim < core._SPLIT_MIN_DIM:
+            mp.setattr(core, "_CHUNK_FLOATS", group * dim + dim // 2)
+        g = per_key(dim)
+        expected = reference_grouped_rows(
+            lambda c: RngState(seed).substream(block, c), g, start + count, dim
+        )
+        # block and group enter the key modulo 2**32
+        wrapped = reference_grouped_rows(
+            lambda c: RngState(seed).substream(block + 2**32, c + 2**32), g, count, dim
+        )
+        assert wrapped.tobytes() == expected[:count].tobytes()
+        # the next block is due, so a two-CPU draw also fills block + 1 ahead
+        rng = RngState(seed, counter=block + 1)
+        got = rng.sphere_rows(block, count, dim, start)
+        assert got.tobytes() == expected[start:].tobytes()
+        for cpus in (1, 2, 2):
+            mp.setattr(core, "_cpu_count", lambda: cpus)
+            rows, chunks = chunked(rng, block, count, dim, chunk)
+            assert rows == [row.tobytes() for row in expected[:count]]
+            assert chunks == [(s, min(chunk, count - s)) for s in range(0, count, chunk)]
+        assert rng.counter == block + 1
+
+
+def test_a_fill_ahead_is_taken_only_by_the_draw_it_was_made_for(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    opened = []
+    substream = RngState.substream
+
+    def recording_substream(self, block, index=0):
+        opened.append((block, index))
+        return substream(self, block, index)
+
+    monkeypatch.setattr(RngState, "substream", recording_substream)
+    seed, count, dim, chunk = 13, 40, 300, 16
+
+    def draw(rng, block, count=count, dim=dim):
+        opened.clear()
+        rows, _ = chunked(rng, block, count, dim, chunk)
+        drawn_with = list(opened)
+        expected = reference_grouped_rows(
+            lambda c: RngState(seed).substream(block, c), per_key(dim), count, dim
+        )
+        assert rows == [row.tobytes() for row in expected]
+        return drawn_with
+
+    rng = RngState(seed)
+    assert draw(rng, rng.next_block()) == [(0, 0)]
+    # the next block, drawn with the same shape, takes the fill made ahead
+    assert draw(rng, rng.next_block()) == []
+    for change in ({"count": count + 1}, {"dim": dim + 1}, {}):
+        job = rng._ahead[2]
+        if not change:  # a block reserved in between: the draw asks for the one after
+            rng.next_block()
+        block = rng.next_block()
+        assert draw(rng, block, **change) == [(block, 0)]
+        assert job.done()  # dropped: cancelled, or waited for
+    # another block than the one filled ahead
+    job = rng._ahead[2]
+    assert draw(rng, rng.counter + 1) == [(rng.counter + 1, 0)]
+    assert job.done() and rng._ahead is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_never_waits_on_its_parents_fill_ahead(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    parent, started, release = os.getpid(), threading.Event(), threading.Event()
+    caller, fill_rows = threading.get_ident(), RngState._fill_rows
+
+    def held_fill_rows(self, gen, rows, block, start):
+        # the parent's worker, filling block 1 ahead
+        if os.getpid() == parent and threading.get_ident() != caller and block == 1:
+            started.set()
+            assert release.wait(timeout=60)
+        fill_rows(self, gen, rows, block, start)
+
+    monkeypatch.setattr(RngState, "_fill_rows", held_fill_rows)
+    rng, dim = RngState(3), 50
+    expected = reference_grouped_rows(lambda c: RngState(3).substream(1, c), per_key(dim), 4, dim)
+    chunked(rng, rng.next_block(), 4, dim, 2)
+    try:
+        assert started.wait(timeout=60)  # the fill of block 1 runs when the child is forked
+        pid = os.fork()
+        if pid == 0:
+            rows, _ = chunked(rng, rng.next_block(), 4, dim, 2)
+            os._exit(0 if rows == [row.tobytes() for row in expected] else 1)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    finally:
+        release.set()
+    assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+    # the parent takes its own fill
+    rows, _ = chunked(rng, rng.next_block(), 4, dim, 2)
+    assert rows == [row.tobytes() for row in expected]
+
+
 def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     # three chunks, the last one short
@@ -198,8 +324,11 @@ def test_a_forked_child_splits_its_draws_with_a_worker_of_its_own(monkeypatch):
 
 @pytest.mark.parametrize("zero_row", [0, 2, 4])
 def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero_row):
+    # rows this long have a key each; one thread fills them one at a time
+    monkeypatch.setattr(core, "_cpu_count", lambda: 1)
+    dim = core._SPLIT_MIN_DIM
     rng = RngState(11)
-    expected = rng.sphere_rows(3, 7, 4)
+    expected = rng.sphere_rows(3, 7, dim)
 
     class ZeroRow(np.random.Generator):
         """Fills the ``zero_row``-th row drawn into ``out`` with zeros."""
@@ -223,13 +352,60 @@ def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero
     monkeypatch.setattr(RngState, "substream", substream)
     for start in (0, 2):
         opened.clear()
-        got = rng.sphere_rows(3, 5, 4, start)
+        got = rng.sphere_rows(3, 5, dim, start)
         assert opened == [start, start + zero_row]
         assert got.tobytes() == expected[start:start + 5].tobytes()
     # drawn in chunks of 3, the zero row is redrawn by its index in the block
     opened.clear()
-    rows, _ = chunked(rng, 3, 7, 4, 3)
+    rows, _ = chunked(rng, 3, 7, dim, 3)
     assert opened == [0, zero_row]
+    assert rows == [row.tobytes() for row in expected]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("zero_row", [0, 1, 4])
+def test_a_zero_short_row_is_redrawn_past_its_key_group(monkeypatch, cpus, zero_row):
+    # five rows of 4 floats per key; rows 0 to 4 share substream (block, 0)
+    monkeypatch.setattr(core, "_CHUNK_FLOATS", 5 * 4 + 3)
+    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+    seed, block, dim = 11, 3, 4
+
+    class ZeroRun(np.random.Generator):
+        """Draws zeros for run ``zero_row`` of ``dim`` normals of its stream."""
+
+        drawn = 0
+
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            result = super().standard_normal(size, dtype=dtype, out=out)
+            flat = np.reshape(result, -1)  # a view of the contiguous draw
+            low, high = zero_row * dim - self.drawn, (zero_row + 1) * dim - self.drawn
+            flat[max(low, 0):max(high, 0)] = 0.0
+            self.drawn += flat.size
+            return result
+
+    opened = []
+
+    def substream(self, block, index=0):
+        opened.append(index)
+        made = ZeroRun if index == 0 else np.random.Generator
+        return made(np.random.Philox(key=self._key(block, index)))
+
+    monkeypatch.setattr(RngState, "substream", substream)
+    expected = reference_grouped_rows(lambda c: substream(RngState(seed), block, c), 5, 12, dim)
+    # the zero row takes the first run past its group: run 5 of the substream
+    past = np.random.Generator(np.random.Philox(key=RngState(seed)._key(block, 0)))
+    run = past.standard_normal((6, dim))[5:]
+    assert expected[zero_row].tobytes() == (run / np.linalg.norm(run, axis=1)[:, None]).tobytes()
+    rng = RngState(seed)
+    for start in (0, zero_row):
+        opened.clear()
+        got = rng.sphere_rows(block, 12 - start, dim, start)
+        # its own group's substream, opened again: from the row's own run on
+        assert opened == [0, 0]
+        assert got.tobytes() == expected[start:].tobytes()
+    opened.clear()
+    rows, _ = chunked(rng, block, 12, dim, 3)
+    assert opened == [0, 0]
     assert rows == [row.tobytes() for row in expected]
 
 

@@ -19,6 +19,7 @@ from duelopt import (
 )
 from duelopt.bench import start_with_gap
 from duelopt.errors import InvalidScheduleError
+from duelopt.optimizer import loop_profile
 
 
 def scripted_oracle(signs):
@@ -199,8 +200,8 @@ def test_step_practical_degenerate_counts_as_skip():
     for candidate in range(200):
         rng = RngState(candidate)
         block = rng.counter
-        a = rng.substream(block, 0).standard_normal(1)
-        b = rng.substream(block, 1).standard_normal(1)
+        # rows of one float share the key (block, 0): they are its first two runs
+        a, b = rng.substream(block, 0).standard_normal((2, 1))
         if np.sign(a[0]) != np.sign(b[0]):
             seed = candidate
             break
@@ -209,6 +210,9 @@ def test_step_practical_degenerate_counts_as_skip():
     (record,) = traj.records
     assert record.degenerate
     assert record.skipped
+    profile = loop_profile([traj])
+    assert profile["degenerate_iterations"] == profile["skipped_iterations"] == 1
+    assert profile["wasted_queries"] == 2
     assert traj.final_theta.values.tobytes() == theta.values.tobytes()
 
 

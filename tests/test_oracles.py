@@ -26,7 +26,7 @@ from duelopt import (
 from duelopt import core, oracles
 from duelopt.errors import InvalidBatchError, OracleError
 
-from reference_solvers import reference_sphere_rows
+from reference_solvers import reference_grouped_rows
 
 
 def sq_norm(theta):
@@ -224,8 +224,13 @@ def test_measure_bits_rows_and_signs_match_their_substreams(case):
     assert batch.m == batch.oracle_calls == m
     rows = RngState(seed).sphere_rows(batch.iteration, m, theta.scope_dim)
     in_scope = np.arange(theta.dim) if theta.scope_mask is None else theta.scope_mask
+    # short rows: row i is run i of substream (block, 0), one key per chunk
+    per_key = core._CHUNK_FLOATS // theta.scope_dim
+    reference = reference_grouped_rows(
+        lambda c: RngState(seed).substream(block, c), per_key, m, theta.scope_dim
+    )
     for i in range(m):
-        row = reference_sphere_rows(RngState(seed).substream(block, i), 1, theta.scope_dim)[0]
+        row = reference[i]
         assert rows[i].tobytes() == row.tobytes()
         values = theta.values.copy()
         values[in_scope] += radius * row
@@ -327,6 +332,78 @@ def test_measure_bits_stops_its_fills_when_the_oracle_raises(monkeypatch):
     assert active[0] == 0
     # chunk 2 (rows 12 to 17) was claimed at the error, not filled to the end
     assert 1 <= len([start for start in fills if start >= 12]) < 6
+    seen = len(fills)
+    # every job handed to the worker before it has run once this one has
+    core._row_worker().submit(lambda: None).result(timeout=60)
+    assert len(fills) == seen
+    monkeypatch.setattr(RngState, "_fill_rows", fill_rows)
+    after = measure_bits(inner, theta, 0.01, m, rng)
+    fresh = measure_bits(inner, theta, 0.01, m, RngState(seed, counter=after.iteration))
+    assert after.signs.tobytes() == fresh.signs.tobytes()
+    assert after.signed_direction_sum().tobytes() == fresh.signed_direction_sum().tobytes()
+
+
+@pytest.mark.parametrize("k, m", [(1, 3), (300, 5), (300, 700), (core._SPLIT_MIN_DIM - 1, 20)])
+def test_measure_bits_batches_in_turn_are_the_same_on_one_or_two_threads(monkeypatch, k, m):
+    obj = make_sparse_quadratic(k, 1, seed=k)
+    theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        rng = RngState(12)
+        # on two CPUs each batch but the first takes its chunk 0 filled ahead,
+        # except after the change of m, which drops it
+        batches = [measure_bits(obj.comparison_oracle(), theta, 0.01, n, rng)
+                   for n in (m, m, m + 1, m)]
+        runs.append([(b.signs.tobytes(), b.signed_direction_sum().tobytes()) for b in batches])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("raise_at", [100, 205])
+def test_measure_bits_leaves_no_short_row_fill_in_flight_when_the_oracle_raises(
+    monkeypatch, raise_at
+):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    # 93 rows per chunk: chunks start at rows 0, 93 and 186
+    k, m, seed = 700, 210, 5
+    caller = threading.get_ident()
+    fills, active, lock = [], [0], threading.Lock()
+    started = {(0, 186): threading.Event(), (1, 0): threading.Event()}
+    fill_rows = RngState._fill_rows
+
+    def recording_fill_rows(self, gen, rows, block, start):
+        with lock:
+            fills.append((block, start))
+            active[0] += 1
+        try:
+            if threading.get_ident() != caller:
+                if (block, start) in started:
+                    started[block, start].set()
+                time.sleep(0.05)  # keeps the worker's fill in flight when the oracle raises
+            fill_rows(self, gen, rows, block, start)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(RngState, "_fill_rows", recording_fill_rows)
+    obj = make_sparse_quadratic(k, 5, seed=2)
+    theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
+    inner, asked = obj.comparison_oracle(), [0]
+    # row 100 is in chunk 1, while chunk 2 is filled; row 205 in the last
+    # chunk, while chunk 0 of block 1 is filled ahead
+    in_flight = (0, 186) if raise_at < 186 else (1, 0)
+
+    def oracle(a, b):
+        asked[0] += 1
+        if asked[0] == raise_at + 1:
+            assert started[in_flight].wait(timeout=60)
+            raise OracleError("failed on purpose")
+        return inner(a, b)
+
+    rng = RngState(seed)
+    with pytest.raises(OracleError, match="on purpose"):
+        measure_bits(oracle, theta, 0.01, m, rng)
+    assert active[0] == 0 and rng._ahead is None
     seen = len(fills)
     # every job handed to the worker before it has run once this one has
     core._row_worker().submit(lambda: None).result(timeout=60)
