@@ -24,8 +24,6 @@ from .optimizer import loop_profile, run_basic, schedule_from_theorem
 from .oracles import BitMeasurementBatch, compare_function
 from .sparse_grad import solve_1bge_exact
 
-_CHUNK = 4096  # direction rows per chunk of the sign-agreement check
-
 
 @dataclass(frozen=True)
 class SyntheticObjective:
@@ -214,7 +212,7 @@ def check_sign_agreement(
     if n_samples < 1:
         raise InvalidTestError("n_samples must be >= 1")
     agree, block = 0, rng.next_block()
-    with closing(rng.sphere_chunks(block, n_samples, objective.dim, _CHUNK)) as chunks:
+    with closing(rng.sphere_chunks(block, n_samples, objective.dim)) as chunks:
         for _, Z in chunks:
             measured = np.where(objective.value_batch(theta + radius * Z) < f_base, -1, 1)
             linear = np.where(Z @ grad < 0.0, -1, 1)

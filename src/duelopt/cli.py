@@ -260,10 +260,9 @@ def _validate_config(config: RunConfig) -> None:
         raise RangeError("s", config.s, f"[1, d={config.d}]")
     if config.mode in ("basic", "bench-sweep") and not (0.0 < config.epsilon < 1.0):
         raise RangeError("epsilon", config.epsilon, "(0, 1) for schedule-driven modes")
-    if config.mode == "pipeline" and config.dataset is None and config.n_clean + config.n_noisy < 1:
-        raise RangeError(
-            "n_clean + n_noisy", config.n_clean + config.n_noisy, "[1, inf) without a dataset"
-        )
+    pair_count = config.n_clean + config.n_noisy  # a list of this length must be indexable
+    if config.mode == "pipeline" and config.dataset is None and not 1 <= pair_count < 2**63:
+        raise RangeError("n_clean + n_noisy", pair_count, "[1, 2**63) without a dataset")
     if config.scope_mask is not None:
         # ParamVector's own checks, at the dimension of the vector the mode optimizes
         uses_policy = config.mode == "pipeline" or (

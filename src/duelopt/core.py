@@ -18,9 +18,9 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -30,9 +30,10 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _MISSING = object()  # no value kept under a key yet
 
-# Rows at least this long have a key each, and the two threads split a chunk's
-# rows (``_Claims``). On a 2-core VM that made a run at d = 10^4 (6 rows per
-# chunk) about 15% faster; d = 6000 was no faster, d = 2000 and 800 slower.
+# Rows at least this long have a key each; shorter ones share one per chunk.
+# It picks only the key layout. It was measured for an older split of a
+# chunk's rows between two threads: on a 2-core VM that made a run at
+# d = 10^4 about 15% faster; d = 6000 was no faster, d = 2000 and 800 slower.
 _SPLIT_MIN_DIM = 8192
 # rows per chunk times row length stays near this many floats (512 KiB)
 _CHUNK_FLOATS = 1 << 16
@@ -53,7 +54,7 @@ class RngState:
 
     seed: int
     counter: int = 0
-    # (pid, draw, job, generator, buffers) of a chunk filled ahead for the next draw
+    # (pid, draw, job, groups, generator, buffers) of a chunk filled ahead for the next draw
     _ahead: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,57 +82,60 @@ class RngState:
         self._fill_rows(gen, rows, block, start)
         return self._normalize(rows, block, start)
 
-    def sphere_chunks(self, block: int, count: int, dim: int, chunk: int):
-        """Yield ``(start, rows)``, the rows of ``sphere_rows(block, count, dim)`` by ``chunk``.
+    def sphere_chunks(self, block: int, count: int, dim: int):
+        """Yield ``(start, rows)``, the rows of ``sphere_rows(block, count, dim)`` by chunk.
 
-        ``rows`` is a view into a buffer that a later step, or this state's
-        next draw, refills. On two CPUs a worker thread fills chunk j+1, with
-        generators opened here, while the caller uses chunk j: short rows in
-        one job, and with the last chunk, chunk 0 of ``block + 1`` if that is
-        the next block, for a next draw of this shape (any other drops it);
-        long rows from the last row down, the caller taking the rest from the
-        first row up. Once the iterator is closed early, no fill runs.
+        A chunk is about ``_CHUNK_FLOATS`` floats and a whole number of key
+        groups: one group of short rows, or ``_CHUNK_FLOATS // dim`` long
+        rows (at least one). ``rows`` is a view into a buffer that a later
+        step, or this state's next draw, refills. On two CPUs the worker
+        thread fills chunk j+1 while the caller uses chunk j, taking groups
+        from the chunk's last one down; the caller takes those left from the
+        first one up. With the last chunk it fills chunk 0 of ``block + 1``
+        if that is the next block, for a next draw of this shape (any other
+        drops it). Once the iterator is closed early, no fill runs.
         """
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
-        size, long = min(chunk, count), dim >= _SPLIT_MIN_DIM
+        size, per_key = min(max(1, _CHUNK_FLOATS // dim), count), _rows_per_key(dim)
         starts = range(0, count, size)
-        worker = _row_worker() if _cpu_count() >= 2 and (count >= 2 or not long) else None
-        ahead = self._take_ahead((block, count, dim, size) if worker and not long else None)
-        job, gen, buffers = ahead or (
-            None, self.substream(block), list(np.empty((1 + bool(worker), size, dim))))
-        if worker and long:  # the worker's part of each chunk, from a generator of its own
-            fill_ahead = partial(_Claims, self, worker, (gen, self.substream(block, count - 1)))
-            job = fill_ahead(buffers[0][:count], block, 0)
-        elif worker:
-            fill_ahead = partial(worker.submit, self._fill_rows, gen)
+        worker = _row_worker() if _cpu_count() >= 2 else None
+        ahead = self._take_ahead((block, count, dim) if worker else None)
+        job, groups, gen, buffers = ahead or (
+            None, None, self.substream(block), list(np.empty((1 + bool(worker), size, dim))))
+
+        def fill_ahead(part, blk, first):  # a chunk's groups, handed to the worker
+            left = deque(range(first, first + len(part), per_key))
+            return worker.submit(self._fill_groups, _row_pool[2], part, blk, first, left.pop), left
+
         try:
             for j, start in enumerate(starts):
                 rows = buffers[j % len(buffers)][:count - start]
                 if job is None or job.cancel():  # a job not started is dropped, not waited for
-                    self._fill_rows(gen, rows, block, start)
-                else:
-                    job.result()
+                    job, groups = None, deque(range(start, start + len(rows), per_key))
+                self._fill_groups(gen, rows, block, start, groups.popleft)
+                if job is not None:
+                    job.result()  # the worker's group in flight, raising its error
                 job, spare = None, buffers[(j + 1) % len(buffers)]
                 if worker and j + 1 < len(starts):
-                    job = fill_ahead(spare[:count - starts[j + 1]], block, starts[j + 1])
-                elif worker and not long and self.counter == block + 1:
-                    self._ahead = (os.getpid(), (block + 1, count, dim, size),
-                                   fill_ahead(spare, block + 1, 0), gen, [spare, buffers[j % 2]])
+                    job, groups = fill_ahead(spare[:count - starts[j + 1]], block, starts[j + 1])
+                elif worker and self.counter == block + 1:
+                    self._ahead = (os.getpid(), (block + 1, count, dim),
+                                   *fill_ahead(spare, block + 1, 0), gen, [spare, buffers[j % 2]])
                 yield start, self._normalize(rows, block, start)
         except BaseException:  # closed before its end: no fill is left running
             if job is not None:
-                job.cancel() or job.exception()
+                _drop(job, groups)
             self._take_ahead(None)
             raise
 
     def _take_ahead(self, key):
-        """``(job, gen, buffers)`` of the fill made ahead for ``key``; any other is dropped."""
+        """``(job, groups, gen, buffers)`` of the fill ahead for ``key``; any other is dropped."""
         ahead, self._ahead = self._ahead, None
         if ahead is not None and ahead[0] == os.getpid():  # a forked child has no such fill
             if ahead[1] == key:
                 return ahead[2:]
-            ahead[2].cancel() or ahead[2].exception()  # dropped: cancelled, or waited for
+            _drop(*ahead[2:4])
         return None
 
     def _normalize(self, rows: np.ndarray, block: int, start: int) -> np.ndarray:
@@ -173,6 +177,22 @@ class RngState:
             gen.standard_normal(out=rows[i - start:i - start + n])
             i += n
 
+    def _fill_groups(self, gen: np.random.Generator, rows: np.ndarray, block: int, start: int,
+                     pop: Callable[[], int]) -> None:
+        """Fill the key groups of ``rows``, rows ``start``... of ``block``, that ``pop`` takes.
+
+        ``pop`` gives a group's first row until the groups run out. The
+        caller and the worker take groups from the two ends of one deque,
+        whose ``pop`` and ``popleft`` are atomic, so no group is filled twice.
+        """
+        per_key = _rows_per_key(rows.shape[1])
+        while True:
+            try:
+                first = pop()
+            except IndexError:
+                return
+            self._fill_rows(gen, rows[first - start:first - start + per_key], block, first)
+
     def next_block(self) -> int:
         """Reserve the next block index and advance the counter."""
         block = self.counter
@@ -198,56 +218,23 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-class _Claims:
-    """One chunk's long rows, claimed one at a time under one lock: the calling
-    thread takes them from the first row up, the worker from the last down.
-    ``cancel``, ``result`` and ``exception`` act on it as on the worker's job."""
-
-    def __init__(self, rng: RngState, worker, gens: tuple, rows: np.ndarray, block: int, start: int):
-        self.rng, self.rows, self.block, self.start = rng, rows, block, start
-        self.low, self.high = 0, len(rows)  # rows low..high-1 are unclaimed
-        self.lock, self.gen = threading.Lock(), gens[0]
-        self.job = worker.submit(self.fill, gens[1], False)  # the worker's part
-
-    def fill(self, gen: np.random.Generator, from_low: bool) -> None:
-        """Fill rows from one end, one at a time, until none is unclaimed."""
-        while True:
-            with self.lock:
-                if self.low == self.high:
-                    return
-                if from_low:
-                    i, self.low = self.low, self.low + 1
-                else:
-                    self.high -= 1
-                    i = self.high
-            self.rng._fill_rows(gen, self.rows[i:i + 1], self.block, self.start + i)
-
-    def cancel(self) -> bool:
-        """False: a split chunk is never dropped whole, ``result`` fills what is left."""
-        return False
-
-    def result(self) -> None:
-        """Fill the rows left from the first one up; wait for the worker's row, raising its error."""
-        self.fill(self.gen, True)
-        if not self.job.cancel():  # a part not started is dropped, not waited for
-            self.job.result()
-
-    def exception(self) -> None:
-        """Claim every row left; wait for the worker's row in flight."""
-        with self.lock:
-            self.low = self.high
-        self.job.cancel() or self.job.exception()
+def _drop(job, groups: deque) -> None:
+    """Drop a fill: no group is left to start, and the one in flight is waited for."""
+    groups.clear()  # first, or the worker would fill every group while waited for
+    job.cancel() or job.exception()
 
 
-_row_pool = None  # (pid, executor) of the worker thread that fills rows ahead
+_row_pool = None  # (pid, executor, generator) of the worker thread that fills rows ahead
 _row_pool_lock = threading.Lock()
 
 
 def _row_worker():
     """The executor whose one thread fills rows ahead for ``sphere_chunks``.
 
-    It is made on first use, so importing the module starts no thread. A
-    forked child does not have the parent's thread, so a child makes its own.
+    Its generator, ``_row_pool[2]``, is used on that thread alone; a fill
+    starts at a key group, so it re-keys the generator first. Both are made
+    on first use, so importing the module starts no thread. A forked child
+    does not have the parent's thread, so a child makes its own.
     """
     global _row_pool
     with _row_pool_lock:
@@ -255,7 +242,8 @@ def _row_worker():
             # imported here, so that importing duelopt does not import it
             from concurrent.futures import ThreadPoolExecutor
 
-            _row_pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="duelopt-rows"))
+            executor = ThreadPoolExecutor(1, thread_name_prefix="duelopt-rows")
+            _row_pool = (os.getpid(), executor, np.random.Generator(np.random.Philox(key=0)))
         return _row_pool[1]
 
 

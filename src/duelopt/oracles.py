@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _CHUNK_FLOATS, ParamVector, RngState, embed_perturbation
+from .core import ParamVector, RngState, embed_perturbation
 from .errors import DimensionError, InvalidBatchError, OracleError
 
 
@@ -200,8 +200,8 @@ def measure_bits(
     is identical no matter how the oracle queries are scheduled. ``signs[i]``
     is the oracle's answer at ``embed_perturbation(theta, row i, radius)``,
     asked once per row in index order. ``RngState.sphere_chunks`` gives the
-    rows in chunks of about ``_CHUNK_FLOATS`` floats, one key group of short
-    rows each, filled ahead while the last chunk is queried; each is checked,
+    rows in chunks of about 65,536 floats, a whole number of key groups,
+    filled ahead while the last chunk is queried; each is checked,
     queried and added to the signed sum, so no (m, k) matrix is ever held.
     The sum has the bits of one reduction over all m rows; at k = 1 that
     holds while m fits one chunk (65,536 rows), beyond which the pairwise
@@ -216,7 +216,7 @@ def measure_bits(
     signs = np.empty(m, dtype=np.int8)
     total = None
     # closed on the way out, so that no row is filled once this returns
-    with closing(rng.sphere_chunks(block, m, k, max(1, _CHUNK_FLOATS // k))) as chunks:
+    with closing(rng.sphere_chunks(block, m, k)) as chunks:
         for start, rows in chunks:
             _check_unit_rows(rows)
             for i, row in enumerate(rows, start):

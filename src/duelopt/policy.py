@@ -714,7 +714,9 @@ def generate_preference_data(
     def rand_seq(length: int) -> tuple[int, ...]:
         return tuple(int(t) for t in gen.integers(0, V, size=length))
 
-    out: list[PreferencePair] = []
+    # made whole up front, so a count no list can hold is a MemoryError at once
+    out: list = [None] * (n_noisy + n_clean)
+    filled = 0
     for want_noisy, quota in ((True, n_noisy), (False, n_clean)):
         for _ in range(quota):
             for attempt in range(MAX_ATTEMPTS_PER_PAIR):
@@ -731,7 +733,8 @@ def generate_preference_data(
                     continue
                 pair = PreferencePair(prompt, preferred, dispreferred)
                 if (abs(_ref_margin(ref_policy, pair)) <= delta) == want_noisy:
-                    out.append(pair)
+                    out[filled] = pair
+                    filled += 1
                     break
             else:
                 kind = "noisy" if want_noisy else "clean"

@@ -20,7 +20,7 @@ from duelopt import (
     point_with_gradient_norm,
     sweep_convergence,
 )
-from duelopt import bench
+from duelopt import core
 from duelopt.bench import _scale_reaching, start_with_gap
 from duelopt.errors import InvalidTestError
 
@@ -213,8 +213,8 @@ def test_sign_agreement_draws_its_directions_as_rows_of_one_block():
     obj = make_sparse_quadratic(12, 3, seed=17)
     rng = RngState(18, counter=5)
     theta = point_with_gradient_norm(obj, 1.0, rng.substream(rng.next_block()))
-    # three chunks, the last one short
-    n, block = 2 * bench._CHUNK + 3, rng.counter
+    # three chunks of one key group each, the last one short
+    n, block = 2 * (core._CHUNK_FLOATS // obj.dim) + 3, rng.counter
     # a radius at which about 7% of the signs disagree, so every row counts
     agreement = check_sign_agreement(obj, theta, 1.0, n, rng, radius=1.0)
     assert rng.counter == block + 1

@@ -485,6 +485,8 @@ def test_cli_split_bad_input_is_an_error(tmp_path, capsys, flags, field):
     # a pipeline with no dataset synthesizes n_clean + n_noisy pairs
     ({"mode": "pipeline", "n_clean": 0, "n_noisy": 0}, "n_clean + n_noisy"),
     ({"mode": "pipeline", "n_clean": -1, "n_noisy": -2}, "n_clean"),
+    # each in range, but no list of pairs that long could be indexed
+    ({"mode": "pipeline", "n_clean": 2**62, "n_noisy": 2**62}, "n_clean + n_noisy"),
 ])
 def test_cli_bench_field_out_of_range_is_an_error(tmp_path, capsys, payload, field):
     path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
@@ -572,6 +574,16 @@ def test_integer_fields_take_sizes_below_2_to_the_63():
 def test_cli_size_the_machine_cannot_allocate_is_an_error(tmp_path, capsys):
     # 4 EiB of signs: refused at once by the allocator, so no memory is touched
     path = write_config(tmp_path, {"mode": "practical", "m": 2**62, "out_dir": str(tmp_path / "out")})
+    assert "out of memory" in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_noisy", [2**62, 2**63 - 21])
+def test_cli_pair_count_the_machine_cannot_hold_is_an_error(tmp_path, capsys, n_noisy):
+    # the pair list is made whole before any pair is drawn, and no list that long fits
+    path = write_config(
+        tmp_path, {"mode": "pipeline", "n_noisy": n_noisy, "out_dir": str(tmp_path / "out")}
+    )
     assert "out of memory" in one_line_error(capsys, ["run", "--config", str(path)])
     assert not (tmp_path / "out").exists()
 

@@ -49,7 +49,7 @@ def test_sphere_rejects_zero_dim():
         with pytest.raises(DimensionError):
             rng.sphere_rows(0, 2, dim)
         with pytest.raises(DimensionError):
-            next(rng.sphere_chunks(0, 2, dim, 1))
+            next(rng.sphere_chunks(0, 2, dim))
 
 
 def test_fixed_seed_gives_identical_sample_trajectory():
@@ -104,13 +104,19 @@ def test_sphere_rows_equal_one_substream_per_row(seed, block, count, dim, start)
         assert chunk[i].tobytes() == shifted.tobytes()
 
 
-def chunked(rng, block, count, dim, chunk):
+def chunked(rng, block, count, dim):
     """Bytes of each row ``sphere_chunks`` yields, and the (start, length) of each chunk."""
     rows, chunks = [], []
-    for start, part in rng.sphere_chunks(block, count, dim, chunk):
+    for start, part in rng.sphere_chunks(block, count, dim):
         chunks.append((start, len(part)))
         rows.extend(row.tobytes() for row in part)
     return rows, chunks
+
+
+def chunk_layout(count, dim):
+    """(start, length) of each chunk: ``_CHUNK_FLOATS // dim`` rows, at least one."""
+    size = max(1, core._CHUNK_FLOATS // dim)
+    return [(start, min(size, count - start)) for start in range(0, count, size)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -131,18 +137,19 @@ def test_long_rows_filled_on_two_threads_equal_one_substream_per_row(
         reference_sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
         for i in range(count)
     ]
-    starts = list(range(0, count, chunk))
-    # one CPU takes the one-thread path; two fill ahead any draw of two rows or more
+    # one CPU takes the one-thread path; on two the worker has a generator of its own
     for cpus in (1, 2):
         opened = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_cpu_count", lambda: cpus)
+            # ``chunk`` rows per chunk; long rows keep a key each
+            mp.setattr(core, "_CHUNK_FLOATS", chunk * dim + dim // 2)
             substream = RngState.substream
             mp.setattr(RngState, "substream", lambda *a: opened.append(a) or substream(*a))
-            rows, chunks = chunked(RngState(seed), block, count, dim, chunk)
-        assert len(opened) == (2 if cpus == 2 and count >= 2 else 1)
+            rows, chunks = chunked(RngState(seed), block, count, dim)
+        assert len(opened) == 1
         assert rows == expected
-        assert chunks == [(start, min(chunk, count - start)) for start in starts]
+        assert chunks == [(start, min(chunk, count - start)) for start in range(0, count, chunk)]
 
 
 def per_key(dim):
@@ -158,21 +165,20 @@ def per_key(dim):
         st.integers(1, 9), st.integers(120, 700),
         st.integers(core._SPLIT_MIN_DIM - 2, core._SPLIT_MIN_DIM + 1),
     ),
-    # rows per key when a smaller chunk is patched in, so a draw spans groups
+    # rows per chunk when a smaller chunk is patched in, so a draw spans chunks;
+    # also rows per key, where rows are short
     group=st.one_of(st.none(), st.integers(1, 5)),
     count=st.integers(1, 13),
     start=st.integers(0, 12),
-    chunk=st.integers(1, 14),
 )
-@example(seed=0, block=0, dim=1, group=None, count=3, start=0, chunk=2)
-@example(seed=1, block=2, dim=1, group=3, count=7, start=2, chunk=3)
-@example(seed=2, block=2**32 - 1, dim=300, group=4, count=10, start=5, chunk=4)
-@example(seed=3, block=7, dim=core._SPLIT_MIN_DIM - 1, group=None, count=13, start=12, chunk=5)
-def test_rows_are_runs_of_their_key_groups_substream(
-    seed, block, dim, group, count, start, chunk
-):
+@example(seed=0, block=0, dim=1, group=None, count=3, start=0)
+@example(seed=1, block=2, dim=1, group=3, count=7, start=2)
+@example(seed=2, block=2**32 - 1, dim=300, group=4, count=10, start=5)
+@example(seed=3, block=7, dim=core._SPLIT_MIN_DIM - 1, group=None, count=13, start=12)
+@example(seed=4, block=8, dim=core._SPLIT_MIN_DIM, group=3, count=8, start=1)
+def test_rows_are_runs_of_their_key_groups_substream(seed, block, dim, group, count, start):
     with pytest.MonkeyPatch.context() as mp:
-        if group is not None and dim < core._SPLIT_MIN_DIM:
+        if group is not None:
             mp.setattr(core, "_CHUNK_FLOATS", group * dim + dim // 2)
         g = per_key(dim)
         expected = reference_grouped_rows(
@@ -189,9 +195,10 @@ def test_rows_are_runs_of_their_key_groups_substream(
         assert got.tobytes() == expected[start:].tobytes()
         for cpus in (1, 2, 2):
             mp.setattr(core, "_cpu_count", lambda: cpus)
-            rows, chunks = chunked(rng, block, count, dim, chunk)
+            rows, chunks = chunked(rng, block, count, dim)
             assert rows == [row.tobytes() for row in expected[:count]]
-            assert chunks == [(s, min(chunk, count - s)) for s in range(0, count, chunk)]
+            # a chunk is a whole number of key groups: one of short rows
+            assert chunks == chunk_layout(count, dim)
         assert rng.counter == block + 1
 
 
@@ -205,11 +212,11 @@ def test_a_fill_ahead_is_taken_only_by_the_draw_it_was_made_for(monkeypatch):
         return substream(self, block, index)
 
     monkeypatch.setattr(RngState, "substream", recording_substream)
-    seed, count, dim, chunk = 13, 40, 300, 16
+    seed, count = 13, 40
 
-    def draw(rng, block, count=count, dim=dim):
+    def draw(rng, block, count, dim):
         opened.clear()
-        rows, _ = chunked(rng, block, count, dim, chunk)
+        rows, _ = chunked(rng, block, count, dim)
         drawn_with = list(opened)
         expected = reference_grouped_rows(
             lambda c: RngState(seed).substream(block, c), per_key(dim), count, dim
@@ -217,21 +224,25 @@ def test_a_fill_ahead_is_taken_only_by_the_draw_it_was_made_for(monkeypatch):
         assert rows == [row.tobytes() for row in expected]
         return drawn_with
 
-    rng = RngState(seed)
-    assert draw(rng, rng.next_block()) == [(0, 0)]
-    # the next block, drawn with the same shape, takes the fill made ahead
-    assert draw(rng, rng.next_block()) == []
-    for change in ({"count": count + 1}, {"dim": dim + 1}, {}):
-        job = rng._ahead[2]
-        if not change:  # a block reserved in between: the draw asks for the one after
-            rng.next_block()
-        block = rng.next_block()
-        assert draw(rng, block, **change) == [(block, 0)]
-        assert job.done()  # dropped: cancelled, or waited for
-    # another block than the one filled ahead
-    job = rng._ahead[2]
-    assert draw(rng, rng.counter + 1) == [(rng.counter + 1, 0)]
-    assert job.done() and rng._ahead is None
+    for dim in (300, core._SPLIT_MIN_DIM):
+        # chunks of 16 rows: one key group of short rows, or 16 long rows
+        monkeypatch.setattr(core, "_CHUNK_FLOATS", 16 * dim)
+        rng = RngState(seed)
+        assert draw(rng, rng.next_block(), count, dim) == [(0, 0)]
+        # the next block, drawn with the same shape, takes the fill made ahead
+        assert draw(rng, rng.next_block(), count, dim) == []
+        for shape in ((count + 1, dim), (count, dim + 1), (count, dim)):
+            job, groups = rng._ahead[2:4]
+            if shape == (count, dim):  # a block reserved in between: the draw skips it
+                rng.next_block()
+            block = rng.next_block()
+            assert draw(rng, block, *shape) == [(block, 0)]
+            # dropped: no group left to start, the one in flight waited for
+            assert job.done() and not groups
+        # another block than the one filled ahead
+        job, groups = rng._ahead[2:4]
+        assert draw(rng, rng.counter + 1, count, dim) == [(rng.counter + 1, 0)]
+        assert job.done() and not groups and rng._ahead is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -250,12 +261,12 @@ def test_a_forked_child_never_waits_on_its_parents_fill_ahead(monkeypatch):
     monkeypatch.setattr(RngState, "_fill_rows", held_fill_rows)
     rng, dim = RngState(3), 50
     expected = reference_grouped_rows(lambda c: RngState(3).substream(1, c), per_key(dim), 4, dim)
-    chunked(rng, rng.next_block(), 4, dim, 2)
+    chunked(rng, rng.next_block(), 4, dim)
     try:
         assert started.wait(timeout=60)  # the fill of block 1 runs when the child is forked
         pid = os.fork()
         if pid == 0:
-            rows, _ = chunked(rng, rng.next_block(), 4, dim, 2)
+            rows, _ = chunked(rng, rng.next_block(), 4, dim)
             os._exit(0 if rows == [row.tobytes() for row in expected] else 1)
         deadline = time.monotonic() + 60
         while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
@@ -267,14 +278,15 @@ def test_a_forked_child_never_waits_on_its_parents_fill_ahead(monkeypatch):
         release.set()
     assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
     # the parent takes its own fill
-    rows, _ = chunked(rng, rng.next_block(), 4, dim, 2)
+    rows, _ = chunked(rng, rng.next_block(), 4, dim)
     assert rows == [row.tobytes() for row in expected]
 
 
 def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
-    # three chunks, the last one short
-    seed, block, count, dim, chunk = 7, 5, 9, core._SPLIT_MIN_DIM, 4
+    # three chunks of 4 rows, the last one short
+    seed, block, count, dim = 7, 5, 9, core._SPLIT_MIN_DIM
+    monkeypatch.setattr(core, "_CHUNK_FLOATS", 4 * dim)
     expected = [
         reference_sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
         for i in range(count)
@@ -284,7 +296,7 @@ def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
     def draw():
         try:
             for _ in range(5):
-                drawn.append(chunked(RngState(seed), block, count, dim, chunk)[0])
+                drawn.append(chunked(RngState(seed), block, count, dim)[0])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -304,15 +316,82 @@ def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
     assert drawn == [expected] * 20
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    dim=st.one_of(
+        st.integers(1, 9), st.integers(core._SPLIT_MIN_DIM - 2, core._SPLIT_MIN_DIM + 1)
+    ),
+    # rows per chunk when a smaller chunk is patched in; also rows per key of short rows
+    group=st.one_of(st.none(), st.integers(1, 5)),
+    count=st.integers(1, 13),
+    cpus=st.sampled_from([1, 2]),
+)
+@example(seed=0, dim=1, group=None, count=1, cpus=2)
+@example(seed=1, dim=core._SPLIT_MIN_DIM, group=2, count=13, cpus=2)
+@example(seed=2, dim=core._SPLIT_MIN_DIM - 1, group=None, count=13, cpus=2)
+def test_consecutive_draws_of_one_shape_take_the_fill_ahead_and_keep_every_byte(
+    seed, dim, group, count, cpus
+):
+    opened, substream = [], RngState.substream
+
+    def recording_substream(self, block, index=0):
+        opened.append((block, index))
+        return substream(self, block, index)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_cpu_count", lambda: cpus)
+        if group is not None:
+            mp.setattr(core, "_CHUNK_FLOATS", group * dim + dim // 2)
+        mp.setattr(RngState, "substream", recording_substream)
+        rng = RngState(seed)
+        for _ in range(2):
+            opened.clear()
+            block = rng.next_block()
+            rows, chunks = chunked(rng, block, count, dim)
+            expected = reference_grouped_rows(
+                lambda c: substream(RngState(seed), block, c), per_key(dim), count, dim
+            )
+            assert rows == [row.tobytes() for row in expected]
+            assert chunks == chunk_layout(count, dim)
+    # on two CPUs the second draw takes the fill made ahead, with the first's generator
+    assert opened == ([] if cpus == 2 else [(block, 0)])
+
+
+@pytest.mark.parametrize("dim", [50, core._SPLIT_MIN_DIM])
+def test_the_caller_and_the_worker_race_for_a_chunks_last_group(monkeypatch, dim):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    # chunks of 2 rows: one key group of short rows, or two long rows
+    monkeypatch.setattr(core, "_CHUNK_FLOATS", 2 * dim)
+    seed, count = 23, 9
+    rng, drawn = RngState(seed), []
+    interval = sys.getswitchinterval()
+    # the caller reaches each chunk, and the next block's, as the worker takes
+    # its last group; switch threads as often as the interpreter allows
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            block = rng.next_block()
+            drawn.append((block, chunked(rng, block, count, dim)[0]))
+    finally:
+        sys.setswitchinterval(interval)
+    for block, rows in drawn:
+        expected = reference_grouped_rows(
+            lambda c: RngState(seed).substream(block, c), per_key(dim), count, dim
+        )
+        assert rows == [row.tobytes() for row in expected]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_splits_its_draws_with_a_worker_of_its_own(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     dim = core._SPLIT_MIN_DIM
+    monkeypatch.setattr(core, "_CHUNK_FLOATS", 2 * dim)  # two chunks of 2 rows
     # starts this process's worker, which a forked child does not have
-    expected = chunked(RngState(3), 1, 4, dim, 2)
+    expected = chunked(RngState(3), 1, 4, dim)
     pid = os.fork()
     if pid == 0:
-        os._exit(0 if chunked(RngState(3), 1, 4, dim, 2) == expected else 1)
+        os._exit(0 if chunked(RngState(3), 1, 4, dim) == expected else 1)
     deadline = time.monotonic() + 60
     while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -356,8 +435,9 @@ def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero
         assert opened == [start, start + zero_row]
         assert got.tobytes() == expected[start:start + 5].tobytes()
     # drawn in chunks of 3, the zero row is redrawn by its index in the block
+    monkeypatch.setattr(core, "_CHUNK_FLOATS", 3 * dim)
     opened.clear()
-    rows, _ = chunked(rng, 3, 7, dim, 3)
+    rows, _ = chunked(rng, 3, 7, dim)
     assert opened == [0, zero_row]
     assert rows == [row.tobytes() for row in expected]
 
@@ -404,7 +484,8 @@ def test_a_zero_short_row_is_redrawn_past_its_key_group(monkeypatch, cpus, zero_
         assert opened == [0, 0]
         assert got.tobytes() == expected[start:].tobytes()
     opened.clear()
-    rows, _ = chunked(rng, block, 12, dim, 3)
+    rows, chunks = chunked(rng, block, 12, dim)
+    assert chunks == [(0, 5), (5, 5), (10, 2)]  # one key group each
     assert opened == [0, 0]
     assert rows == [row.tobytes() for row in expected]
 

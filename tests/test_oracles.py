@@ -23,7 +23,7 @@ from duelopt import (
     measure_bits,
     point_with_gradient_norm,
 )
-from duelopt import core, oracles
+from duelopt import core
 from duelopt.errors import InvalidBatchError, OracleError
 
 from reference_solvers import reference_grouped_rows
@@ -288,8 +288,8 @@ def test_measure_bits_opens_its_generators_on_the_calling_thread(monkeypatch):
         measure_bits(oracle, theta, 0.01, m, rng)
     assert {ident for ident, _ in opened} == {caller}
     per_batch = [[block for _, block in opened].count(b) for b in range(rng.counter)]
-    # 20 and 40 rows fill ahead with a second generator; one row takes one thread
-    assert per_batch == [2, 2, 1]
+    # one generator per batch; the worker fills with one of its own
+    assert per_batch == [1, 1, 1]
     assert caller in filled and len(filled) == 2
 
 
@@ -561,16 +561,18 @@ def test_measure_bits_is_bit_identical_for_any_chunk_size(case):
         return compare_function(lambda v: float(np.dot(weights, v)), a, b)
 
     batches = []
-    for rows_per_chunk in (1, 3, m):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracles, "_CHUNK_FLOATS", rows_per_chunk * k)
+    with pytest.MonkeyPatch.context() as patch:
+        # rows of any length have a key each, so the chunk size leaves them as they are
+        patch.setattr(core, "_SPLIT_MIN_DIM", 1)
+        for rows_per_chunk in (1, 3, m):
+            patch.setattr(core, "_CHUNK_FLOATS", rows_per_chunk * k)
             fresh = RngState(rng.seed, rng.counter)
             batches.append(measure_bits(oracle, theta, radius, m, fresh))
-    first = batches[0]
-    whole = BitMeasurementBatch.from_directions(
-        RngState(rng.seed).sphere_rows(first.iteration, m, k), first.signs, radius,
-        iteration=first.iteration,
-    )
+        first = batches[0]
+        whole = BitMeasurementBatch.from_directions(
+            RngState(rng.seed).sphere_rows(first.iteration, m, k), first.signs, radius,
+            iteration=first.iteration,
+        )
     for batch in batches:
         assert batch.iteration == rng.counter
         assert batch.signs.tobytes() == first.signs.tobytes()
