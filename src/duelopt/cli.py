@@ -25,7 +25,6 @@ import time
 import types
 import typing
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,6 @@ from .errors import (
     VocabularyError,
 )
 from .optimizer import PracticalConfig, loop_profile, run_basic, run_practical, schedule_from_theorem
-from .oracles import compare_preference
 
 MODES = ("basic", "practical", "pipeline", "bench-lemma", "bench-proposition", "bench-sweep")
 
@@ -448,9 +446,7 @@ def _run_practical_mode(config: RunConfig, out_dir: Path, policy, pairs: list | 
     practical = _practical_config(config)
     artifacts = {}
     if pairs is not None:
-        oracle = partial(compare_preference, policy.log_likelihood_at)
-        traj = run_practical(oracle, ParamVector(policy.flat_params), practical, data_stream=pairs)
-        final_policy = policy.with_flat_params(traj.final_theta.values)
+        traj, final_policy = policy_mod.refine(policy, pairs, practical)
         report = policy_mod.likelihood_report(policy, final_policy, pairs)
         artifacts["likelihood_report"] = export_results(
             report, out_dir / "likelihood_report.csv"
@@ -488,7 +484,6 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
     result = policy_mod.run_pipeline(dataset, pipeline_config, ref_policy=ref_policy)
     profile = loop_profile([] if result.trajectory is None else [result.trajectory])
     profile.update({f"{stage}_seconds": seconds for stage, seconds in result.stage_seconds.items()})
-    profile["likelihood_report_seconds"] = 0.0
     artifacts = {"split_report": export_results(result.split, out_dir / "split_report.csv")}
     if config.dataset is None:
         # synthesized before any stage ran, written with the other artifacts
@@ -500,13 +495,8 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
     artifacts["final_weights"] = out_dir / "final_weights.npy"
     if result.trajectory is not None:
         artifacts["trajectory"] = export_results(result.trajectory, out_dir / "trajectory.csv")
-        report_started = time.perf_counter()
-        report = policy_mod.likelihood_report(
-            result.dpo_clean_policy, result.final_policy, list(result.split.noisy)
-        )
-        profile["likelihood_report_seconds"] = time.perf_counter() - report_started
         artifacts["likelihood_report"] = export_results(
-            report, out_dir / "likelihood_report.csv"
+            result.report, out_dir / "likelihood_report.csv"
         )
     summary = {
         "clean_pairs": len(result.split.clean),

@@ -88,21 +88,21 @@ class RngState:
         A chunk is about ``_CHUNK_FLOATS`` floats and a whole number of key
         groups: one group of short rows, or ``_CHUNK_FLOATS // dim`` long
         rows (at least one). ``rows`` is a view into a buffer that a later
-        step, or this state's next draw, refills. On two CPUs the worker
-        thread fills chunk j+1 while the caller uses chunk j, taking groups
-        from the chunk's last one down; the caller takes those left from the
-        first one up. With the last chunk it fills chunk 0 of ``block + 1``
-        if that is the next block, for a next draw of this shape (any other
-        drops it). Once the iterator is closed early, no fill runs.
+        step, or this state's next draw, refills. The worker thread fills
+        chunk j+1 while the caller uses chunk j, taking groups from the
+        chunk's last one down; the caller takes those left from the first
+        one up. On one CPU the two threads share it, and the rows keep their
+        bytes whichever thread fills a group. With the last chunk the worker
+        fills chunk 0 of ``block + 1`` if that is the next block, for a next
+        draw of this shape (any other drops it). Once the iterator is closed
+        early, no fill runs.
         """
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
         size, per_key = min(max(1, _CHUNK_FLOATS // dim), count), _rows_per_key(dim)
-        starts = range(0, count, size)
-        worker = _row_worker() if _cpu_count() >= 2 else None
-        ahead = self._take_ahead((block, count, dim) if worker else None)
-        job, groups, gen, buffers = ahead or (
-            None, None, self.substream(block), list(np.empty((1 + bool(worker), size, dim))))
+        starts, worker = range(0, count, size), _row_worker()
+        job, groups, gen, buffers = self._take_ahead((block, count, dim)) or (
+            None, None, self.substream(block), np.empty((2, size, dim)))
 
         def fill_ahead(part, blk, first):  # a chunk's groups, handed to the worker
             left = deque(range(first, first + len(part), per_key))
@@ -110,16 +110,16 @@ class RngState:
 
         try:
             for j, start in enumerate(starts):
-                rows = buffers[j % len(buffers)][:count - start]
+                rows = buffers[j % 2][:count - start]
                 if job is None or job.cancel():  # a job not started is dropped, not waited for
                     job, groups = None, deque(range(start, start + len(rows), per_key))
                 self._fill_groups(gen, rows, block, start, groups.popleft)
                 if job is not None:
                     job.result()  # the worker's group in flight, raising its error
-                job, spare = None, buffers[(j + 1) % len(buffers)]
-                if worker and j + 1 < len(starts):
+                job, spare = None, buffers[(j + 1) % 2]
+                if j + 1 < len(starts):
                     job, groups = fill_ahead(spare[:count - starts[j + 1]], block, starts[j + 1])
-                elif worker and self.counter == block + 1:
+                elif self.counter == block + 1:
                     self._ahead = (os.getpid(), (block + 1, count, dim),
                                    *fill_ahead(spare, block + 1, 0), gen, [spare, buffers[j % 2]])
                 yield start, self._normalize(rows, block, start)
@@ -209,13 +209,6 @@ def _fresh_philox(key: list[int]) -> dict:
     """
     return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _drop(job, groups: deque) -> None:

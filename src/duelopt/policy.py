@@ -580,12 +580,24 @@ class PipelineConfig:
 class PipelineResult:
     final_policy: ToyPolicy
     dpo_clean_policy: ToyPolicy
-    ref_policy: ToyPolicy
     split: SplitDataset
     trajectory: Trajectory | None
+    # the noisy pairs' likelihoods, clean baseline against final policy
+    report: LikelihoodReport | None
     warnings: tuple[str, ...]
-    # wall-clock seconds of the split, dpo and refine stages; 0.0 for a skipped refine
+    # wall-clock seconds of the split, dpo, refine and likelihood_report
+    # stages; 0.0 for the two skipped with the noisy subset empty
     stage_seconds: dict[str, float]
+
+
+def refine(
+    policy: ToyPolicy, pairs: Sequence[PreferencePair], practical: PracticalConfig
+) -> tuple[Trajectory, ToyPolicy]:
+    """Run the practical scheme from ``policy`` on ``pairs``: the trajectory and final policy."""
+    oracle = partial(compare_preference, policy.log_likelihood_at)
+    start = ParamVector(policy.flat_params)
+    trajectory = run_practical(oracle, start, practical, data_stream=pairs)
+    return trajectory, policy.with_flat_params(trajectory.final_theta.values)
 
 
 def run_pipeline(
@@ -611,39 +623,33 @@ def run_pipeline(
         warnings.append("clean subset empty; baseline equals the reference policy")
         dpo_clean = ref_policy
     dpo_done = time.perf_counter()
-    stage_seconds = {"split": split_done - started, "dpo": dpo_done - split_done, "refine": 0.0}
+    stage_seconds = {"split": split_done - started, "dpo": dpo_done - split_done,
+                     "refine": 0.0, "likelihood_report": 0.0}
+    final_policy, trajectory, report = dpo_clean, None, None
 
-    if not split.noisy:
+    if split.noisy:
+        noisy = list(split.noisy)
+        # one epoch is one round-robin pass over the noisy pairs
+        steps = config.refine_epochs * math.ceil(len(noisy) / config.practical.pairs_per_batch)
+        practical = dataclasses.replace(config.practical, iterations=steps)
+        trajectory, final_policy = refine(dpo_clean, noisy, practical)
+        if all(rec.skipped for rec in trajectory.records):
+            warnings.append(
+                f"all {len(trajectory.records)} refinement steps skipped; "
+                "final policy equals the clean baseline"
+            )
+        refine_done = time.perf_counter()
+        report = likelihood_report(dpo_clean, final_policy, noisy)
+        stage_seconds["refine"] = refine_done - dpo_done
+        stage_seconds["likelihood_report"] = time.perf_counter() - refine_done
+    else:
         warnings.append("noisy subset empty; refinement stage skipped")
-        return PipelineResult(
-            final_policy=dpo_clean,
-            dpo_clean_policy=dpo_clean,
-            ref_policy=ref_policy,
-            split=split,
-            trajectory=None,
-            warnings=tuple(warnings),
-            stage_seconds=stage_seconds,
-        )
-
-    per_pass = math.ceil(len(split.noisy) / config.practical.pairs_per_batch)
-    practical = dataclasses.replace(config.practical, iterations=config.refine_epochs * per_pass)
-    oracle = partial(compare_preference, dpo_clean.log_likelihood_at)
-    trajectory = run_practical(
-        oracle, ParamVector(dpo_clean.flat_params), practical, data_stream=list(split.noisy)
-    )
-    if all(rec.skipped for rec in trajectory.records):
-        warnings.append(
-            f"all {len(trajectory.records)} refinement steps skipped; "
-            "final policy equals the clean baseline"
-        )
-    final_policy = dpo_clean.with_flat_params(trajectory.final_theta.values)
-    stage_seconds["refine"] = time.perf_counter() - dpo_done
     return PipelineResult(
         final_policy=final_policy,
         dpo_clean_policy=dpo_clean,
-        ref_policy=ref_policy,
         split=split,
         trajectory=trajectory,
+        report=report,
         warnings=tuple(warnings),
         stage_seconds=stage_seconds,
     )

@@ -137,19 +137,17 @@ def test_long_rows_filled_on_two_threads_equal_one_substream_per_row(
         reference_sphere_rows(RngState(seed).substream(block, i), 1, dim)[0].tobytes()
         for i in range(count)
     ]
-    # one CPU takes the one-thread path; on two the worker has a generator of its own
-    for cpus in (1, 2):
-        opened = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_cpu_count", lambda: cpus)
-            # ``chunk`` rows per chunk; long rows keep a key each
-            mp.setattr(core, "_CHUNK_FLOATS", chunk * dim + dim // 2)
-            substream = RngState.substream
-            mp.setattr(RngState, "substream", lambda *a: opened.append(a) or substream(*a))
-            rows, chunks = chunked(RngState(seed), block, count, dim)
-        assert len(opened) == 1
-        assert rows == expected
-        assert chunks == [(start, min(chunk, count - start)) for start in range(0, count, chunk)]
+    opened = []
+    with pytest.MonkeyPatch.context() as mp:
+        # ``chunk`` rows per chunk; long rows keep a key each
+        mp.setattr(core, "_CHUNK_FLOATS", chunk * dim + dim // 2)
+        substream = RngState.substream
+        mp.setattr(RngState, "substream", lambda *a: opened.append(a) or substream(*a))
+        rows, chunks = chunked(RngState(seed), block, count, dim)
+    # the caller opens one generator; the worker fills with one of its own
+    assert len(opened) == 1
+    assert rows == expected
+    assert chunks == [(start, min(chunk, count - start)) for start in range(0, count, chunk)]
 
 
 def per_key(dim):
@@ -189,12 +187,12 @@ def test_rows_are_runs_of_their_key_groups_substream(seed, block, dim, group, co
             lambda c: RngState(seed).substream(block + 2**32, c + 2**32), g, count, dim
         )
         assert wrapped.tobytes() == expected[:count].tobytes()
-        # the next block is due, so a two-CPU draw also fills block + 1 ahead
+        # the next block is due, so each draw also fills block + 1 ahead,
+        # which the next draw, of ``block`` again, drops
         rng = RngState(seed, counter=block + 1)
         got = rng.sphere_rows(block, count, dim, start)
         assert got.tobytes() == expected[start:].tobytes()
-        for cpus in (1, 2, 2):
-            mp.setattr(core, "_cpu_count", lambda: cpus)
+        for _ in range(2):
             rows, chunks = chunked(rng, block, count, dim)
             assert rows == [row.tobytes() for row in expected[:count]]
             # a chunk is a whole number of key groups: one of short rows
@@ -203,7 +201,6 @@ def test_rows_are_runs_of_their_key_groups_substream(seed, block, dim, group, co
 
 
 def test_a_fill_ahead_is_taken_only_by_the_draw_it_was_made_for(monkeypatch):
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     opened = []
     substream = RngState.substream
 
@@ -247,7 +244,6 @@ def test_a_fill_ahead_is_taken_only_by_the_draw_it_was_made_for(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_never_waits_on_its_parents_fill_ahead(monkeypatch):
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     parent, started, release = os.getpid(), threading.Event(), threading.Event()
     caller, fill_rows = threading.get_ident(), RngState._fill_rows
 
@@ -283,7 +279,6 @@ def test_a_forked_child_never_waits_on_its_parents_fill_ahead(monkeypatch):
 
 
 def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     # three chunks of 4 rows, the last one short
     seed, block, count, dim = 7, 5, 9, core._SPLIT_MIN_DIM
     monkeypatch.setattr(core, "_CHUNK_FLOATS", 4 * dim)
@@ -325,13 +320,12 @@ def test_split_draws_from_more_threads_than_cores_keep_every_byte(monkeypatch):
     # rows per chunk when a smaller chunk is patched in; also rows per key of short rows
     group=st.one_of(st.none(), st.integers(1, 5)),
     count=st.integers(1, 13),
-    cpus=st.sampled_from([1, 2]),
 )
-@example(seed=0, dim=1, group=None, count=1, cpus=2)
-@example(seed=1, dim=core._SPLIT_MIN_DIM, group=2, count=13, cpus=2)
-@example(seed=2, dim=core._SPLIT_MIN_DIM - 1, group=None, count=13, cpus=2)
+@example(seed=0, dim=1, group=None, count=1)
+@example(seed=1, dim=core._SPLIT_MIN_DIM, group=2, count=13)
+@example(seed=2, dim=core._SPLIT_MIN_DIM - 1, group=None, count=13)
 def test_consecutive_draws_of_one_shape_take_the_fill_ahead_and_keep_every_byte(
-    seed, dim, group, count, cpus
+    seed, dim, group, count
 ):
     opened, substream = [], RngState.substream
 
@@ -340,7 +334,6 @@ def test_consecutive_draws_of_one_shape_take_the_fill_ahead_and_keep_every_byte(
         return substream(self, block, index)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_cpu_count", lambda: cpus)
         if group is not None:
             mp.setattr(core, "_CHUNK_FLOATS", group * dim + dim // 2)
         mp.setattr(RngState, "substream", recording_substream)
@@ -354,13 +347,12 @@ def test_consecutive_draws_of_one_shape_take_the_fill_ahead_and_keep_every_byte(
             )
             assert rows == [row.tobytes() for row in expected]
             assert chunks == chunk_layout(count, dim)
-    # on two CPUs the second draw takes the fill made ahead, with the first's generator
-    assert opened == ([] if cpus == 2 else [(block, 0)])
+    # the second draw takes the fill made ahead, with the first's generator
+    assert opened == []
 
 
 @pytest.mark.parametrize("dim", [50, core._SPLIT_MIN_DIM])
 def test_the_caller_and_the_worker_race_for_a_chunks_last_group(monkeypatch, dim):
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     # chunks of 2 rows: one key group of short rows, or two long rows
     monkeypatch.setattr(core, "_CHUNK_FLOATS", 2 * dim)
     seed, count = 23, 9
@@ -384,7 +376,6 @@ def test_the_caller_and_the_worker_race_for_a_chunks_last_group(monkeypatch, dim
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_splits_its_draws_with_a_worker_of_its_own(monkeypatch):
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     dim = core._SPLIT_MIN_DIM
     monkeypatch.setattr(core, "_CHUNK_FLOATS", 2 * dim)  # two chunks of 2 rows
     # starts this process's worker, which a forked child does not have
@@ -403,8 +394,7 @@ def test_a_forked_child_splits_its_draws_with_a_worker_of_its_own(monkeypatch):
 
 @pytest.mark.parametrize("zero_row", [0, 2, 4])
 def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero_row):
-    # rows this long have a key each; one thread fills them one at a time
-    monkeypatch.setattr(core, "_cpu_count", lambda: 1)
+    # rows this long have a key each; ``sphere_rows`` fills them one at a time
     dim = core._SPLIT_MIN_DIM
     rng = RngState(11)
     expected = rng.sphere_rows(3, 7, dim)
@@ -434,20 +424,36 @@ def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero
         got = rng.sphere_rows(3, 5, dim, start)
         assert opened == [start, start + zero_row]
         assert got.tobytes() == expected[start:start + 5].tobytes()
-    # drawn in chunks of 3, the zero row is redrawn by its index in the block
+    # drawn in chunks of 3, the caller and the worker fill rows with generators
+    # of their own, so row ``zero_row`` of the block is zeroed on either thread
+    fill_rows = RngState._fill_rows
+
+    def zeroing_fill_rows(self, gen, rows, block, start):
+        fill_rows(self, gen, rows, block, start)
+        if start <= zero_row < start + len(rows):
+            rows[zero_row - start] = 0.0
+
+    def recording_substream(self, block, index=0):
+        opened.append(index)
+        return np.random.Generator(np.random.Philox(key=self._key(block, index)))
+
+    monkeypatch.setattr(RngState, "substream", recording_substream)
+    monkeypatch.setattr(RngState, "_fill_rows", zeroing_fill_rows)
     monkeypatch.setattr(core, "_CHUNK_FLOATS", 3 * dim)
     opened.clear()
     rows, _ = chunked(rng, 3, 7, dim)
+    # the zero row is redrawn by its index in the block
     assert opened == [0, zero_row]
     assert rows == [row.tobytes() for row in expected]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+# blocks from the drawn one to the state's counter: at 1 the next block is
+# due, and the worker also fills its chunk 0 while the last chunk is yielded
+@pytest.mark.parametrize("lead", [1, 2])
 @pytest.mark.parametrize("zero_row", [0, 1, 4])
-def test_a_zero_short_row_is_redrawn_past_its_key_group(monkeypatch, cpus, zero_row):
+def test_a_zero_short_row_is_redrawn_past_its_key_group(monkeypatch, lead, zero_row):
     # five rows of 4 floats per key; rows 0 to 4 share substream (block, 0)
     monkeypatch.setattr(core, "_CHUNK_FLOATS", 5 * 4 + 3)
-    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
     seed, block, dim = 11, 3, 4
 
     class ZeroRun(np.random.Generator):
@@ -476,7 +482,7 @@ def test_a_zero_short_row_is_redrawn_past_its_key_group(monkeypatch, cpus, zero_
     past = np.random.Generator(np.random.Philox(key=RngState(seed)._key(block, 0)))
     run = past.standard_normal((6, dim))[5:]
     assert expected[zero_row].tobytes() == (run / np.linalg.norm(run, axis=1)[:, None]).tobytes()
-    rng = RngState(seed)
+    rng = RngState(seed, counter=block + lead)
     for start in (0, zero_row):
         opened.clear()
         got = rng.sphere_rows(block, 12 - start, dim, start)
@@ -488,6 +494,7 @@ def test_a_zero_short_row_is_redrawn_past_its_key_group(monkeypatch, cpus, zero_
     assert chunks == [(0, 5), (5, 5), (10, 2)]  # one key group each
     assert opened == [0, 0]
     assert rows == [row.tobytes() for row in expected]
+    assert (rng._ahead is not None) == (lead == 1)
 
 
 def test_embed_with_mask_matches_example():

@@ -1,14 +1,21 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import duelopt
 from duelopt import (
     BitMeasurementBatch,
     ParamVector,
@@ -17,6 +24,7 @@ from duelopt import (
     Sign,
     compare_function,
     compare_preference,
+    embed_perturbation,
     make_nonconvex_sparse,
     make_sparse_quadratic,
     make_toy_policy,
@@ -239,24 +247,31 @@ def test_measure_bits_rows_and_signs_match_their_substreams(case):
     assert batch.signed_direction_sum().tobytes() == expected.tobytes()
 
 
+def one_thread_batch(oracle, theta, radius, m, seed, block):
+    """The batch of ``block``'s rows drawn at once by ``sphere_rows``, queried in index order."""
+    rows = RngState(seed).sphere_rows(block, m, theta.scope_dim)
+    signs = [oracle(theta, embed_perturbation(theta, row, radius)) for row in rows]
+    return BitMeasurementBatch.from_directions(rows, signs, radius, block)
+
+
+def assert_same_batch(got, expected):
+    assert got.iteration == expected.iteration
+    assert got.signs.tobytes() == expected.signs.tobytes()
+    assert got.signed_direction_sum().tobytes() == expected.signed_direction_sum().tobytes()
+
+
 @pytest.mark.parametrize("k", [10_000, core._SPLIT_MIN_DIM - 1, core._SPLIT_MIN_DIM])
-def test_measure_bits_is_the_same_with_rows_filled_on_one_or_two_threads(monkeypatch, k):
+def test_measure_bits_is_the_same_with_rows_filled_on_one_or_two_threads(k):
     obj = make_sparse_quadratic(k, 5, seed=k)
     theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
     # chunks of 6 rows at k = 10^4 and of 8 around the threshold: one row,
     # one chunk, and three or more chunks with a shorter tail
     for m in (1, 5, 20):
-        batches = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
-            batches.append(measure_bits(obj.comparison_oracle(), theta, 0.01, m, RngState(9)))
-        serial, split = batches
-        assert serial.signs.tobytes() == split.signs.tobytes()
-        assert serial.signed_direction_sum().tobytes() == split.signed_direction_sum().tobytes()
+        split = measure_bits(obj.comparison_oracle(), theta, 0.01, m, RngState(9))
+        assert_same_batch(split, one_thread_batch(obj.comparison_oracle(), theta, 0.01, m, 9, 0))
 
 
 def test_measure_bits_opens_its_generators_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     opened, filled = [], set()
     worker_filled = threading.Event()
     substream, fill_rows = RngState.substream, RngState._fill_rows
@@ -294,7 +309,6 @@ def test_measure_bits_opens_its_generators_on_the_calling_thread(monkeypatch):
 
 
 def test_measure_bits_stops_its_fills_when_the_oracle_raises(monkeypatch):
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     k, m, seed = 10_000, 20, 5
     caller = threading.get_ident()
     fills, active, lock = [], [0], threading.Lock()
@@ -344,26 +358,69 @@ def test_measure_bits_stops_its_fills_when_the_oracle_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("k, m", [(1, 3), (300, 5), (300, 700), (core._SPLIT_MIN_DIM - 1, 20)])
-def test_measure_bits_batches_in_turn_are_the_same_on_one_or_two_threads(monkeypatch, k, m):
+def test_measure_bits_batches_in_turn_are_the_same_on_one_or_two_threads(k, m):
     obj = make_sparse_quadratic(k, 1, seed=k)
     theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
-    runs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
-        rng = RngState(12)
-        # on two CPUs each batch but the first takes its chunk 0 filled ahead,
-        # except after the change of m, which drops it
-        batches = [measure_bits(obj.comparison_oracle(), theta, 0.01, n, rng)
-                   for n in (m, m, m + 1, m)]
-        runs.append([(b.signs.tobytes(), b.signed_direction_sum().tobytes()) for b in batches])
-    assert runs[0] == runs[1]
+    rng = RngState(12)
+    # each batch but the first takes its chunk 0 filled ahead, except after
+    # the change of m, which drops it
+    for block, n in enumerate((m, m, m + 1, m)):
+        batch = measure_bits(obj.comparison_oracle(), theta, 0.01, n, rng)
+        expected = one_thread_batch(obj.comparison_oracle(), theta, 0.01, n, 12, block)
+        assert_same_batch(batch, expected)
+
+
+# Pinned to one CPU before duelopt is imported, the child draws on the
+# schedule a one-CPU machine gives: the caller and the worker share the core.
+ONE_CPU_CHILD = """
+import hashlib, json, os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from duelopt import ParamVector, RngState, core, measure_bits
+from duelopt import make_sparse_quadratic, point_with_gradient_norm
+digests = {}
+for k in (300, core._SPLIT_MIN_DIM):
+    obj = make_sparse_quadratic(k, 5, seed=k)
+    theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
+    # three chunks, the last one short
+    m, rng = 2 * (core._CHUNK_FLOATS // k) + 5, RngState(21)
+    digests[k] = [
+        [hashlib.sha256(a).hexdigest() for a in (b.signs.tobytes(), b.direction_sum.tobytes())]
+        for b in (measure_bits(obj.comparison_oracle(), theta, 0.01, m, rng) for _ in range(2))
+    ]
+cpus, worker = len(os.sched_getaffinity(0)), core._row_pool is not None
+print(json.dumps({"cpus": cpus, "worker": worker, "digests": digests}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_measure_bits_on_one_cpu_keeps_every_byte():
+    src = str(Path(duelopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", ONE_CPU_CHILD], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    child = json.loads(out.stdout)
+    assert child["cpus"] == 1 and child["worker"]
+    for k in (300, core._SPLIT_MIN_DIM):
+        obj = make_sparse_quadratic(k, 5, seed=k)
+        theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
+        m = 2 * (core._CHUNK_FLOATS // k) + 5
+        expected = [
+            one_thread_batch(obj.comparison_oracle(), theta, 0.01, m, 21, block)
+            for block in (0, 1)
+        ]
+        # the second batch takes its chunk 0 filled ahead by the first
+        assert child["digests"][str(k)] == [
+            [hashlib.sha256(a).hexdigest() for a in (b.signs.tobytes(), b.direction_sum.tobytes())]
+            for b in expected
+        ]
 
 
 @pytest.mark.parametrize("raise_at", [100, 205])
 def test_measure_bits_leaves_no_short_row_fill_in_flight_when_the_oracle_raises(
     monkeypatch, raise_at
 ):
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     # 93 rows per chunk: chunks start at rows 0, 93 and 186
     k, m, seed = 700, 210, 5
     caller = threading.get_ident()

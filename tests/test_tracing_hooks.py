@@ -55,9 +55,8 @@ def replaced(before, after):
     }
 
 
-def test_install_wraps_caller_names_and_uninstall_restores(tmp_path, monkeypatch):
-    # the long basic run fills rows ahead on the worker thread on any machine
-    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+def test_install_wraps_caller_names_and_uninstall_restores(tmp_path):
+    # the long basic run fills rows ahead on the worker thread
     core._row_worker()  # made on first use; made here, it is no change the runs make
     spans = load_spans()
     before = attributes()
