@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -230,17 +230,11 @@ class EstimatorErrorReport:
     m: int
     errors: np.ndarray
 
-    @property
-    def trials(self) -> int:
-        return self.errors.size
-
     def count_within(self, tol: float) -> int:
         return int(np.count_nonzero(self.errors <= tol))
 
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        rows = [("trial", "error",)]
-        rows += [(str(i), repr(float(e))) for i, e in enumerate(self.errors)]
-        return rows
+    def csv_rows(self) -> list[tuple]:
+        return [("trial", "error"), *enumerate(self.errors.tolist())]
 
 
 def check_estimator_error(
@@ -318,15 +312,10 @@ class SweepReport:
         ratios = [r for _, _, r in self.doubling_ratios()]
         return max(ratios) if ratios else None
 
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        rows = [("d", "seed", "converged", "oracle_calls", "iterations", "min_grad_norm")]
-        for c in self.cells:
-            rows.append((
-                str(c.d), str(c.seed), str(int(c.converged)),
-                "" if c.oracle_calls is None else str(c.oracle_calls),
-                str(c.iterations), repr(c.min_grad_norm),
-            ))
-        return rows
+    def csv_rows(self) -> list[tuple]:
+        """The header, then each cell's fields; a censored cell's ``oracle_calls`` is None."""
+        header = ("d", "seed", "converged", "oracle_calls", "iterations", "min_grad_norm")
+        return [header, *map(astuple, self.cells)]
 
 
 def sweep_convergence(

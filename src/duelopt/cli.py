@@ -302,11 +302,29 @@ def _write_json(obj, path: Path) -> None:
         handle.write("\n")
 
 
-def _write_csv(path: Path, rows: list[tuple[str, ...]]) -> None:
+def _write_csv(path: Path, rows: list[tuple]) -> None:
     # newline pinned so artifacts are byte-identical across platforms
     with open(path, "w", encoding="utf8", newline="") as handle:
         for row in rows:
-            handle.write(",".join(row) + "\n")
+            handle.write(",".join(map(_csv_cell, row)) + "\n")
+
+
+def _csv_cell(value) -> str:
+    """The CSV text of one report value, the only place a cell is formatted.
+
+    None is an empty cell, a flag is 0 or 1, a float (numpy's too) is
+    ``repr(float(value))``, and an int or str is written as is. Any other
+    type raises ``TypeError``, so no tuple or array writes commas into a row.
+    """
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (int, str)):
+        return str(value)
+    raise TypeError(f"no CSV cell for a {type(value).__name__}: {value!r}")
 
 
 # ----- experiment dispatch ----------------------------------------------

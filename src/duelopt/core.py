@@ -49,7 +49,9 @@ class RngState:
 
     ``seed`` selects the family of streams; ``counter`` is the next unused
     block index. Substreams are keyed by ``(seed, block, index)`` packed into
-    a 128-bit Philox key, so distinct paths never collide within a run.
+    a 128-bit Philox key, so distinct substreams never share a key. A
+    generator made outside this class as ``Philox(key=seed)`` is
+    ``substream(0, 0)``, the key of direction block 0.
     """
 
     seed: int

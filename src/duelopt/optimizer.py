@@ -60,7 +60,11 @@ def schedule_from_theorem(
     d: int,
     c_m: float = 1.0,
 ) -> TheoremSchedule:
-    """Derive (T, eta, r, m) from the target accuracy and problem constants."""
+    """Derive (T, eta, r, m) from the target accuracy and problem constants.
+
+    Inputs whose ``Lambda * epsilon**2`` underflows to 0, or whose T or m is
+    not finite and below 2**63, raise ``InvalidScheduleError`` naming it.
+    """
     if not (0.0 < epsilon < 1.0):
         raise InvalidScheduleError(f"epsilon must be in (0, 1), got {epsilon}")
     if not (0.0 < Lambda < 1.0):
@@ -69,11 +73,16 @@ def schedule_from_theorem(
         raise InvalidScheduleError("ell, Delta and c_m must all be > 0")
     if not (1 <= s <= d):
         raise InvalidScheduleError(f"need 1 <= s <= d, got s={s}, d={d}")
-    T = int(math.ceil(10.0 * ell * Delta / epsilon**2))
+    if Lambda * epsilon**2 == 0:
+        raise InvalidScheduleError(f"Lambda * epsilon**2 underflows, epsilon**2 = {epsilon**2:.3g}")
+    T_raw = 10.0 * ell * Delta / epsilon**2
+    m_raw = c_m * (s * math.log(2.0 * d / s) + math.log(ell * Delta / (Lambda * epsilon**2)))
+    for name, value in (("T", T_raw), ("m", m_raw)):
+        if not value < 2.0**63:  # inf and NaN too
+            raise InvalidScheduleError(f"derived {name} = {value:.3g} is not below 2**63")
+    T, m = math.ceil(T_raw), math.ceil(m_raw)
     eta = math.sqrt(2.0 * Delta / (ell * T))
     r = epsilon / (40.0 * ell * math.sqrt(d))
-    m_raw = c_m * (s * math.log(2.0 * d / s) + math.log(ell * Delta / (Lambda * epsilon**2)))
-    m = int(math.ceil(m_raw))
     if m < 1:
         raise InvalidScheduleError(f"derived query count m = {m_raw:.3g} is not positive")
     return TheoremSchedule(
@@ -140,9 +149,6 @@ class IterationRecord:
     grad_norm: float | None = None
 
 
-CSV_HEADER = ("iter", "oracle_calls", "neg_fraction", "step", "skipped", "f", "grad_norm")
-
-
 @dataclass
 class Trajectory:
     """Per-iteration records plus the final iterate and its diagnostics."""
@@ -178,21 +184,14 @@ class Trajectory:
             return calls
         return None
 
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        rows = [tuple(CSV_HEADER)]
-        for rec in self.records:
-            rows.append(
-                (
-                    str(rec.iteration),
-                    str(rec.oracle_calls),
-                    repr(rec.negative_fraction),
-                    repr(rec.stepsize_applied),
-                    str(int(rec.skipped)),
-                    "" if rec.f_value is None else repr(rec.f_value),
-                    "" if rec.grad_norm is None else repr(rec.grad_norm),
-                )
-            )
-        return rows
+    def csv_rows(self) -> list[tuple]:
+        """The header, then one row of raw values per iteration."""
+        header = ("iter", "oracle_calls", "neg_fraction", "step", "skipped", "f", "grad_norm")
+        return [header] + [
+            (rec.iteration, rec.oracle_calls, rec.negative_fraction, rec.stepsize_applied,
+             rec.skipped, rec.f_value, rec.grad_norm)
+            for rec in self.records
+        ]
 
 
 def loop_profile(trajectories: Sequence[Trajectory]) -> dict:

@@ -438,20 +438,12 @@ class SplitDataset:
     noisy: tuple[PreferencePair, ...]
     delta: float
 
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        rows = [("pair", "subset", "ref_margin")]
-        for label, pairs in (("clean", self.clean), ("noisy", self.noisy)):
-            for pair in pairs:
-                rows.append((_pair_token_key(pair), label, repr(pair.ref_margin)))
-        return rows
-
-
-def _pair_json(pair: PreferencePair) -> str:
-    return json.dumps(
-        {"prompt": list(pair.prompt), "preferred": list(pair.preferred),
-         "dispreferred": list(pair.dispreferred)},
-        separators=(",", ":"),
-    )
+    def csv_rows(self) -> list[tuple]:
+        return [("pair", "subset", "ref_margin")] + [
+            (_pair_token_key(pair), label, pair.ref_margin)
+            for label, pairs in (("clean", self.clean), ("noisy", self.noisy))
+            for pair in pairs
+        ]
 
 
 def _pair_token_key(pair: PreferencePair) -> str:
@@ -513,48 +505,30 @@ class LikelihoodRow:
 class LikelihoodReport:
     rows: list[LikelihoodRow]
 
-    def csv_rows(self) -> list[tuple[str, ...]]:
-        out = [(
+    def csv_rows(self) -> list[tuple]:
+        header = (
             "pair", "logp_pos_before", "logp_neg_before", "logp_pos_after",
             "logp_neg_after", "delta_pos", "delta_neg", "verdict",
-        )]
-        for row in self.rows:
-            out.append((
-                str(row.pair_index),
-                repr(row.logp_preferred_before),
-                repr(row.logp_dispreferred_before),
-                repr(row.logp_preferred_after),
-                repr(row.logp_dispreferred_after),
-                repr(row.delta_preferred),
-                repr(row.delta_dispreferred),
-                str(int(row.verdict)),
-            ))
-        return out
+        )
+        return [header] + [
+            (*dataclasses.astuple(row), row.delta_preferred, row.delta_dispreferred, row.verdict)
+            for row in self.rows
+        ]
 
 
 def likelihood_report(
     policy_before: ToyPolicy, policy_after: ToyPolicy, pairs: Sequence[PreferencePair]
 ) -> LikelihoodReport:
-    """Before/after log-likelihoods per pair with the displacement verdict."""
-    rows = []
-    for i, pair in enumerate(pairs):
-        rows.append(
-            LikelihoodRow(
-                pair_index=i,
-                logp_preferred_before=policy_before.sequence_log_likelihood(
-                    pair.prompt, pair.preferred
-                ),
-                logp_dispreferred_before=policy_before.sequence_log_likelihood(
-                    pair.prompt, pair.dispreferred
-                ),
-                logp_preferred_after=policy_after.sequence_log_likelihood(
-                    pair.prompt, pair.preferred
-                ),
-                logp_dispreferred_after=policy_after.sequence_log_likelihood(
-                    pair.prompt, pair.dispreferred
-                ),
-            )
-        )
+    """Before/after log-likelihoods per pair with the displacement verdict.
+
+    Each policy's values are one ``log_likelihood_at`` pass over all pairs.
+    """
+    before = policy_before.log_likelihood_at(policy_before.weights, pairs)
+    after = policy_after.log_likelihood_at(policy_after.weights, pairs)
+    rows = [
+        LikelihoodRow(i, *before[2 * i : 2 * i + 2], *after[2 * i : 2 * i + 2])
+        for i in range(len(before) // 2)
+    ]
     return LikelihoodReport(rows=rows)
 
 
@@ -695,7 +669,9 @@ def load_preference_dataset(path: str | Path) -> list[PreferencePair]:
 def save_preference_dataset(pairs: Sequence[PreferencePair], path: str | Path) -> None:
     with open(path, "w", encoding="utf8") as handle:
         for pair in pairs:
-            handle.write(_pair_json(pair) + "\n")
+            record = {"prompt": list(pair.prompt), "preferred": list(pair.preferred),
+                      "dispreferred": list(pair.dispreferred)}
+            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 # inclusive length ranges of synthesized prompts, responses, and the extra

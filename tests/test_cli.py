@@ -12,8 +12,8 @@ import pytest
 import duelopt
 from duelopt import ParamVector, RngState, Trajectory
 from duelopt.cli import (
-    FIELD_TYPES, RANGES, _is_json_type, build_config, export_results, main, parse_config,
-    run_experiment,
+    FIELD_TYPES, RANGES, _csv_cell, _is_json_type, build_config, export_results, main,
+    parse_config, run_experiment,
 )
 from duelopt.errors import ConfigError, DimensionError, MissingFieldError, RangeError
 from duelopt.optimizer import PracticalConfig, run_practical
@@ -141,6 +141,18 @@ def test_export_empty_trajectory_is_header_only(tmp_path):
 def test_export_one_iteration_trajectory_two_lines(tmp_path):
     path = export_results(one_step_trajectory(), tmp_path / "t.csv")
     assert len(path.read_text().splitlines()) == 2
+
+
+def test_csv_cell_formats_each_value_type():
+    assert _csv_cell(None) == ""
+    assert (_csv_cell(True), _csv_cell(False)) == ("1", "0")
+    assert _csv_cell(-12) == "-12"
+    for value in (0.1, np.float64(1 / 3), -0.0, float("inf")):
+        assert _csv_cell(value) == repr(float(value))
+    assert _csv_cell(-0.0) == "-0.0" and _csv_cell(np.float64(0.5)) == "0.5"
+    assert _csv_cell("1.2|3.4|5") == "1.2|3.4|5"
+    with pytest.raises(TypeError, match="tuple"):
+        _csv_cell((1, 2))
 
 
 def test_export_picks_json_by_suffix(tmp_path):
@@ -597,6 +609,20 @@ def test_cli_size_whose_bytes_numpy_cannot_address_is_an_error(tmp_path, capsys,
     # d float64s take 8 * d bytes, past numpy's index range from d = 2**60 on
     path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
     assert "out of memory: array is too big" in one_line_error(capsys, ["run", "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload, quantity", [
+    ({"mode": "basic", "epsilon": 1e-300}, "underflows, epsilon**2 = 0"),
+    ({"mode": "bench-sweep", "epsilon": 1e-300}, "underflows, epsilon**2 = 0"),
+    ({"mode": "basic", "epsilon": 1e-160}, "T = inf"),
+    ({"mode": "basic", "Lambda": 1e-320}, "m = inf"),
+    ({"mode": "basic", "c_m": 1e300}, "m = 2.81e+301"),
+])
+def test_cli_schedule_past_float_or_int64_range_is_an_error(tmp_path, capsys, payload, quantity):
+    # each input is in range, but epsilon**2 underflows or T or m leaves int64
+    path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+    assert quantity in one_line_error(capsys, ["run", "--config", str(path)])
     assert not (tmp_path / "out").exists()
 
 

@@ -18,6 +18,7 @@ from duelopt import (
     schedule_from_theorem,
 )
 from duelopt.bench import start_with_gap
+from duelopt.cli import export_results
 from duelopt.errors import InvalidScheduleError
 from duelopt.optimizer import loop_profile
 
@@ -76,6 +77,19 @@ def test_schedule_rejects_bad_inputs():
         schedule_from_theorem(0.1, 0.1, -1.0, 1.0, 1, 4)
     with pytest.raises(InvalidScheduleError):
         schedule_from_theorem(0.1, 0.1, 1.0, 1.0, 5, 4)
+
+
+@pytest.mark.parametrize("epsilon, Lambda, c_m, quantity", [
+    (1e-300, 0.1, 1.0, r"underflows, epsilon\*\*2 = 0$"),
+    (1e-5, 1e-320, 1.0, r"^Lambda \* epsilon\*\*2 underflows, epsilon\*\*2 = 1e-10$"),
+    (1e-160, 0.1, 1.0, "T = inf"),
+    (0.1, 1e-320, 1.0, "m = inf"),
+    (0.1, 0.1, 1e300, r"m = 8\.99e\+300"),
+    (0.1, 0.1, 2.0**63, r"m = 8\.29e\+19"),
+])
+def test_schedule_past_float_or_int64_range_is_rejected(epsilon, Lambda, c_m, quantity):
+    with pytest.raises(InvalidScheduleError, match=quantity):
+        schedule_from_theorem(epsilon, Lambda, 1.0, 1.0, 1, 4, c_m=c_m)
 
 
 NAN = float("nan")
@@ -364,11 +378,11 @@ def test_oracle_failures_carry_iteration_index():
         run_practical(broken, ParamVector(np.zeros(2)), practical_config(), rng=RngState(0))
 
 
-def test_trajectory_csv_header_and_shape():
+def test_trajectory_csv_header_and_shape(tmp_path):
     theta0 = ParamVector(np.array([0.1, 0.2]))
     oracle = scripted_oracle([1])
     traj = run_practical(oracle, theta0, practical_config(iterations=1), rng=RngState(0))
-    rows = traj.csv_rows()
-    assert rows[0] == ("iter", "oracle_calls", "neg_fraction", "step", "skipped", "f", "grad_norm")
-    assert len(rows) == 2
-    assert rows[1][5] == "" and rows[1][6] == ""  # no diagnostics for opaque oracles
+    lines = export_results(traj, tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "iter,oracle_calls,neg_fraction,step,skipped,f,grad_norm"
+    assert len(lines) == 2
+    assert lines[1].endswith(",,")  # no diagnostics for opaque oracles

@@ -713,6 +713,18 @@ def test_likelihood_report_zero_deltas_for_identical_policies():
     assert not any(row.verdict for row in report.rows)
 
 
+def test_likelihood_report_rows_hold_each_policys_per_response_values():
+    before, after = make_toy_policy(weight_seed=1), make_toy_policy(weight_seed=2)
+    pairs = [PreferencePair((0,), (1,), (2,)), PreferencePair((1,), (3, 2), (0, 0, 5))]
+    rows = likelihood_report(before, after, pairs).rows
+    assert [dataclasses.astuple(row) for row in rows] == [
+        (i, *(policy.sequence_log_likelihood(pair.prompt, response)
+              for policy in (before, after)
+              for response in (pair.preferred, pair.dispreferred)))
+        for i, pair in enumerate(pairs)
+    ]
+
+
 def test_dataset_roundtrip(tmp_path):
     ref = make_toy_policy(weight_seed=11)
     gen = np.random.default_rng(8)
