@@ -42,10 +42,6 @@ class SyntheticObjective:
         sup.setflags(write=False)
         object.__setattr__(self, "support", sup)
 
-    @property
-    def sparsity(self) -> int:
-        return self.support.size
-
     def comparison_oracle(self):
         """Two-point comparison oracle backed by this objective.
 
@@ -145,9 +141,9 @@ def point_with_gradient_norm(
     if target <= 0:
         raise ValueError("target gradient norm must be > 0")
     direction = np.zeros(objective.dim)
-    v = gen.standard_normal(objective.sparsity)
+    v = gen.standard_normal(objective.support.size)
     while np.linalg.norm(v) == 0.0:
-        v = gen.standard_normal(objective.sparsity)
+        v = gen.standard_normal(objective.support.size)
     direction[objective.support] = v / np.linalg.norm(v)
 
     def norm_at(scale: float) -> float:
@@ -224,10 +220,6 @@ def check_sign_agreement(
 class EstimatorErrorReport:
     """Recovery errors of the exact solver under independent sign flips."""
 
-    d: int
-    s: int
-    flip_prob: float
-    m: int
     errors: np.ndarray
 
     def count_within(self, tol: float) -> int:
@@ -267,7 +259,7 @@ def check_estimator_error(
             errors[trial] = float(np.linalg.norm(estimate.direction - planted))
         except DegenerateMeasurementError:
             errors[trial] = np.inf
-    return EstimatorErrorReport(d=d, s=s, flip_prob=flip_prob, m=m, errors=errors)
+    return EstimatorErrorReport(errors)
 
 
 @dataclass
@@ -284,10 +276,6 @@ class SweepCell:
 class SweepReport:
     """Oracle calls to reach the gradient target, per dimension, and the loops' ``profile``."""
 
-    s: int
-    epsilon: float
-    Lambda: float
-    c_m: float
     cells: list[SweepCell]
     profile: dict = field(default_factory=lambda: loop_profile([]), compare=False)
 
@@ -365,7 +353,7 @@ def sweep_convergence(
                     min_grad_norm=float(traj.min_grad_norm),
                 )
             )
-    return SweepReport(s, epsilon, Lambda, c_m, cells, loop_profile(trajectories))
+    return SweepReport(cells, loop_profile(trajectories))
 
 
 def start_with_gap(objective: SyntheticObjective, gap: float) -> tuple[np.ndarray, float]:

@@ -58,8 +58,6 @@ MODE_DEFAULTS = {
     "bench-sweep": {"dims": (200, 400, 800), "s": 5, "epsilon": 0.1, "Lambda": 0.1, "c_m": 2.0},
 }
 
-REQUIRED_FIELDS = ["mode"]
-
 SIGN_AGREEMENT_FLOOR = 0.69
 RECOVERY_TOLERANCE = 0.5
 RECOVERY_SUCCESS_RATE = 0.95
@@ -223,9 +221,8 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    missing = [name for name in REQUIRED_FIELDS if name not in raw]
-    if missing:
-        raise MissingFieldError(missing)
+    if "mode" not in raw:
+        raise MissingFieldError(["mode"])
 
     # a list or dict mode or preset is never in the tuples, and is never hashed
     if raw["mode"] not in MODES:

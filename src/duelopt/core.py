@@ -64,6 +64,9 @@ class RngState:
         if self.counter < 0:
             raise ValueError("counter must be nonnegative")
 
+    def __reduce__(self):  # a copy or pickle gets (seed, counter), not this state's fill ahead
+        return RngState, (self.seed, self.counter)
+
     def substream(self, block: int, index: int = 0) -> np.random.Generator:
         """Generator for a fixed derivation path; does not advance the counter."""
         return np.random.Generator(np.random.Philox(key=self._key(block, index)))
@@ -278,6 +281,9 @@ class ParamVector:
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, "scope_mask", m)
+
+    def __reduce__(self):  # rebuilt checked and read-only, without ``evaluate``'s cache
+        return ParamVector, (self.values, self.scope_mask)
 
     @property
     def dim(self) -> int:

@@ -31,20 +31,14 @@ from .sparse_grad import estimate_normalized_clip, solve_1bge_exact
 class TheoremSchedule:
     """Parameter schedule that backs the convergence guarantee.
 
-    Derived quantities:
+    The sparsity s the direction solver takes, and the derived quantities:
       T   = ceil(10 * ell * Delta / epsilon^2)
       eta = sqrt(2 * Delta / (ell * T))
       r   = epsilon / (40 * ell * sqrt(d))
       m   = ceil(c_m * (s * log(2d/s) + log(ell * Delta / (Lambda * epsilon^2))))
     """
 
-    epsilon: float
-    Lambda: float
-    ell: float
-    Delta: float
     s: int
-    d: int
-    c_m: float
     T: int
     eta: float
     r: float
@@ -85,10 +79,7 @@ def schedule_from_theorem(
     r = epsilon / (40.0 * ell * math.sqrt(d))
     if m < 1:
         raise InvalidScheduleError(f"derived query count m = {m_raw:.3g} is not positive")
-    return TheoremSchedule(
-        epsilon=epsilon, Lambda=Lambda, ell=ell, Delta=Delta, s=s, d=d, c_m=c_m,
-        T=T, eta=eta, r=r, m=m,
-    )
+    return TheoremSchedule(s=s, T=T, eta=eta, r=r, m=m)
 
 
 @dataclass(frozen=True)
@@ -252,7 +243,7 @@ def _descend(
                 step = stepsize(rho)
                 theta = theta.with_scope_values(theta.scope_values() - step * direction)
         traj.records.append(IterationRecord(
-            iteration=t, oracle_calls=batch.oracle_calls, negative_fraction=rho,
+            iteration=t, oracle_calls=batch.m, negative_fraction=rho,
             stepsize_applied=step, skipped=skipped, degenerate=degenerate,
             theta_hash=theta.content_hash(), f_value=f_val, grad_norm=grad_norm,
         ))

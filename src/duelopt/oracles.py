@@ -33,12 +33,6 @@ class Sign(enum.IntEnum):
     PLUS = 1
 
 
-# (theta, theta_prime) -> Sign
-ComparisonOracle = Callable[[ParamVector, ParamVector], Sign]
-# (theta_values, pairs) -> [pref_0, disp_0, pref_1, disp_1, ...] log-likelihoods
-LikelihoodEvaluator = Callable[[np.ndarray, tuple], Sequence[float]]
-
-
 @dataclass(frozen=True)
 class BitMeasurementBatch:
     """m one-bit measurements: the oracle signs and their signed direction sum.
@@ -85,11 +79,6 @@ class BitMeasurementBatch:
     @property
     def m(self) -> int:
         return len(self.signs)
-
-    @property
-    def oracle_calls(self) -> int:
-        """One oracle call per measurement."""
-        return self.m
 
     def negative_fraction(self) -> float:
         """Fraction of queries where the perturbed point was strictly better."""
@@ -158,7 +147,7 @@ def compare_function(
 
 
 def compare_preference(
-    policy_at: LikelihoodEvaluator,
+    policy_at: Callable[[np.ndarray, tuple], Sequence[float]],
     theta: ParamVector,
     theta_prime: ParamVector,
     batch: Sequence,
@@ -188,7 +177,7 @@ def compare_preference(
 
 
 def measure_bits(
-    oracle: ComparisonOracle,
+    oracle: Callable[[ParamVector, ParamVector], Sign],
     theta: ParamVector,
     radius: float,
     m: int,

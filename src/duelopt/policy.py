@@ -156,10 +156,6 @@ class ToyPolicy:
     # ----- parameters ---------------------------------------------------
 
     @property
-    def param_dim(self) -> int:
-        return self.vocab_size * self.feature_dim
-
-    @property
     def flat_params(self) -> np.ndarray:
         """Row-major flattening of the weight matrix."""
         return self.weights.ravel().copy()
@@ -178,17 +174,6 @@ class ToyPolicy:
     def with_flat_params(self, theta: np.ndarray) -> "ToyPolicy":
         theta = np.asarray(theta, dtype=np.float64)
         return self.with_weights(theta.reshape(self.vocab_size, self.feature_dim))
-
-    def token_row_indices(self, tokens: Sequence[int]) -> np.ndarray:
-        """Flat parameter indices of the logit rows for the given tokens.
-
-        Useful for scope masks restricted to part of the output map.
-        """
-        idx = []
-        for tok in tokens:
-            self._check_token(tok)
-            idx.extend(range(tok * self.feature_dim, (tok + 1) * self.feature_dim))
-        return np.asarray(sorted(set(idx)), dtype=np.intp)
 
     # ----- evaluation ---------------------------------------------------
 
@@ -436,7 +421,6 @@ class SplitDataset:
 
     clean: tuple[PreferencePair, ...]
     noisy: tuple[PreferencePair, ...]
-    delta: float
 
     def csv_rows(self) -> list[tuple]:
         return [("pair", "subset", "ref_margin")] + [
@@ -466,7 +450,7 @@ def split_by_margin(
         margin = _ref_margin(ref_policy, pair)
         tagged = dataclasses.replace(pair, ref_margin=float(margin))
         (noisy if abs(margin) <= delta else clean).append(tagged)
-    return SplitDataset(clean=tuple(clean), noisy=tuple(noisy), delta=float(delta))
+    return SplitDataset(clean=tuple(clean), noisy=tuple(noisy))
 
 
 def _ref_margin(ref_policy: ToyPolicy, pair: PreferencePair) -> float:

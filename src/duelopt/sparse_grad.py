@@ -23,9 +23,6 @@ import numpy as np
 from .errors import DegenerateMeasurementError
 from .oracles import BitMeasurementBatch
 
-METHOD_EXACT = "exact_1bge"
-METHOD_NORMALIZED_CLIP = "normalized_clip"
-
 
 @dataclass(frozen=True)
 class GradientEstimate:
@@ -35,7 +32,6 @@ class GradientEstimate:
     l1_norm: float
     l2_norm: float
     nonzero_count: int
-    method: str
 
     def __post_init__(self) -> None:
         d = np.asarray(self.direction, dtype=np.float64).copy()
@@ -43,13 +39,12 @@ class GradientEstimate:
         object.__setattr__(self, "direction", d)
 
 
-def _finish(direction: np.ndarray, method: str) -> GradientEstimate:
+def _finish(direction: np.ndarray) -> GradientEstimate:
     return GradientEstimate(
         direction=direction,
         l1_norm=float(np.abs(direction).sum()),
         l2_norm=float(np.linalg.norm(direction)),
         nonzero_count=int(np.count_nonzero(direction)),
-        method=method,
     )
 
 
@@ -74,7 +69,7 @@ def estimate_normalized_clip(batch: BitMeasurementBatch, lambda_g: float) -> Gra
     norm = float(np.linalg.norm(c))
     if norm == 0.0:
         raise DegenerateMeasurementError("signed direction sum is zero")
-    return _finish(clip_small_entries(c / norm, lambda_g), METHOD_NORMALIZED_CLIP)
+    return _finish(clip_small_entries(c / norm, lambda_g))
 
 
 def solve_1bge_exact(batch: BitMeasurementBatch, s: int) -> GradientEstimate:
@@ -100,7 +95,7 @@ def solve_1bge_exact(batch: BitMeasurementBatch, s: int) -> GradientEstimate:
         raise DegenerateMeasurementError("signed direction sum is zero")
     root_s = float(np.sqrt(s))
     if float(np.abs(c).sum()) / l2 <= root_s:
-        return _finish(c / l2, METHOD_EXACT)
+        return _finish(c / l2)
 
     mags = np.abs(c)
     max_mag = float(mags.max())
@@ -109,11 +104,11 @@ def solve_1bge_exact(batch: BitMeasurementBatch, s: int) -> GradientEstimate:
     if root_s <= np.sqrt(t):
         g = np.zeros_like(c)
         g[tied] = np.sign(c[tied]) * (root_s / t)
-        return _finish(g, METHOD_EXACT)
+        return _finish(g)
 
     tau = _threshold_for_ratio(mags, float(s))
     shrunk = np.sign(c) * np.maximum(mags - tau, 0.0)
-    return _finish(shrunk / np.linalg.norm(shrunk), METHOD_EXACT)
+    return _finish(shrunk / np.linalg.norm(shrunk))
 
 
 def _threshold_for_ratio(mags: np.ndarray, s: float) -> float:

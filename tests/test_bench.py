@@ -88,7 +88,7 @@ def test_sparse_gradient_inequality_at_sampled_points():
             obj = factory(30, 4, seed=seed)
             for _ in range(50):
                 g = obj.gradient(gen.standard_normal(30) * 2)
-                assert np.abs(g).sum() <= np.sqrt(obj.sparsity) * np.linalg.norm(g) + 1e-12
+                assert np.abs(g).sum() <= np.sqrt(obj.support.size) * np.linalg.norm(g) + 1e-12
 
 
 def test_value_batch_matches_scalar_value():
@@ -308,7 +308,6 @@ def test_sweep_censors_untracked_cells(tmp_path):
     from duelopt.bench import SweepCell, SweepReport
 
     report = SweepReport(
-        s=2, epsilon=0.1, Lambda=0.1, c_m=1.0,
         cells=[
             SweepCell(d=10, seed=0, converged=True, oracle_calls=100, iterations=5, min_grad_norm=0.05),
             SweepCell(d=10, seed=1, converged=False, oracle_calls=None, iterations=50, min_grad_norm=0.5),

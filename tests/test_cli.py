@@ -426,6 +426,25 @@ def test_console_script_help():
         assert sub in out.stdout
 
 
+QUIET_RUNS = {
+    "basic": {"mode": "basic", "d": 30, "s": 3, "Delta": 0.3, "c_m": 2.0, "T": 3},
+    "practical": {"mode": "practical", "d": 30, "m": 20, "T": 3},
+    "practical-dataset": {"mode": "practical", "dataset": str(BUNDLED_DATASET), "m": 20, "T": 2},
+    "pipeline": {"mode": "pipeline", "n_clean": 4, "n_noisy": 2, "dpo_epochs": 1, "m": 10},
+    "bench-lemma": {"mode": "bench-lemma", "d": 20, "s": 2, "n_samples": 500},
+    "bench-proposition": {"mode": "bench-proposition", "d": 30, "s": 2, "trials": 5},
+    "bench-sweep": {"mode": "bench-sweep", "dims": [20, 40], "bench_seeds": [0]},
+}
+
+
+@pytest.mark.parametrize("name", QUIET_RUNS)
+def test_the_library_never_prints_or_warns(tmp_path, capfd, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_experiment(build_config(dict(QUIET_RUNS[name], out_dir=str(tmp_path))))
+    assert capfd.readouterr() == ("", "")
+
+
 # ----- error boundary ------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from duelopt import core
-from duelopt import ParamVector, RngState, embed_perturbation
+from duelopt import ParamVector, RngState, Sign, embed_perturbation, measure_bits
 from duelopt.errors import DimensionError
 
 from reference_solvers import reference_grouped_rows, reference_sphere_rows
@@ -240,6 +242,31 @@ def test_a_fill_ahead_is_taken_only_by_the_draw_it_was_made_for(monkeypatch):
         job, groups = rng._ahead[2:4]
         assert draw(rng, rng.counter + 1, count, dim) == [(rng.counter + 1, 0)]
         assert job.done() and not groups and rng._ahead is None
+
+
+def test_a_copied_or_pickled_state_draws_its_own_bytes_and_leaves_the_fill_ahead(monkeypatch):
+    theta = ParamVector(np.zeros(50))
+
+    def draw(rng):
+        return measure_bits(lambda a, b: Sign.PLUS, theta, 0.1, 30, rng).direction_sum.tobytes()
+
+    rng = RngState(5)
+    draw(rng)
+    assert rng._ahead is not None
+    copies = [copy.copy(rng), copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
+    assert all((c.seed, c.counter, c._ahead) == (rng.seed, 1, None) for c in copies)
+    expected = draw(RngState(5, counter=1))
+    opened, substream = [], RngState.substream
+
+    def recording_substream(self, block, index=0):
+        opened.append((block, index))
+        return substream(self, block, index)
+
+    monkeypatch.setattr(RngState, "substream", recording_substream)
+    # the original takes its fill, opening no generator; then each copy draws fresh
+    assert draw(rng) == expected and opened == []
+    for c in copies:
+        assert draw(c) == expected
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

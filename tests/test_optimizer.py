@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -124,10 +125,7 @@ class _ConstantObjective:
 
 
 def test_run_basic_constant_objective_makes_no_progress():
-    schedule = TheoremSchedule(
-        epsilon=0.1, Lambda=0.1, ell=1.0, Delta=1.0, s=2, d=3, c_m=1.0,
-        T=5, eta=0.05, r=0.1, m=8,
-    )
+    schedule = TheoremSchedule(s=2, T=5, eta=0.05, r=0.1, m=8)
     diag = _ConstantObjective()
     oracle = lambda a, b: compare_function(diag.value, a, b)
     theta0 = ParamVector(np.array([1.0, -1.0, 0.5]))
@@ -142,10 +140,7 @@ def test_run_basic_descends_on_quadratic_monte_carlo():
     # small fixed stepsize, generous m: f = 0.5 ||theta||^2 (unit coefficients)
     # strictly decreases over the first 10 iterations for at least 18 of 20 seeds
     obj = make_sparse_quadratic(2, 2, seed=0, coeffs=np.array([1.0, 1.0]))
-    schedule = TheoremSchedule(
-        epsilon=0.1, Lambda=0.1, ell=1.0, Delta=0.5, s=2, d=2, c_m=1.0,
-        T=10, eta=0.01, r=1e-3, m=64,
-    )
+    schedule = TheoremSchedule(s=2, T=10, eta=0.01, r=1e-3, m=64)
     theta0 = np.array([0.8, 0.6])
     good = 0
     for seed in range(20):
@@ -368,10 +363,7 @@ def test_oracle_failures_carry_iteration_index():
     def broken(theta, theta_prime):
         return compare_function(lambda _t: float("nan"), theta, theta_prime)
 
-    schedule = TheoremSchedule(
-        epsilon=0.1, Lambda=0.1, ell=1.0, Delta=1.0, s=1, d=2, c_m=1.0,
-        T=3, eta=0.1, r=0.1, m=4,
-    )
+    schedule = TheoremSchedule(s=1, T=3, eta=0.1, r=0.1, m=4)
     with pytest.raises(OracleError, match="iteration 1"):
         run_basic(broken, ParamVector(np.zeros(2)), schedule, RngState(0))
     with pytest.raises(OracleError, match="iteration 1"):
@@ -386,3 +378,17 @@ def test_trajectory_csv_header_and_shape(tmp_path):
     assert lines[0] == "iter,oracle_calls,neg_fraction,step,skipped,f,grad_norm"
     assert len(lines) == 2
     assert lines[1].endswith(",,")  # no diagnostics for opaque oracles
+
+
+def test_a_trajectory_ending_at_a_measured_point_pickles():
+    # every batch skipped: the final iterate is the measured start, which keeps f(theta)
+    obj = make_sparse_quadratic(20, 3, seed=1)
+    config = practical_config(skip_threshold=0.99, iterations=2, scope_mask=tuple(range(0, 20, 2)))
+    traj = run_practical(obj.comparison_oracle(), ParamVector(np.ones(20)), config, objective=obj)
+    assert all(rec.skipped for rec in traj.records)
+    restored = pickle.loads(pickle.dumps(traj))
+    assert restored.records == traj.records
+    for theta in (restored.final_theta, pickle.loads(pickle.dumps(traj.final_theta))):
+        assert theta.values.tobytes() == traj.final_theta.values.tobytes()
+        assert theta.scope_mask.tobytes() == traj.final_theta.scope_mask.tobytes()
+        assert not theta.values.flags.writeable and not theta.scope_mask.flags.writeable

@@ -648,7 +648,8 @@ def test_pipeline_respects_scope_mask():
     ref = make_toy_policy(weight_seed=11)
     gen = np.random.default_rng(12)
     pairs = generate_preference_data(ref, n_clean=2, n_noisy=3, delta=3.0, gen=gen)
-    mask = tuple(int(i) for i in ref.token_row_indices([0, 3]))
+    F = ref.feature_dim  # rows 0 and 3 of the output map
+    mask = (*range(0, F), *range(3 * F, 4 * F))
     config = pipeline_config(delta=1e6)  # skip the clean stage entirely
     config = dataclasses.replace(
         config, practical=dataclasses.replace(config.practical, scope_mask=mask)

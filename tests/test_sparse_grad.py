@@ -49,7 +49,6 @@ def axis_batch(c):
 def test_exact_single_nonzero():
     est = solve_1bge_exact(axis_batch([3, 0, 0, 0]), s=4)
     assert np.allclose(est.direction, [1, 0, 0, 0])
-    assert est.method == "exact_1bge"
 
 
 def test_exact_pure_normalization_branch():
@@ -297,7 +296,6 @@ def test_normalized_clip_example():
     batch = batch_from([[1.0, 0.0], [0.0, 1.0]], [-1, 1])
     est = estimate_normalized_clip(batch, lambda_g=0.5)
     assert np.allclose(est.direction, [-1 / np.sqrt(2), 1 / np.sqrt(2)])
-    assert est.method == "normalized_clip"
 
 
 def test_normalized_clip_can_zero_everything():

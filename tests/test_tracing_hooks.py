@@ -99,3 +99,20 @@ def test_install_wraps_caller_names_and_uninstall_restores(tmp_path):
     parent = tracer.columns()["parent"][label == tracer.labels.index("core.substream")]
     assert set(label[parent]) == {tracer.labels.index("oracles.measure_bits")}
     assert set(Counter(parent.tolist()).values()) == {1}
+
+
+def test_every_wrapped_name_is_called_by_the_runs_and_a_small_sweep(tmp_path):
+    # a name still defined but no longer called would leave its metrics absent
+    core._row_worker()
+    spans = load_spans()
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    runs = dict(RUNS, sweep={"mode": "bench-sweep", "dims": [20, 40], "bench_seeds": [0]})
+    try:
+        for name, raw in runs.items():
+            cli.run_experiment(cli.build_config(dict(raw, out_dir=str(tmp_path / name))))
+    finally:
+        uninstall()
+    spanned = set(tracer.columns()["label"].tolist())
+    assert len(tracer.labels) >= 26  # the 24 installed names and the objective's two
+    assert [name for i, name in enumerate(tracer.labels) if i not in spanned] == []
