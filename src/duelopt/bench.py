@@ -22,7 +22,7 @@ from .core import ParamVector, RngState
 from .errors import DegenerateMeasurementError, InvalidTestError
 from .optimizer import loop_profile, run_basic, schedule_from_theorem
 from .oracles import BitMeasurementBatch, compare_function
-from .sparse_grad import solve_1bge_exact
+from .sparse_grad import _bisect_upper, solve_1bge_exact
 
 
 @dataclass(frozen=True)
@@ -155,29 +155,15 @@ def point_with_gradient_norm(
 def _scale_reaching(fn: Callable[[float], float], target: float) -> float:
     """Scale at which the increasing ``fn`` first reaches ``target``.
 
-    Doubles from 1 to bracket the crossing, bisects it for at most 200 steps
-    and returns the upper end, so ``fn`` at the result is at least
-    ``target``. The bisection stops at the first step that leaves its
-    bracket unchanged, since every later step would repeat it, so the result
-    has the bits of all 200.
+    Doubles from 1 to bracket the crossing, bisects it for 200 steps and
+    returns the upper end, so ``fn`` at the result is at least ``target``.
     """
     hi = 1.0
     while fn(hi) < target:
         hi *= 2.0
         if hi > 1e12:
             raise InvalidTestError(f"could not bracket the target {target}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            if mid == lo:
-                break
-            lo = mid
-        else:
-            if mid == hi:
-                break
-            hi = mid
-    return hi
+    return _bisect_upper(lambda scale: fn(scale) < target, 0.0, hi, 200)
 
 
 def check_sign_agreement(
@@ -342,13 +328,14 @@ def sweep_convergence(
                 stop_grad_norm=epsilon,
             )
             trajectories.append(traj)
-            calls = traj.oracle_calls_until_grad_below(epsilon)
+            # the stop rule ends the run at the first iterate under epsilon
+            converged = traj.final_grad_norm < epsilon
             cells.append(
                 SweepCell(
                     d=d,
                     seed=seed,
-                    converged=calls is not None,
-                    oracle_calls=calls,
+                    converged=converged,
+                    oracle_calls=traj.total_oracle_calls if converged else None,
                     iterations=len(traj.records),
                     min_grad_norm=float(traj.min_grad_norm),
                 )

@@ -280,30 +280,24 @@ def _validate_config(config: RunConfig) -> None:
 # ----- result export ---------------------------------------------------
 
 
-def export_results(result, path: str | Path) -> Path:
-    """Write a report or trajectory as CSV rows, or a summary dict as JSON, by suffix."""
+def export_results(report, path: str | Path) -> Path:
+    """Write a report's or trajectory's ``csv_rows()`` as CSV, making its directory."""
     path = Path(path)
-    if path.suffix not in (".csv", ".json"):
-        raise RangeError("format", path.suffix, ".csv or .json")
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.suffix == ".json":
-        _write_json(result, path)
-    else:
-        _write_csv(path, result.csv_rows())
+    # newline pinned so artifacts are byte-identical across platforms
+    with open(path, "w", encoding="utf8", newline="") as handle:
+        for row in report.csv_rows():
+            handle.write(",".join(map(_csv_cell, row)) + "\n")
     return path
 
 
-def _write_json(obj, path: Path) -> None:
+def _write_json(obj, path: Path) -> Path:
+    """Write a summary or manifest as sorted, indented JSON, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf8") as handle:
         json.dump(obj, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _write_csv(path: Path, rows: list[tuple]) -> None:
-    # newline pinned so artifacts are byte-identical across platforms
-    with open(path, "w", encoding="utf8", newline="") as handle:
-        for row in rows:
-            handle.write(",".join(map(_csv_cell, row)) + "\n")
+    return path
 
 
 def _csv_cell(value) -> str:
@@ -331,9 +325,9 @@ def run_experiment(config: RunConfig) -> RunManifest:
     """Dispatch one experiment and write its artifacts and manifest.
 
     A policy run's reference policy and pairs are built first, and
-    ``export_results`` makes the out dir at a run's first artifact, once its
-    work is done. So a failing input or stage leaves no out dir behind, and
-    writes nothing into an out dir that was there before.
+    ``export_results`` or ``_write_json`` makes the out dir at a run's first
+    artifact, once its work is done. So a failing input or stage leaves no
+    out dir behind, and writes nothing into an out dir that was there before.
     """
     out_dir = _out_dir(config.out_dir)
     started = time.perf_counter()
@@ -541,7 +535,7 @@ def _run_bench_lemma(config: RunConfig, out_dir: Path, _policy: None, _pairs: No
         "threshold": SIGN_AGREEMENT_FLOOR,
         "pass": passed,
     }
-    artifacts = {"summary": export_results(summary, out_dir / "lemma_summary.json")}
+    artifacts = {"summary": _write_json(summary, out_dir / "lemma_summary.json")}
     return artifacts, passed, summary
 
 
@@ -570,7 +564,7 @@ def _run_bench_proposition(config: RunConfig, out_dir: Path, _policy: None, _pai
     }
     artifacts = {
         "report": export_results(report, out_dir / "proposition_report.csv"),
-        "summary": export_results(summary, out_dir / "proposition_summary.json"),
+        "summary": _write_json(summary, out_dir / "proposition_summary.json"),
     }
     return artifacts, passed, summary
 
@@ -602,7 +596,7 @@ def _run_bench_sweep(config: RunConfig, out_dir: Path, _policy: None, _pairs: No
     }
     artifacts = {
         "report": export_results(report, out_dir / "sweep_report.csv"),
-        "summary": export_results(summary, out_dir / "sweep_summary.json"),
+        "summary": _write_json(summary, out_dir / "sweep_summary.json"),
     }
     return artifacts, passed, dict(summary, profile=report.profile)  # timings stay out of the JSON
 

@@ -49,7 +49,8 @@ class RngState:
 
     ``seed`` selects the family of streams; ``counter`` is the next unused
     block index. Substreams are keyed by ``(seed, block, index)`` packed into
-    a 128-bit Philox key, so distinct substreams never share a key. A
+    a 128-bit Philox key, block and index modulo 2**32, so two substreams
+    share a key exactly when their blocks and indices agree modulo 2**32. A
     generator made outside this class as ``Philox(key=seed)`` is
     ``substream(0, 0)``, the key of direction block 0.
     """

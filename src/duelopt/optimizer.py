@@ -164,17 +164,6 @@ class Trajectory:
             norms.append(self.final_grad_norm)
         return min(norms) if norms else None
 
-    def oracle_calls_until_grad_below(self, threshold: float) -> int | None:
-        """Cumulative calls issued strictly before the first iterate under threshold."""
-        calls = 0
-        for rec in self.records:
-            if rec.grad_norm is not None and rec.grad_norm < threshold:
-                return calls
-            calls += rec.oracle_calls
-        if self.final_grad_norm is not None and self.final_grad_norm < threshold:
-            return calls
-        return None
-
     def csv_rows(self) -> list[tuple]:
         """The header, then one row of raw values per iteration."""
         header = ("iter", "oracle_calls", "neg_fraction", "step", "skipped", "f", "grad_norm")

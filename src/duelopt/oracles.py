@@ -156,8 +156,9 @@ def compare_preference(
 
     MINUS iff for EVERY pair the candidate strictly raises the preferred
     log-likelihood and strictly lowers the dispreferred one; any equality or
-    reversal anywhere yields PLUS. Comparisons happen in log space, which is
-    monotone-equivalent to raw likelihoods and safe for long sequences.
+    reversal anywhere yields PLUS, and a NaN value raises ``OracleError``.
+    Comparisons happen in log space, which is monotone-equivalent to raw
+    likelihoods and safe for long sequences.
     ``policy_at`` gives every pair's two values in one call; the base values
     come from ``theta.evaluate``, so a batch of queries about one base point
     evaluates them once.
@@ -172,8 +173,12 @@ def compare_preference(
     # entries 2j and 2j + 1 are pair j's preferred and dispreferred values
     for j in range(0, len(cand), 2):
         if not (cand[j] > base[j] and cand[j + 1] < base[j + 1]):
-            return Sign.PLUS
-    return Sign.MINUS
+            break
+    else:
+        return Sign.MINUS  # every value passed a comparison, which NaN fails
+    if any(map(math.isnan, base)) or any(map(math.isnan, cand)):
+        raise OracleError("log-likelihood evaluated to NaN")
+    return Sign.PLUS
 
 
 def measure_bits(
@@ -188,7 +193,8 @@ def measure_bits(
     Direction i is row i of the block's keyed rows (``core``), so the batch
     is identical no matter how the oracle queries are scheduled. ``signs[i]``
     is the oracle's answer at ``embed_perturbation(theta, row i, radius)``,
-    asked once per row in index order. ``RngState.sphere_chunks`` gives the
+    asked once per row in index order; an answer that does not equal +1 or
+    -1 raises ``OracleError``. ``RngState.sphere_chunks`` gives the
     rows in chunks of about 65,536 floats, a whole number of key groups,
     filled ahead while the last chunk is queried; each is checked,
     queried and added to the signed sum, so no (m, k) matrix is ever held.
@@ -209,6 +215,9 @@ def measure_bits(
         for start, rows in chunks:
             _check_unit_rows(rows)
             for i, row in enumerate(rows, start):
-                signs[i] = oracle(theta, embed_perturbation(theta, row, radius))
+                answer = oracle(theta, embed_perturbation(theta, row, radius))
+                if answer != 1 and answer != -1:
+                    raise OracleError(f"oracle answered {answer!r}, not +1 or -1")
+                signs[i] = answer
             total = _add_signed_rows(total, rows, signs[start:start + len(rows)])
     return BitMeasurementBatch(signs, total, radius, block)

@@ -441,7 +441,10 @@ def _pair_token_key(pair: PreferencePair) -> str:
 def split_by_margin(
     ref_policy: ToyPolicy, dataset: Sequence[PreferencePair], delta: float
 ) -> SplitDataset:
-    """Noisy iff ``|log-lik margin under the reference| <= delta`` (boundary noisy)."""
+    """Noisy iff ``|log-lik margin under the reference| <= delta`` (boundary noisy).
+
+    A margin that is not finite raises ``InvalidBatchError`` naming the pair.
+    """
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     clean: list[PreferencePair] = []
@@ -455,9 +458,15 @@ def split_by_margin(
 
 def _ref_margin(ref_policy: ToyPolicy, pair: PreferencePair) -> float:
     """Preferred minus dispreferred log-likelihood under the reference policy."""
-    return ref_policy.sequence_log_likelihood(
-        pair.prompt, pair.preferred
-    ) - ref_policy.sequence_log_likelihood(pair.prompt, pair.dispreferred)
+    # numpy's overflow warnings are off: the finite check below names the pair instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = ref_policy.sequence_log_likelihood(
+            pair.prompt, pair.preferred
+        ) - ref_policy.sequence_log_likelihood(pair.prompt, pair.dispreferred)
+    if not math.isfinite(margin):
+        key = _pair_token_key(pair)
+        raise InvalidBatchError(f"reference log-likelihood margin of pair {key} is {margin}")
+    return margin
 
 
 # ----- likelihood report ------------------------------------------------

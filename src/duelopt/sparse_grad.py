@@ -16,6 +16,7 @@ Two estimators over the signed direction sum ``c = sum_i y_i z_i``:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +123,7 @@ def _threshold_for_ratio(mags: np.ndarray, s: float) -> float:
     makes both the interval scan and the bisection monotone.
 
     The ratio is taken in Python floats, the IEEE operations numpy scalars
-    run, at a fraction of their cost. The bisection makes at most 100 steps
-    and stops at the first step that leaves its bracket unchanged, since
-    every later step would repeat it; the result has the bits of all 100.
+    run, at a fraction of their cost. The bisection makes 100 steps.
     """
     a = np.sort(mags[mags > 0])[::-1]
     k = a.size
@@ -153,9 +152,20 @@ def _threshold_for_ratio(mags: np.ndarray, s: float) -> float:
             total, total_sq = float(prefix_sum[j - 1]), float(prefix_sq[j - 1])
             if ratio_sq(lo) >= s:
                 break
-    for _ in range(100):
+    # the hi endpoint keeps the final l1 norm on the feasible side
+    return _bisect_upper(lambda tau: ratio_sq(tau) > s, lo, hi, 100)
+
+
+def _bisect_upper(below: Callable[[float], bool], lo: float, hi: float, steps: int) -> float:
+    """Upper end of the bracket ``[lo, hi]`` after ``steps`` bisection steps.
+
+    ``below(x)`` is true when the crossing lies above x. The loop stops at
+    the first step that leaves the bracket unchanged, since every later step
+    would repeat it, so the result has the bits of all ``steps``.
+    """
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if ratio_sq(mid) > s:
+        if below(mid):
             if mid == lo:
                 break
             lo = mid
@@ -163,5 +173,4 @@ def _threshold_for_ratio(mags: np.ndarray, s: float) -> float:
             if mid == hi:
                 break
             hi = mid
-    # the hi endpoint keeps the final l1 norm on the feasible side
     return hi

@@ -12,7 +12,7 @@ import pytest
 import duelopt
 from duelopt import ParamVector, RngState, Trajectory
 from duelopt.cli import (
-    FIELD_TYPES, RANGES, _csv_cell, _is_json_type, build_config, export_results, main,
+    FIELD_TYPES, RANGES, _csv_cell, _is_json_type, _write_json, build_config, export_results, main,
     parse_config, run_experiment,
 )
 from duelopt.errors import ConfigError, DimensionError, MissingFieldError, RangeError
@@ -155,15 +155,10 @@ def test_csv_cell_formats_each_value_type():
         _csv_cell((1, 2))
 
 
-def test_export_picks_json_by_suffix(tmp_path):
-    path = export_results({"b": (1, 2), "a": None}, tmp_path / "summary.json")
+def test_write_json_makes_the_out_dir(tmp_path):
+    path = _write_json({"b": (1, 2), "a": None}, tmp_path / "new" / "summary.json")
+    assert path == tmp_path / "new" / "summary.json"
     assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
-
-
-def test_export_rejects_unknown_format(tmp_path):
-    with pytest.raises(RangeError):
-        export_results(empty_trajectory(), tmp_path / "t.xml")
-    assert not (tmp_path / "t.xml").exists()
 
 
 # ----- experiments ---------------------------------------------------------
@@ -184,6 +179,17 @@ def test_run_experiment_basic_writes_manifest_and_artifacts(tmp_path):
     }
     assert written["config_hash"] == config.config_hash()
     assert manifest.summary["min_grad_norm"] < 0.1
+
+
+def test_basic_mode_runs_the_nonconvex_objective_byte_for_byte(tmp_path):
+    raw = {"mode": "basic", "objective": "nonconvex", "d": 30, "s": 3, "c_m": 2.0, "Delta": 0.3}
+    written = []
+    for out in ("a", "b"):
+        manifest = run_experiment(build_config(dict(raw, out_dir=str(tmp_path / out))))
+        assert manifest.summary["iterations_run"] < manifest.summary["schedule"]["T"]
+        assert manifest.summary["min_grad_norm"] < 0.1
+        written.append((tmp_path / out / "trajectory.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_run_experiment_pipeline_on_bundled_dataset(tmp_path):
@@ -428,6 +434,8 @@ def test_console_script_help():
 
 QUIET_RUNS = {
     "basic": {"mode": "basic", "d": 30, "s": 3, "Delta": 0.3, "c_m": 2.0, "T": 3},
+    "basic-nonconvex": {"mode": "basic", "objective": "nonconvex", "d": 30, "s": 3,
+                        "c_m": 2.0, "Delta": 0.3},
     "practical": {"mode": "practical", "d": 30, "m": 20, "T": 3},
     "practical-dataset": {"mode": "practical", "dataset": str(BUNDLED_DATASET), "m": 20, "T": 2},
     "pipeline": {"mode": "pipeline", "n_clean": 4, "n_noisy": 2, "dpo_epochs": 1, "m": 10},
@@ -454,6 +462,20 @@ def one_line_error(capsys, argv) -> str:
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     return lines[0]
+
+
+@pytest.mark.parametrize("source", [{"dataset": str(BUNDLED_DATASET)}, {}])
+def test_cli_reference_margin_overflow_is_an_error(tmp_path, capsys, source):
+    # the weights are finite, but the reference's log-likelihoods are not
+    path = write_config(tmp_path, dict(
+        source, mode="pipeline", ref_weight_scale=5e307, dpo_epochs=2, m=20,
+        out_dir=str(tmp_path / "out"),
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = one_line_error(capsys, ["run", "--config", str(path)])
+    assert "reference log-likelihood margin of pair" in line
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_scope_mask_out_of_range_is_an_error(tmp_path, capsys):

@@ -33,6 +33,7 @@ from duelopt import (
 )
 from duelopt import core
 from duelopt.errors import InvalidBatchError, OracleError
+from duelopt.optimizer import PracticalConfig, run_practical
 
 from reference_solvers import reference_grouped_rows
 
@@ -126,6 +127,22 @@ def test_compare_preference_empty_batch():
         compare_preference(direct_evaluator, pv(0.0, 0.0), pv(1.0, 0.0), [])
 
 
+@pytest.mark.parametrize("nan_at", range(4))
+def test_compare_preference_nan_raises(nan_at):
+    # values 0, 1 are the base's, 2, 3 the candidate's; the candidate raises
+    # the preferred value and lowers the dispreferred one
+    def evaluator(theta_values, pairs):
+        values = [-1.0, -1.0] if theta_values[0] == 0.0 else [-0.5, -2.0]
+        offset = 0 if theta_values[0] == 0.0 else 2
+        if offset <= nan_at < offset + 2:
+            values[nan_at - offset] = math.nan
+        return values
+
+    pair = PreferencePair((0,), (0,), (1,))
+    with pytest.raises(OracleError, match="NaN"):
+        compare_preference(evaluator, pv(0.0), pv(1.0), [pair])
+
+
 def test_compare_preference_log_matches_raw_probabilities():
     # the log-space decision agrees with raw-likelihood comparisons
     policy = make_toy_policy(vocab_size=4, feature_dim=6, weight_seed=17)
@@ -198,6 +215,27 @@ def test_measure_bits_validates_inputs():
         measure_bits(lambda a, b: Sign.PLUS, pv(0.0), radius=0.0, m=4, rng=RngState(0))
     with pytest.raises(InvalidBatchError):
         measure_bits(lambda a, b: Sign.PLUS, pv(0.0), radius=math.nan, m=4, rng=RngState(0))
+
+
+@pytest.mark.parametrize("answer", [1.7, "1", -1.5, np.float64(-1.2), 255, 300,
+                                    np.int16(-255), None, math.nan])
+def test_measure_bits_rejects_an_answer_that_is_not_a_sign(answer):
+    with pytest.raises(OracleError, match="oracle answered"):
+        measure_bits(lambda a, b: answer, pv(*[0.0] * 5), radius=0.1, m=4, rng=RngState(0))
+
+
+@pytest.mark.parametrize("answer, sign", [(Sign.MINUS, -1), (1, 1), (-1.0, -1), (True, 1)])
+def test_measure_bits_takes_any_answer_equal_to_a_sign(answer, sign):
+    batch = measure_bits(lambda a, b: answer, pv(*[0.0] * 5), radius=0.1, m=4, rng=RngState(0))
+    assert batch.signs.tolist() == [sign] * 4
+
+
+def test_run_practical_names_the_iteration_of_a_bad_answer():
+    config = PracticalConfig(
+        gamma=1.0, radius=0.1, m=4, lambda_g=0.0, skip_threshold=0.0, iterations=2
+    )
+    with pytest.raises(OracleError, match="iteration 1: oracle answered -1.5"):
+        run_practical(lambda a, b: -1.5, pv(0.0, 0.0), config, rng=RngState(0))
 
 
 @st.composite

@@ -37,7 +37,7 @@ from duelopt import (
     split_by_margin,
     train_dpo,
 )
-from duelopt.errors import InvalidScheduleError, VocabularyError
+from duelopt.errors import InvalidBatchError, InvalidScheduleError, VocabularyError
 
 from reference_solvers import central_difference_gradient, enumerate_sequence_probs
 
@@ -552,6 +552,14 @@ def test_split_boundary_semantics_exact():
     assert [p.dispreferred for p in split.noisy] == [(2,), (3,)]
     assert [p.dispreferred for p in split.clean] == [(4,)]
     assert all(p.ref_margin is not None for p in split.noisy + split.clean)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_split_rejects_a_reference_margin_that_is_not_finite(value):
+    stub = StubRefPolicy({(1,): 0.0, (2,): -1.0, (3,): value})
+    pairs = [PreferencePair((0,), (1,), (2,)), PreferencePair((0,), (1,), (3,))]
+    with pytest.raises(InvalidBatchError, match=r"pair 0\|1\|3 is"):
+        split_by_margin(stub, pairs, delta=3.0)
 
 
 def test_split_is_partition():
