@@ -308,31 +308,35 @@ class ParamVector:
             raise DimensionError(
                 f"expected {self.scope_dim} in-scope values, got {new_scope.shape}"
             )
+        out = self.values[None].copy()
         if self.scope_mask is None:
-            out = new_scope.copy()
+            out[0] = new_scope
         else:
-            out = self.values.copy()
-            out[self.scope_mask] = new_scope
-        return ParamVector._derived(out, self.scope_mask)
+            out[0, self.scope_mask] = new_scope
+        return ParamVector._derived(out, self.scope_mask)[0]
 
     @classmethod
-    def _derived(cls, values: np.ndarray, scope_mask: np.ndarray | None) -> "ParamVector":
-        """Vector derived from an already-checked one, with one check.
+    def _derived(cls, values: np.ndarray, scope_mask: np.ndarray | None) -> list["ParamVector"]:
+        """Vectors derived from an already-checked one, one per row of ``values``.
 
-        ``values`` is a fresh float64 array of the parent's shape, owned by
-        the new vector, and ``scope_mask`` is the parent's checked read-only
-        mask. So only finiteness is checked, and ``values`` is made read-only
-        instead of copied. ``ParamVector(...)`` keeps every check for input
-        from outside.
+        ``values`` is a fresh float64 (n, dim) array, owned by the new
+        vectors, whose values are its rows, and ``scope_mask`` is the
+        parent's checked read-only mask, which each of them shares. So only
+        finiteness is checked, once for the whole array, and the array is
+        made read-only instead of copied. ``ParamVector(...)`` keeps every
+        check for input from outside.
         """
         # the reduction ``.all()`` runs, without the method's Python wrapper
-        if not np.logical_and.reduce(np.isfinite(values)):
+        if not np.logical_and.reduce(np.isfinite(values), axis=None):
             raise ValueError("parameter vector contains NaN or Inf")
         values.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "values", values)
-        object.__setattr__(out, "scope_mask", scope_mask)
-        return out
+        vectors = []
+        for row in values:
+            vec = object.__new__(cls)
+            # the instance dict a frozen dataclass's fields live in, set without its __setattr__
+            vars(vec).update(values=row, scope_mask=scope_mask)
+            vectors.append(vec)
+        return vectors
 
     def evaluate(self, fn: Callable, *args):
         """``fn(self.values, *args)``, computed once per ``(fn, *args)`` and kept.
@@ -355,23 +359,29 @@ class ParamVector:
         return hashlib.sha256(np.ascontiguousarray(self.values).tobytes()).hexdigest()
 
 
-def embed_perturbation(theta: ParamVector, z: np.ndarray, radius: float) -> ParamVector:
-    """Add ``radius * z`` to the in-scope coordinates of ``theta``.
+def embed_perturbation(theta: ParamVector, rows: np.ndarray, radius: float) -> list[ParamVector]:
+    """The candidates ``theta + radius * row``, one per row of the (n, k) ``rows``.
 
-    ``z`` is a 1-D array of length ``theta.scope_dim``. Coordinates outside
-    the scope mask are returned bit-identical. The candidate is built with
-    one copy of theta's values and one finiteness check, and shares its mask.
+    ``radius * rows`` is added to the in-scope coordinates of theta's values,
+    broadcast into one new float64 (n, dim) array, so a wider or complex
+    ``rows`` cannot change its dtype; coordinates outside the scope mask
+    are bit-identical to theta's. Candidate i's values are row i of that
+    array, read-only, and every candidate shares theta's mask. Finiteness is
+    checked once for all n, before any candidate is returned. The array is
+    new on every call, never a reused buffer: an oracle may keep a
+    candidate, and a ``ParamVector``'s values never change. One row ``z``
+    is ``embed_perturbation(theta, z[None], radius)[0]``.
     """
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    if z.shape != (theta.scope_dim,):
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != theta.scope_dim:
         raise DimensionError(
-            f"perturbation shape {z.shape} does not match scope dim {theta.scope_dim}"
+            f"perturbation rows of shape {rows.shape} are not (n >= 1, {theta.scope_dim})"
         )
-    # in place into a float64 copy, so a wider or complex z cannot change the dtype
-    out = theta.values.copy()
+    out = np.empty((len(rows), theta.dim))
+    out[...] = theta.values
     if theta.scope_mask is None:
-        out += radius * z
+        out += radius * rows
     else:
-        out[theta.scope_mask] += radius * z
+        out[:, theta.scope_mask] += radius * rows
     return ParamVector._derived(out, theta.scope_mask)

@@ -6,10 +6,11 @@ policy and a batch of preference pairs (does the candidate strictly raise the
 likelihood of every preferred response and strictly lower that of every
 dispreferred one?). Both return only a sign, never a value.
 
-``measure_bits`` asks the oracle once per perturbation direction, drawing,
-querying and summing the directions one chunk at a time. A batch keeps the
-signs and the signed direction sum, which is all either direction estimator
-reads, so no (m, k) direction matrix outlives a chunk.
+``measure_bits`` asks the oracle once per perturbation direction, drawing
+the directions, building their candidate points, querying and summing one
+chunk at a time. A batch keeps the signs and the signed direction sum,
+which is all either direction estimator reads, so no (m, k) direction
+matrix outlives a chunk.
 """
 
 from __future__ import annotations
@@ -192,12 +193,15 @@ def measure_bits(
 
     Direction i is row i of the block's keyed rows (``core``), so the batch
     is identical no matter how the oracle queries are scheduled. ``signs[i]``
-    is the oracle's answer at ``embed_perturbation(theta, row i, radius)``,
+    is the oracle's answer at candidate i, ``theta + radius * row i``,
     asked once per row in index order; an answer that does not equal +1 or
     -1 raises ``OracleError``. ``RngState.sphere_chunks`` gives the
     rows in chunks of about 65,536 floats, a whole number of key groups,
-    filled ahead while the last chunk is queried; each is checked,
-    queried and added to the signed sum, so no (m, k) matrix is ever held.
+    filled ahead while the last chunk is queried. Each chunk is checked,
+    its candidates are built by one ``embed_perturbation`` call (so a
+    non-finite candidate anywhere in it raises ``ValueError`` before the
+    oracle is asked about any of them), queried, and its rows are added to
+    the signed sum, so no (m, k) matrix is ever held.
     The sum has the bits of one reduction over all m rows; at k = 1 that
     holds while m fits one chunk (65,536 rows), beyond which the pairwise
     column sum is taken per chunk.
@@ -214,10 +218,11 @@ def measure_bits(
     with closing(rng.sphere_chunks(block, m, k)) as chunks:
         for start, rows in chunks:
             _check_unit_rows(rows)
-            for i, row in enumerate(rows, start):
-                answer = oracle(theta, embed_perturbation(theta, row, radius))
+            for i, candidate in enumerate(embed_perturbation(theta, rows, radius), start):
+                answer = oracle(theta, candidate)
                 if answer != 1 and answer != -1:
                     raise OracleError(f"oracle answered {answer!r}, not +1 or -1")
                 signs[i] = answer
+            del candidate  # it holds its chunk's array, freed before the next one is built
             total = _add_signed_rows(total, rows, signs[start:start + len(rows)])
     return BitMeasurementBatch(signs, total, radius, block)

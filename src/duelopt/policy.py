@@ -560,7 +560,19 @@ class PipelineResult:
 def refine(
     policy: ToyPolicy, pairs: Sequence[PreferencePair], practical: PracticalConfig
 ) -> tuple[Trajectory, ToyPolicy]:
-    """Run the practical scheme from ``policy`` on ``pairs``: the trajectory and final policy."""
+    """Run the practical scheme from ``policy`` on ``pairs``: the trajectory and final policy.
+
+    The starting policy's values on ``pairs`` are checked in one pass: one
+    that is not finite raises ``InvalidBatchError`` naming its pair, since
+    every query would compare it and every step would be skipped.
+    """
+    # numpy's overflow warnings are off: the finite check below names the pair instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = policy.log_likelihood_at(policy.weights, pairs)
+    for j, value in enumerate(values):
+        if not math.isfinite(value):
+            key = _pair_token_key(pairs[j // 2])
+            raise InvalidBatchError(f"starting log-likelihood of pair {key} is {value}")
     oracle = partial(compare_preference, policy.log_likelihood_at)
     start = ParamVector(policy.flat_params)
     trajectory = run_practical(oracle, start, practical, data_stream=pairs)

@@ -7,7 +7,7 @@ grid, the gradient oracle uses central finite differences, and the policy
 oracle uses exhaustive sequence enumeration. The two bisections are the
 fixed-step versions the early-stopping ones must equal bit for bit, and the
 two sphere draws are the plain one-generator draws every keyed direction row
-must equal.
+must equal. Perturbed candidates are built one row at a time.
 """
 
 from __future__ import annotations
@@ -202,3 +202,14 @@ def reference_grouped_rows(substream, per_key: int, count: int, dim: int, start:
             while not np.linalg.norm(raw[j:j + 1], axis=1)[0] > 0.0:
                 raw[j] = past.standard_normal(dim)
     return raw / np.linalg.norm(raw, axis=1)[:, None]
+
+
+def reference_candidate_values(theta, rows, radius: float) -> list[np.ndarray]:
+    """Each row's candidate values ``theta + radius * row``, one plain copy per row."""
+    in_scope = np.arange(theta.dim) if theta.scope_mask is None else theta.scope_mask
+    out = []
+    for row in rows:
+        values = theta.values.copy()
+        values[in_scope] += radius * row
+        out.append(values)
+    return out

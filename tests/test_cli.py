@@ -478,6 +478,19 @@ def test_cli_reference_margin_overflow_is_an_error(tmp_path, capsys, source):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_practical_dataset_log_likelihood_overflow_is_an_error(tmp_path, capsys):
+    # practical mode never splits by margin; the refinement's own check names the pair
+    path = write_config(tmp_path, {
+        "mode": "practical", "dataset": str(BUNDLED_DATASET), "ref_weight_scale": 5e307,
+        "m": 20, "T": 2, "out_dir": str(tmp_path / "out"),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = one_line_error(capsys, ["run", "--config", str(path)])
+    assert "starting log-likelihood of pair" in line and line.endswith("is -inf")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_scope_mask_out_of_range_is_an_error(tmp_path, capsys):
     path = write_config(tmp_path, {
         "mode": "pipeline", "dataset": str(BUNDLED_DATASET), "scope_mask": [5000],

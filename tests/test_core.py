@@ -17,7 +17,11 @@ from duelopt import core
 from duelopt import ParamVector, RngState, Sign, embed_perturbation, measure_bits
 from duelopt.errors import DimensionError
 
-from reference_solvers import reference_grouped_rows, reference_sphere_rows
+from reference_solvers import (
+    reference_candidate_values,
+    reference_grouped_rows,
+    reference_sphere_rows,
+)
 
 
 def test_sphere_dim1_is_plus_or_minus_one():
@@ -526,55 +530,66 @@ def test_a_zero_short_row_is_redrawn_past_its_key_group(monkeypatch, lead, zero_
 
 def test_embed_with_mask_matches_example():
     theta = ParamVector(np.array([1.0, 2.0, 3.0]), scope_mask=np.array([2]))
-    out = embed_perturbation(theta, np.array([1.0]), 0.5)
-    assert np.array_equal(out.values, [1.0, 2.0, 3.5])
+    out = embed_perturbation(theta, np.array([[1.0]]), 0.5)
+    assert len(out) == 1
+    assert np.array_equal(out[0].values, [1.0, 2.0, 3.5])
+    first, second = embed_perturbation(theta, np.array([[1.0], [-2.0]]), 0.5)
+    assert np.array_equal(first.values, [1.0, 2.0, 3.5])
+    assert np.array_equal(second.values, [1.0, 2.0, 2.0])
 
 
 def test_embed_without_mask_matches_example():
     theta = ParamVector(np.array([1.0, 2.0]))
-    out = embed_perturbation(theta, np.array([0.0, 1.0]), 0.1)
-    assert np.allclose(out.values, [1.0, 2.1])
+    first, second = embed_perturbation(theta, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.1)
+    assert np.allclose(first.values, [1.0, 2.1])
+    assert np.allclose(second.values, [1.1, 2.0])
 
 
 def test_embed_rejects_zero_radius():
     theta = ParamVector(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        embed_perturbation(theta, np.array([0.0, 1.0]), 0.0)
+        embed_perturbation(theta, np.array([[0.0, 1.0]]), 0.0)
     with pytest.raises(ValueError):
-        embed_perturbation(theta, np.array([0.0, 1.0]), math.nan)
+        embed_perturbation(theta, np.array([[0.0, 1.0]]), math.nan)
 
 
 def test_embed_candidate_is_one_checked_frozen_copy_sharing_the_mask():
     gen = np.random.default_rng(41)
     for mask in (None, np.array([0, 2, 5])):
         theta = ParamVector(gen.standard_normal(7), scope_mask=mask)
-        z = gen.standard_normal(theta.scope_dim)
-        expected = theta.values.copy()
-        if mask is None:
-            expected += 0.25 * z
-        else:
-            expected[mask] += 0.25 * z
-        for out in (
-            embed_perturbation(theta, z, 0.25),
-            theta.with_scope_values(ParamVector(expected, mask).scope_values()),
-        ):
-            assert out.values.tobytes() == ParamVector(expected, mask).values.tobytes()
+        rows = gen.standard_normal((4, theta.scope_dim))
+        expected = reference_candidate_values(theta, rows, 0.25)
+        candidates = embed_perturbation(theta, rows, 0.25)
+        assert len(candidates) == len(rows)
+        for out, values in [
+            *zip(candidates, expected),
+            (theta.with_scope_values(ParamVector(expected[0], mask).scope_values()), expected[0]),
+        ]:
+            assert out.values.tobytes() == ParamVector(values, mask).values.tobytes()
             assert out.values.dtype == np.float64
             assert not out.values.flags.writeable
             assert not np.shares_memory(out.values, theta.values)
             assert out.scope_mask is theta.scope_mask
-        # a wider z is added into theta's float64 copy; a complex one is refused
-        wide = embed_perturbation(theta, z.astype(np.longdouble), 0.25)
-        assert wide.values.dtype == np.float64
-        assert wide.values.tobytes() == ParamVector(expected, mask).values.tobytes()
+        # one array for the chunk, but no two candidates overlap
+        for i, a in enumerate(candidates):
+            for b in candidates[i + 1:]:
+                assert not np.shares_memory(a.values, b.values)
+        # wider rows are added into theta's float64 values; complex ones are refused
+        wide = embed_perturbation(theta, rows.astype(np.longdouble), 0.25)
+        for out, values in zip(wide, expected):
+            assert out.values.dtype == np.float64
+            assert out.values.tobytes() == ParamVector(values, mask).values.tobytes()
         with pytest.raises(TypeError):
-            embed_perturbation(theta, z + 1j, 0.25)
-    # the sum overflows to inf; the one check left still catches it
+            embed_perturbation(theta, rows + 1j, 0.25)
+    # the sum overflows to inf in any row; the one check left still catches it
     with np.errstate(over="ignore"):
         for mask in (None, np.array([0])):
             theta = ParamVector(np.array([1.7e308, 0.0]), scope_mask=mask)
-            with pytest.raises(ValueError, match="NaN or Inf"):
-                embed_perturbation(theta, np.array([1.0, 0.0])[: theta.scope_dim], 1e308)
+            for bad in range(3):
+                rows = np.zeros((3, theta.scope_dim))
+                rows[bad, 0] = 1.0
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    embed_perturbation(theta, rows, 1e308)
 
 
 def test_evaluate_computes_each_call_once_and_stays_out_of_eq_and_repr():
@@ -593,7 +608,7 @@ def test_evaluate_computes_each_call_once_and_stays_out_of_eq_and_repr():
     assert [f.name for f in dataclasses.fields(theta)] == ["values", "scope_mask"]
     assert repr(theta) == text
     # a candidate that is never evaluated carries no table
-    candidate = embed_perturbation(theta, np.array([1.0, 0.0, 0.0]), 0.5)
+    candidate = embed_perturbation(theta, np.array([[1.0, 0.0, 0.0]]), 0.5)[0]
     assert "_evaluated" not in vars(candidate)
     assert candidate.evaluate(fn) == 7.5 and calls == [1.0, 2.0, 1.0]
 
@@ -601,9 +616,13 @@ def test_evaluate_computes_each_call_once_and_stays_out_of_eq_and_repr():
 def test_embed_rejects_dim_mismatch():
     theta = ParamVector(np.array([1.0, 2.0, 3.0]), scope_mask=np.array([0, 1]))
     with pytest.raises(DimensionError):
-        embed_perturbation(theta, np.array([1.0]), 0.5)
+        embed_perturbation(theta, np.array([[1.0]]), 0.5)  # a row of the wrong width
     with pytest.raises(DimensionError):
-        embed_perturbation(theta, np.array([[1.0, 0.0]]), 0.5)  # a (1, k) batch, not a row
+        embed_perturbation(theta, np.array([1.0, 0.0]), 0.5)  # a 1-D row, not an (n, k) matrix
+    with pytest.raises(DimensionError):
+        embed_perturbation(theta, np.zeros((0, 2)), 0.5)  # no row at all
+    with pytest.raises(DimensionError):
+        embed_perturbation(theta, np.zeros((1, 1, 2)), 0.5)
 
 
 def test_embed_never_touches_out_of_scope_bits():
@@ -614,10 +633,10 @@ def test_embed_never_touches_out_of_scope_bits():
         k = int(gen.integers(1, d))
         mask = np.sort(gen.choice(d, size=k, replace=False))
         theta = ParamVector(gen.standard_normal(d), scope_mask=mask)
-        z = rng.sphere_rows(rng.next_block(), 1, k)[0]
-        out = embed_perturbation(theta, z, float(gen.uniform(0.01, 2.0)))
+        rows = rng.sphere_rows(rng.next_block(), int(gen.integers(1, 4)), k)
         outside = np.setdiff1d(np.arange(d), mask)
-        assert out.values[outside].tobytes() == theta.values[outside].tobytes()
+        for out in embed_perturbation(theta, rows, float(gen.uniform(0.01, 2.0))):
+            assert out.values[outside].tobytes() == theta.values[outside].tobytes()
 
 
 def test_param_vector_rejects_nonfinite():

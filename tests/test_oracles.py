@@ -24,7 +24,6 @@ from duelopt import (
     Sign,
     compare_function,
     compare_preference,
-    embed_perturbation,
     make_nonconvex_sparse,
     make_sparse_quadratic,
     make_toy_policy,
@@ -35,7 +34,7 @@ from duelopt import core
 from duelopt.errors import InvalidBatchError, OracleError
 from duelopt.optimizer import PracticalConfig, run_practical
 
-from reference_solvers import reference_grouped_rows
+from reference_solvers import reference_candidate_values, reference_grouped_rows
 
 
 def sq_norm(theta):
@@ -288,7 +287,10 @@ def test_measure_bits_rows_and_signs_match_their_substreams(case):
 def one_thread_batch(oracle, theta, radius, m, seed, block):
     """The batch of ``block``'s rows drawn at once by ``sphere_rows``, queried in index order."""
     rows = RngState(seed).sphere_rows(block, m, theta.scope_dim)
-    signs = [oracle(theta, embed_perturbation(theta, row, radius)) for row in rows]
+    signs = [
+        oracle(theta, ParamVector(values, theta.scope_mask))
+        for values in reference_candidate_values(theta, rows, radius)
+    ]
     return BitMeasurementBatch.from_directions(rows, signs, radius, block)
 
 
@@ -406,6 +408,52 @@ def test_measure_bits_batches_in_turn_are_the_same_on_one_or_two_threads(k, m):
         batch = measure_bits(obj.comparison_oracle(), theta, 0.01, n, rng)
         expected = one_thread_batch(obj.comparison_oracle(), theta, 0.01, n, 12, block)
         assert_same_batch(batch, expected)
+
+
+@pytest.mark.parametrize("k", [300, core._SPLIT_MIN_DIM])
+def test_an_oracle_that_keeps_its_candidates_sees_them_unchanged(k):
+    obj = make_sparse_quadratic(k, 5, seed=k)
+    theta = ParamVector(point_with_gradient_norm(obj, 1.0, RngState(4).substream(0)))
+    inner, kept = obj.comparison_oracle(), []
+
+    def oracle(a, b):
+        kept.append((b, b.values.tobytes()))
+        return inner(a, b)
+
+    # three chunks, the last one short; the second batch takes chunk 0 filled ahead
+    m, rng = 2 * (core._CHUNK_FLOATS // k) + 5, RngState(13)
+    for block in (0, 1):
+        measure_bits(oracle, theta, 0.01, m, rng)
+        assert len(kept) == (block + 1) * m
+        assert all(candidate.values.tobytes() == seen for candidate, seen in kept)
+    rows = [RngState(13).sphere_rows(block, m, k) for block in (0, 1)]
+    expected = reference_candidate_values(theta, np.concatenate(rows), 0.01)
+    for (candidate, _), values in zip(kept, expected, strict=True):
+        assert candidate.values.tobytes() == values.tobytes()
+        assert not candidate.values.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [3, 11, 19])
+def test_measure_bits_checks_a_chunks_candidates_before_asking_about_any(bad):
+    # chunks of 8 rows: rows 0 to 7, 8 to 15 and 16 to 19
+    k, m, radius = core._SPLIT_MIN_DIM, 20, 1e308
+    rows = RngState(6).sphere_rows(0, m, k)
+    # coordinate j of candidate ``bad`` alone overflows
+    j = int(np.argmax(rows[bad]))
+    others = np.delete(rows[:, j], bad).max()
+    assert rows[bad, j] > others
+    values = np.zeros(k)
+    values[j] = np.finfo(np.float64).max - radius * (rows[bad, j] + others) / 2
+    asked = []
+
+    def oracle(a, b):
+        asked.append(b)
+        return compare_function(lambda v: float(v.sum()), a, b)
+
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+        measure_bits(oracle, ParamVector(values), radius, m, RngState(6))
+    # every candidate of the chunks before was asked about, none of its own chunk
+    assert len(asked) == bad // 8 * 8
 
 
 # Pinned to one CPU before duelopt is imported, the child draws on the

@@ -87,13 +87,21 @@ def test_install_wraps_caller_names_and_uninstall_restores(tmp_path):
     # one measurement batch per loop iteration, counted at the loop entry points
     assert calls["oracles.measure_bits"] == tracer.counts["iterations"] >= 2
     # one query span per oracle call each trajectory records
-    oracle_calls = {}
+    oracle_calls, batches = {}, {}
     for name in RUNS:
         header, *rows = (tmp_path / name / "trajectory.csv").read_text().splitlines()
         column = header.split(",").index("oracle_calls")
-        oracle_calls[name] = sum(int(r.split(",")[column]) for r in rows)
+        per_batch = [int(r.split(",")[column]) for r in rows]
+        oracle_calls[name], batches[name] = sum(per_batch), len(per_batch)
+        if name == "basic-long":
+            assert set(per_batch) == {25}
     assert calls["bench.compare_function"] == oracle_calls["basic"] + oracle_calls["basic-long"]
     assert calls["policy.compare_preference"] == oracle_calls["pipeline"]
+    # candidates are built once per chunk: one chunk per batch of short rows,
+    # and chunks of 8, 8, 8 and 1 in the long run
+    assert calls["core.embed_perturbation"] == (
+        batches["basic"] + batches["pipeline"] + 4 * batches["basic-long"]
+    )
     # the worker thread calls no wrapped name: every generator is opened by
     # measure_bits on the calling thread, at most one per batch
     parent = tracer.columns()["parent"][label == tracer.labels.index("core.substream")]
