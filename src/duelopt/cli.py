@@ -455,8 +455,8 @@ def _run_practical_mode(config: RunConfig, out_dir: Path, policy, pairs: list | 
     practical = _practical_config(config)
     artifacts = {}
     if pairs is not None:
-        traj, final_policy = policy_mod.refine(policy, pairs, practical)
-        report = policy_mod.likelihood_report(policy, final_policy, pairs)
+        traj, final_policy, before = policy_mod.refine(policy, pairs, practical)
+        report = policy_mod.likelihood_report(before, final_policy, pairs)
         artifacts["likelihood_report"] = export_results(
             report, out_dir / "likelihood_report.csv"
         )

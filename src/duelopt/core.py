@@ -43,6 +43,10 @@ def _rows_per_key(dim: int) -> int:  # g: one long row, or a chunk's worth of sh
     return 1 if dim >= _SPLIT_MIN_DIM else _CHUNK_FLOATS // dim
 
 
+def _candidates_per_build(dim: int) -> int:  # about a chunk's floats of candidates of dim floats
+    return max(1, _CHUNK_FLOATS // dim)
+
+
 @dataclass
 class RngState:
     """Counter-based random state.
@@ -308,10 +312,10 @@ class ParamVector:
             raise DimensionError(
                 f"expected {self.scope_dim} in-scope values, got {new_scope.shape}"
             )
-        out = self.values[None].copy()
         if self.scope_mask is None:
-            out[0] = new_scope
+            out = new_scope[None].copy()
         else:
+            out = self.values[None].copy()
             out[0, self.scope_mask] = new_scope
         return ParamVector._derived(out, self.scope_mask)[0]
 
@@ -369,8 +373,9 @@ def embed_perturbation(theta: ParamVector, rows: np.ndarray, radius: float) -> l
     array, read-only, and every candidate shares theta's mask. Finiteness is
     checked once for all n, before any candidate is returned. The array is
     new on every call, never a reused buffer: an oracle may keep a
-    candidate, and a ``ParamVector``'s values never change. One row ``z``
-    is ``embed_perturbation(theta, z[None], radius)[0]``.
+    candidate, and a ``ParamVector``'s values never change. The caller
+    bounds its n * dim floats; ``measure_bits`` passes about 65,536. One
+    row ``z`` is ``embed_perturbation(theta, z[None], radius)[0]``.
     """
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")

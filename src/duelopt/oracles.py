@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParamVector, RngState, embed_perturbation
+from .core import ParamVector, RngState, _candidates_per_build, embed_perturbation
 from .errors import DimensionError, InvalidBatchError, OracleError
 
 
@@ -198,10 +198,14 @@ def measure_bits(
     -1 raises ``OracleError``. ``RngState.sphere_chunks`` gives the
     rows in chunks of about 65,536 floats, a whole number of key groups,
     filled ahead while the last chunk is queried. Each chunk is checked,
-    its candidates are built by one ``embed_perturbation`` call (so a
-    non-finite candidate anywhere in it raises ``ValueError`` before the
-    oracle is asked about any of them), queried, and its rows are added to
-    the signed sum, so no (m, k) matrix is ever held.
+    its candidates are built and queried, and its rows are added to the
+    signed sum, so no (m, k) matrix is ever held. The candidates are built
+    by one ``embed_perturbation`` call per run of rows whose candidates
+    take about 65,536 floats: the whole chunk without a scope mask, where
+    a candidate is as long as its row, and fewer rows at a time with a
+    mask that leaves k below theta's dim. A non-finite candidate anywhere
+    in a build raises ``ValueError`` before the oracle is asked about any
+    candidate of that build.
     The sum has the bits of one reduction over all m rows; at k = 1 that
     holds while m fits one chunk (65,536 rows), beyond which the pairwise
     column sum is taken per chunk.
@@ -211,18 +215,21 @@ def measure_bits(
     if not radius > 0:
         raise InvalidBatchError(f"radius must be > 0, got {radius}")
     block = rng.next_block()
-    k = theta.scope_dim
+    k, step = theta.scope_dim, _candidates_per_build(theta.dim)
     signs = np.empty(m, dtype=np.int8)
     total = None
     # closed on the way out, so that no row is filled once this returns
     with closing(rng.sphere_chunks(block, m, k)) as chunks:
         for start, rows in chunks:
             _check_unit_rows(rows)
-            for i, candidate in enumerate(embed_perturbation(theta, rows, radius), start):
-                answer = oracle(theta, candidate)
-                if answer != 1 and answer != -1:
-                    raise OracleError(f"oracle answered {answer!r}, not +1 or -1")
-                signs[i] = answer
-            del candidate  # it holds its chunk's array, freed before the next one is built
+            for j in range(0, len(rows), step):
+                candidates = embed_perturbation(theta, rows[j:j + step], radius)
+                for i, candidate in enumerate(candidates, start + j):
+                    answer = oracle(theta, candidate)
+                    if answer != 1 and answer != -1:
+                        raise OracleError(f"oracle answered {answer!r}, not +1 or -1")
+                    signs[i] = answer
+                # they hold their build's array, freed before the next one is made
+                del candidates, candidate
             total = _add_signed_rows(total, rows, signs[start:start + len(rows)])
     return BitMeasurementBatch(signs, total, radius, block)

@@ -510,13 +510,14 @@ class LikelihoodReport:
 
 
 def likelihood_report(
-    policy_before: ToyPolicy, policy_after: ToyPolicy, pairs: Sequence[PreferencePair]
+    before: Sequence[float], policy_after: ToyPolicy, pairs: Sequence[PreferencePair]
 ) -> LikelihoodReport:
     """Before/after log-likelihoods per pair with the displacement verdict.
 
-    Each policy's values are one ``log_likelihood_at`` pass over all pairs.
+    ``before`` is ``[pref_0, disp_0, pref_1, ...]`` as ``log_likelihood_at``
+    gives it, such as the starting values ``refine`` returns; the after
+    values are one ``log_likelihood_at`` pass of ``policy_after``.
     """
-    before = policy_before.log_likelihood_at(policy_before.weights, pairs)
     after = policy_after.log_likelihood_at(policy_after.weights, pairs)
     rows = [
         LikelihoodRow(i, *before[2 * i : 2 * i + 2], *after[2 * i : 2 * i + 2])
@@ -559,12 +560,14 @@ class PipelineResult:
 
 def refine(
     policy: ToyPolicy, pairs: Sequence[PreferencePair], practical: PracticalConfig
-) -> tuple[Trajectory, ToyPolicy]:
-    """Run the practical scheme from ``policy`` on ``pairs``: the trajectory and final policy.
+) -> tuple[Trajectory, ToyPolicy, list[float]]:
+    """Run the practical scheme from ``policy`` on ``pairs``.
 
-    The starting policy's values on ``pairs`` are checked in one pass: one
-    that is not finite raises ``InvalidBatchError`` naming its pair, since
-    every query would compare it and every step would be skipped.
+    Returns the trajectory, the final policy and the starting policy's
+    values on ``pairs``, which ``likelihood_report`` takes as its before
+    values. They are computed in one pass and checked: one that is not
+    finite raises ``InvalidBatchError`` naming its pair, since every query
+    would compare it and every step would be skipped.
     """
     # numpy's overflow warnings are off: the finite check below names the pair instead
     with np.errstate(over="ignore", invalid="ignore"):
@@ -576,7 +579,7 @@ def refine(
     oracle = partial(compare_preference, policy.log_likelihood_at)
     start = ParamVector(policy.flat_params)
     trajectory = run_practical(oracle, start, practical, data_stream=pairs)
-    return trajectory, policy.with_flat_params(trajectory.final_theta.values)
+    return trajectory, policy.with_flat_params(trajectory.final_theta.values), values
 
 
 def run_pipeline(
@@ -611,14 +614,14 @@ def run_pipeline(
         # one epoch is one round-robin pass over the noisy pairs
         steps = config.refine_epochs * math.ceil(len(noisy) / config.practical.pairs_per_batch)
         practical = dataclasses.replace(config.practical, iterations=steps)
-        trajectory, final_policy = refine(dpo_clean, noisy, practical)
+        trajectory, final_policy, before = refine(dpo_clean, noisy, practical)
         if all(rec.skipped for rec in trajectory.records):
             warnings.append(
                 f"all {len(trajectory.records)} refinement steps skipped; "
                 "final policy equals the clean baseline"
             )
         refine_done = time.perf_counter()
-        report = likelihood_report(dpo_clean, final_policy, noisy)
+        report = likelihood_report(before, final_policy, noisy)
         stage_seconds["refine"] = refine_done - dpo_done
         stage_seconds["likelihood_report"] = time.perf_counter() - refine_done
     else:

@@ -735,3 +735,21 @@ def test_measure_bits_holds_no_m_by_k_matrix():
         tracemalloc.stop()
     assert batch.m == 191
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("dim", [20_000, 100_000])
+def test_measure_bits_builds_masked_candidates_about_a_chunk_at_a_time(dim):
+    # k = 1, so one chunk holds all 200 rows; built at once, their candidates
+    # would take 200 * dim floats (32 MB at dim = 2 * 10^4)
+    theta = ParamVector(np.zeros(dim), scope_mask=[dim // 2])
+    oracle = partial(compare_function, lambda v: float(v[dim // 2]))
+    rng = RngState(2)
+    measure_bits(oracle, theta, 1e-3, 200, rng)  # a first call's one-off allocations
+    tracemalloc.start()
+    try:
+        batch = measure_bits(oracle, theta, 1e-3, 200, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.m == 200
+    assert peak < 2 * 8 * max(dim, core._CHUNK_FLOATS)

@@ -644,6 +644,25 @@ def test_pipeline_improves_noisy_margin():
     assert wins >= 4
 
 
+def test_pipeline_evaluates_the_baseline_on_the_noisy_pairs_once(monkeypatch):
+    # refine's checked starting values are the report's before values
+    ref = make_toy_policy(weight_seed=11)
+    gen = np.random.default_rng(3)
+    pairs = generate_preference_data(ref, n_clean=0, n_noisy=4, delta=3.0, gen=gen)
+    evaluate, keys = ToyPolicy.log_likelihood_at, collections.Counter()
+
+    def counted(self, theta_values, pairs):
+        keys[np.asarray(theta_values).tobytes(), tuple(pairs)] += 1
+        return evaluate(self, theta_values, pairs)
+
+    monkeypatch.setattr(ToyPolicy, "log_likelihood_at", counted)
+    result = run_pipeline(pairs, pipeline_config(delta=1e6, m=20), ref_policy=ref)
+    noisy = tuple(result.split.noisy)
+    assert keys[result.dpo_clean_policy.weights.tobytes(), noisy] == 1
+    before = evaluate(result.dpo_clean_policy, result.dpo_clean_policy.weights, noisy)
+    assert [value for row in result.report.rows for value in dataclasses.astuple(row)[1:3]] == before
+
+
 def test_pipeline_zero_refine_epochs_is_an_error():
     ref = make_toy_policy(weight_seed=11)
     gen = np.random.default_rng(12)
@@ -717,7 +736,7 @@ def test_practical_preference_run_never_touches_out_of_scope(mask, seed, skip, p
 def test_likelihood_report_zero_deltas_for_identical_policies():
     policy = small_policy()
     pairs = [PreferencePair((0,), (1,), (2,)), PreferencePair((1,), (3, 2), (0, 0))]
-    report = likelihood_report(policy, policy, pairs)
+    report = likelihood_report(policy.log_likelihood_at(policy.weights, pairs), policy, pairs)
     assert all(row.delta_preferred == 0.0 and row.delta_dispreferred == 0.0 for row in report.rows)
     assert not any(row.verdict for row in report.rows)
 
@@ -725,7 +744,7 @@ def test_likelihood_report_zero_deltas_for_identical_policies():
 def test_likelihood_report_rows_hold_each_policys_per_response_values():
     before, after = make_toy_policy(weight_seed=1), make_toy_policy(weight_seed=2)
     pairs = [PreferencePair((0,), (1,), (2,)), PreferencePair((1,), (3, 2), (0, 0, 5))]
-    rows = likelihood_report(before, after, pairs).rows
+    rows = likelihood_report(before.log_likelihood_at(before.weights, pairs), after, pairs).rows
     assert [dataclasses.astuple(row) for row in rows] == [
         (i, *(policy.sequence_log_likelihood(pair.prompt, response)
               for policy in (before, after)
