@@ -42,20 +42,11 @@ from .errors import (
 )
 from .optimizer import PracticalConfig, loop_profile, run_basic, run_practical, schedule_from_theorem
 
-MODES = ("basic", "practical", "pipeline", "bench-lemma", "bench-proposition", "bench-sweep")
-
 # practical-scheme hyperparameters published for the large-model runs; kept as
 # documentation presets, not reproduced at this scale
 PRESETS = {
     "mistral-7b": {"r": 0.0005, "m": 1600, "lambda_g": 0.00022, "skip_threshold": 0.2, "delta": 3.0},
     "llama-3-8b": {"r": 0.00075, "m": 1800, "lambda_g": 0.00008, "skip_threshold": 0.2, "delta": 3.0},
-}
-
-# operating points the bench modes default to when the config leaves them unset
-MODE_DEFAULTS = {
-    "bench-lemma": {"d": 100, "s": 5, "epsilon": 1.0, "n_samples": 100_000},
-    "bench-proposition": {"d": 500, "s": 5, "flip_prob": 0.2, "trials": 100},
-    "bench-sweep": {"dims": (200, 400, 800), "s": 5, "epsilon": 0.1, "Lambda": 0.1, "c_m": 2.0},
 }
 
 SIGN_AGREEMENT_FLOOR = 0.69
@@ -212,9 +203,9 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a flat config dict and layer it over the field defaults.
 
-    Layering order: the mode's defaults, then the preset named by the
-    ``"preset"`` key, then the remaining keys, then ``overrides`` (command-line
-    flags). Unknown keys are rejected.
+    Layering order: the operating point in the mode's ``_MODES`` entry, then
+    the preset named by the ``"preset"`` key, then the remaining keys, then
+    ``overrides`` (command-line flags). Unknown keys are rejected.
     """
     raw = dict(raw)
     preset = raw.pop("preset", None)
@@ -227,7 +218,7 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     # a list or dict mode or preset is never in the tuples, and is never hashed
     if raw["mode"] not in MODES:
         raise RangeError("mode", raw["mode"], f"one of {MODES}")
-    values = dict(MODE_DEFAULTS.get(raw["mode"], {}))
+    values = dict(_MODES[raw["mode"]][1])
     if preset is not None:
         if preset not in tuple(PRESETS):
             raise RangeError("preset", preset, f"one of {sorted(PRESETS)}")
@@ -322,38 +313,16 @@ def _csv_cell(value) -> str:
 
 
 def run_experiment(config: RunConfig) -> RunManifest:
-    """Dispatch one experiment and write its artifacts and manifest.
+    """Run the config's mode with its ``_MODES`` runner and write the manifest.
 
-    A policy run's reference policy and pairs are built first, and
-    ``export_results`` or ``_write_json`` makes the out dir at a run's first
-    artifact, once its work is done. So a failing input or stage leaves no
-    out dir behind, and writes nothing into an out dir that was there before.
+    A runner builds its inputs first, and ``export_results`` or
+    ``_write_json`` makes the out dir at a run's first artifact, once its
+    work is done. So a failing input or stage leaves no out dir behind, and
+    writes nothing into an out dir that was there before.
     """
     out_dir = _out_dir(config.out_dir)
     started = time.perf_counter()
-    policy = pairs = None
-    if config.dataset is not None and config.mode in ("practical", "pipeline"):
-        pairs = _load_dataset(config.dataset, config.vocab_size)
-        if not pairs:
-            # run_practical rejects it too, but a pipeline would split
-            # nothing and save the reference twice before it got there
-            raise InvalidScheduleError("data stream must contain at least one pair")
-    if pairs is not None or config.mode == "pipeline":
-        policy = _make_policy(config)
-    if pairs is None and config.mode == "pipeline":
-        gen = np.random.Generator(np.random.Philox(key=int(config.seed)))
-        pairs = policy_mod.generate_preference_data(
-            policy, config.n_clean, config.n_noisy, config.delta, gen
-        )
-    runner = {
-        "basic": _run_basic_mode,
-        "practical": _run_practical_mode,
-        "pipeline": _run_pipeline_mode,
-        "bench-lemma": _run_bench_lemma,
-        "bench-proposition": _run_bench_proposition,
-        "bench-sweep": _run_bench_sweep,
-    }[config.mode]
-    artifacts, passed, summary = runner(config, out_dir, policy, pairs)
+    artifacts, passed, summary = _MODES[config.mode][0](config, out_dir)
     summary.setdefault("profile", loop_profile([]))  # zeros where no descent loop ran
     manifest = RunManifest(
         mode=config.mode,
@@ -412,7 +381,7 @@ def _make_policy(config: RunConfig) -> policy_mod.ToyPolicy:
     return policy
 
 
-def _run_basic_mode(config: RunConfig, out_dir: Path, _policy: None, _pairs: None):
+def _run_basic_mode(config: RunConfig, out_dir: Path):
     objective = _make_objective(config)
     theta0, Delta = bench_mod.start_with_gap(objective, config.Delta)
     schedule = schedule_from_theorem(
@@ -451,11 +420,12 @@ def _practical_config(config: RunConfig) -> PracticalConfig:
     )
 
 
-def _run_practical_mode(config: RunConfig, out_dir: Path, policy, pairs: list | None):
+def _run_practical_mode(config: RunConfig, out_dir: Path):
     practical = _practical_config(config)
     artifacts = {}
-    if pairs is not None:
-        traj, final_policy, before = policy_mod.refine(policy, pairs, practical)
+    if config.dataset is not None:
+        pairs = _load_dataset(config.dataset, config.vocab_size)
+        traj, final_policy, before = policy_mod.refine(_make_policy(config), pairs, practical)
         report = policy_mod.likelihood_report(before, final_policy, pairs)
         artifacts["likelihood_report"] = export_results(
             report, out_dir / "likelihood_report.csv"
@@ -481,7 +451,19 @@ def _run_practical_mode(config: RunConfig, out_dir: Path, policy, pairs: list | 
     return artifacts, None, summary
 
 
-def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: list):
+def _run_pipeline_mode(config: RunConfig, out_dir: Path):
+    if config.dataset is not None:
+        dataset = _load_dataset(config.dataset, config.vocab_size)
+        if not dataset:
+            # run_practical rejects it too, but a pipeline would split
+            # nothing and save the reference twice before it got there
+            raise InvalidScheduleError("data stream must contain at least one pair")
+    ref_policy = _make_policy(config)
+    if config.dataset is None:
+        gen = np.random.Generator(np.random.Philox(key=int(config.seed)))
+        dataset = policy_mod.generate_preference_data(
+            ref_policy, config.n_clean, config.n_noisy, config.delta, gen
+        )
     pipeline_config = policy_mod.PipelineConfig(
         practical=_practical_config(config),
         delta=config.delta,
@@ -517,7 +499,7 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path, ref_policy, dataset: li
     return artifacts, None, summary
 
 
-def _run_bench_lemma(config: RunConfig, out_dir: Path, _policy: None, _pairs: None):
+def _run_bench_lemma(config: RunConfig, out_dir: Path):
     objective = bench_mod.make_sparse_quadratic(config.d, config.s, seed=config.objective_seed)
     rng = RngState(config.seed)
     theta = bench_mod.point_with_gradient_norm(objective, 1.0, rng.substream(rng.next_block()))
@@ -539,7 +521,7 @@ def _run_bench_lemma(config: RunConfig, out_dir: Path, _policy: None, _pairs: No
     return artifacts, passed, summary
 
 
-def _run_bench_proposition(config: RunConfig, out_dir: Path, _policy: None, _pairs: None):
+def _run_bench_proposition(config: RunConfig, out_dir: Path):
     m = config.bench_m
     if m is None:
         m = int(math.ceil(40.0 * config.s * math.log(2.0 * config.d / config.s)))
@@ -569,7 +551,7 @@ def _run_bench_proposition(config: RunConfig, out_dir: Path, _policy: None, _pai
     return artifacts, passed, summary
 
 
-def _run_bench_sweep(config: RunConfig, out_dir: Path, _policy: None, _pairs: None):
+def _run_bench_sweep(config: RunConfig, out_dir: Path):
     report = bench_mod.sweep_convergence(
         list(config.dims),
         config.s,
@@ -601,6 +583,20 @@ def _run_bench_sweep(config: RunConfig, out_dir: Path, _policy: None, _pairs: No
     return artifacts, passed, dict(summary, profile=report.profile)  # timings stay out of the JSON
 
 
+# each mode's runner, and the operating point it starts from where the config
+# leaves a field unset; RangeError lists the modes in this order
+_MODES = {
+    "basic": (_run_basic_mode, {}),
+    "practical": (_run_practical_mode, {}),
+    "pipeline": (_run_pipeline_mode, {}),
+    "bench-lemma": (_run_bench_lemma, {"d": 100, "s": 5, "epsilon": 1.0}),
+    "bench-proposition": (_run_bench_proposition, {"d": 500, "s": 5}),
+    "bench-sweep": (_run_bench_sweep, {"s": 5, "epsilon": 0.1, "Lambda": 0.1, "c_m": 2.0}),
+}
+MODES = tuple(_MODES)
+_SUITES = tuple(mode.removeprefix("bench-") for mode in MODES if mode.startswith("bench-"))
+
+
 # ----- command line ----------------------------------------------------
 
 
@@ -614,9 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default=None, help="override output directory")
 
     p_bench = sub.add_parser("bench", help="run validation suites")
-    p_bench.add_argument(
-        "--suite", required=True, choices=("lemma", "proposition", "sweep", "all")
-    )
+    p_bench.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default=None)
 
@@ -659,7 +653,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    suites = ("lemma", "proposition", "sweep") if args.suite == "all" else (args.suite,)
+    suites = _SUITES if args.suite == "all" else (args.suite,)
     base = _out_dir(args.out)
     all_passed = True
     for suite in suites:

@@ -39,12 +39,12 @@ _SPLIT_MIN_DIM = 8192
 _CHUNK_FLOATS = 1 << 16
 
 
-def _rows_per_key(dim: int) -> int:  # g: one long row, or a chunk's worth of short rows
-    return 1 if dim >= _SPLIT_MIN_DIM else _CHUNK_FLOATS // dim
-
-
-def _candidates_per_build(dim: int) -> int:  # about a chunk's floats of candidates of dim floats
+def _rows_per_chunk(dim: int) -> int:  # rows of dim floats in about a chunk's floats, at least one
     return max(1, _CHUNK_FLOATS // dim)
+
+
+def _rows_per_key(dim: int) -> int:  # g: one long row, or a chunk's worth of short rows
+    return 1 if dim >= _SPLIT_MIN_DIM else _rows_per_chunk(dim)
 
 
 @dataclass
@@ -109,7 +109,7 @@ class RngState:
         """
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
-        size, per_key = min(max(1, _CHUNK_FLOATS // dim), count), _rows_per_key(dim)
+        size, per_key = min(_rows_per_chunk(dim), count), _rows_per_key(dim)
         starts, worker = range(0, count, size), _row_worker()
         job, groups, gen, buffers = self._take_ahead((block, count, dim)) or (
             None, None, self.substream(block), np.empty((2, size, dim)))
@@ -385,8 +385,10 @@ def embed_perturbation(theta: ParamVector, rows: np.ndarray, radius: float) -> l
         )
     out = np.empty((len(rows), theta.dim))
     out[...] = theta.values
-    if theta.scope_mask is None:
-        out += radius * rows
-    else:
-        out[:, theta.scope_mask] += radius * rows
+    # numpy's overflow warnings are off: the finite check in _derived raises instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        if theta.scope_mask is None:
+            out += radius * rows
+        else:
+            out[:, theta.scope_mask] += radius * rows
     return ParamVector._derived(out, theta.scope_mask)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParamVector, RngState, _candidates_per_build, embed_perturbation
+from .core import ParamVector, RngState, _rows_per_chunk, embed_perturbation
 from .errors import DimensionError, InvalidBatchError, OracleError
 
 
@@ -215,7 +215,7 @@ def measure_bits(
     if not radius > 0:
         raise InvalidBatchError(f"radius must be > 0, got {radius}")
     block = rng.next_block()
-    k, step = theta.scope_dim, _candidates_per_build(theta.dim)
+    k, step = theta.scope_dim, _rows_per_chunk(theta.dim)
     signs = np.empty(m, dtype=np.int8)
     total = None
     # closed on the way out, so that no row is filled once this returns

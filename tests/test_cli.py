@@ -111,6 +111,14 @@ def test_config_hash_stable_and_sensitive():
      "29ae88d21e0d5955b975dd8b82a217309bc4415284835428902bfe0a975d434d"),
     ({"mode": "bench-sweep"},
      "e3d6d0bd6702f25d0ef37f7d6800254c30b6a419e231ab31ee9a8be34edd25e7"),
+    ({"mode": "practical"},
+     "2173bea80b952a2531fbf7e33bd8f88db971181b75a9bec9ec6e822e68c2e53d"),
+    ({"mode": "pipeline"},
+     "425248c36afd3682d4a55c7b3b10b72870a967da388b5bc3aca6d032961e37e3"),
+    ({"mode": "bench-lemma"},
+     "35dca38e3b21bddd142ba97e2d5e0c8b55fde6283e0330f8148086f5292db8b5"),
+    ({"mode": "bench-proposition"},
+     "1ba88a0cfdfa746c28175aa872996492401564e6c1baddd4fe9514d9e61d8f91"),
 ])
 def test_config_hash_is_pinned(raw, digest):
     # canonical JSON of every field: a changed digest means changed manifests
@@ -430,6 +438,13 @@ def test_console_script_help():
     assert out.returncode == 0
     for sub in ("run", "bench", "split"):
         assert sub in out.stdout
+    # the suites are the bench modes of the one mode table, and "all"
+    out = subprocess.run(
+        [sys.executable, "-m", "duelopt", "bench", "--help"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert out.returncode == 0
+    assert "--suite {lemma,proposition,sweep,all}" in out.stdout
 
 
 QUIET_RUNS = {

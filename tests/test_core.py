@@ -582,14 +582,13 @@ def test_embed_candidate_is_one_checked_frozen_copy_sharing_the_mask():
         with pytest.raises(TypeError):
             embed_perturbation(theta, rows + 1j, 0.25)
     # the sum overflows to inf in any row; the one check left still catches it
-    with np.errstate(over="ignore"):
-        for mask in (None, np.array([0])):
-            theta = ParamVector(np.array([1.7e308, 0.0]), scope_mask=mask)
-            for bad in range(3):
-                rows = np.zeros((3, theta.scope_dim))
-                rows[bad, 0] = 1.0
-                with pytest.raises(ValueError, match="NaN or Inf"):
-                    embed_perturbation(theta, rows, 1e308)
+    for mask in (None, np.array([0])):
+        theta = ParamVector(np.array([1.7e308, 0.0]), scope_mask=mask)
+        for bad in range(3):
+            rows = np.zeros((3, theta.scope_dim))
+            rows[bad, 0] = 1.0
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                embed_perturbation(theta, rows, 1e308)
 
 
 def test_evaluate_computes_each_call_once_and_stays_out_of_eq_and_repr():
