@@ -25,7 +25,7 @@ from .oracles import BitMeasurementBatch, compare_function
 from .sparse_grad import _bisect_upper, solve_1bge_exact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticObjective:
     """A smooth objective with sparse gradient support and known constants."""
 
@@ -202,7 +202,7 @@ def check_sign_agreement(
     return agree / float(n_samples)
 
 
-@dataclass
+@dataclass(eq=False)
 class EstimatorErrorReport:
     """Recovery errors of the exact solver under independent sign flips."""
 

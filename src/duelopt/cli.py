@@ -242,8 +242,14 @@ def _validate_config(config: RunConfig) -> None:
     # rules that involve more than one field
     if config.objective not in ("quadratic", "nonconvex"):
         raise RangeError("objective", config.objective, "quadratic or nonconvex")
-    if not (1 <= config.s <= config.d):
-        raise RangeError("s", config.s, f"[1, d={config.d}]")
+    if not config.dims:
+        raise RangeError("dims", config.dims, "nonempty list")
+    if config.mode == "bench-sweep" and not all(config.s <= d < 2**63 for d in config.dims):
+        raise RangeError("dims", config.dims, f"entries in [s={config.s}, 2**63)")
+    # bench-sweep reads its grid of dimensions, never d
+    name, top = ("min(dims)", min(config.dims)) if config.mode == "bench-sweep" else ("d", config.d)
+    if not (1 <= config.s <= top):
+        raise RangeError("s", config.s, f"[1, {name}={top}]")
     if config.mode in ("basic", "bench-sweep") and not (0.0 < config.epsilon < 1.0):
         raise RangeError("epsilon", config.epsilon, "(0, 1) for schedule-driven modes")
     pair_count = config.n_clean + config.n_noisy  # a list of this length must be indexable
@@ -256,10 +262,6 @@ def _validate_config(config: RunConfig) -> None:
         )
         dim = config.vocab_size * config.feature_dim if uses_policy else config.d
         ParamVector(np.zeros(dim), config.scope_mask)
-    if not config.dims:
-        raise RangeError("dims", config.dims, "nonempty list")
-    if config.mode == "bench-sweep" and not all(config.s <= d < 2**63 for d in config.dims):
-        raise RangeError("dims", config.dims, f"entries in [s={config.s}, 2**63)")
     if not config.bench_seeds:
         raise RangeError("bench_seeds", config.bench_seeds, "nonempty list")
     if config.mode == "bench-sweep" and not all(

@@ -10,7 +10,8 @@ Perturbation directions are plain float64 rows. Row i of block t is the
 shorter than ``_SPLIT_MIN_DIM`` shares its key with the g rows of its chunk
 (g = ``_CHUNK_FLOATS // dim``), a longer one has a key of its own (g = 1).
 A row depends on its group's key alone, so rows drawn in chunks, on any
-thread, equal rows drawn at once. ``oracles`` checks that the rows are unit.
+thread, equal rows drawn at once. A row of norm zero becomes e0
+(``_normalize``). ``oracles`` checks that the rows are unit.
 """
 
 from __future__ import annotations
@@ -84,13 +85,13 @@ class RngState:
 
         The one-thread reference draw that tests and row regeneration use.
         """
-        if dim < 1:  # a row of no floats has norm zero, and would be redrawn forever
+        if dim < 1:  # a row of no floats has no direction
             raise DimensionError(f"dimension must be >= 1, got {dim}")
         rows = np.empty((count, dim), dtype=np.float64)
         gen = self.substream(block, start // _rows_per_key(dim))
         gen.standard_normal(start % _rows_per_key(dim) * dim)  # the group's rows before ``start``
         self._fill_rows(gen, rows, block, start)
-        return self._normalize(rows, block, start)
+        return _normalize(rows)
 
     def sphere_chunks(self, block: int, count: int, dim: int):
         """Yield ``(start, rows)``, the rows of ``sphere_rows(block, count, dim)`` by chunk.
@@ -132,7 +133,7 @@ class RngState:
                 elif self.counter == block + 1:
                     self._ahead = (os.getpid(), (block + 1, count, dim),
                                    *fill_ahead(spare, block + 1, 0), gen, [spare, buffers[j % 2]])
-                yield start, self._normalize(rows, block, start)
+                yield start, _normalize(rows)
         except BaseException:  # closed before its end: no fill is left running
             if job is not None:
                 _drop(job, groups)
@@ -147,28 +148,6 @@ class RngState:
                 return ahead[2:]
             _drop(*ahead[2:4])
         return None
-
-    def _normalize(self, rows: np.ndarray, block: int, start: int) -> np.ndarray:
-        """Scale ``rows``, rows ``start``... of ``block``, to unit length in place."""
-        # the sum of squares np.linalg.norm(rows, axis=1) takes for float64,
-        # without the copy of the rows its conj() makes
-        norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
-        dim, per_key = rows.shape[1], _rows_per_key(rows.shape[1])
-        for i in np.flatnonzero(norms == 0.0):
-            # probability zero; redrawn from its group's substream: its own
-            # run, then the runs past the group, up to one of nonzero norm
-            group, pos = divmod(start + int(i), per_key)
-            row, gen = rows[i:i + 1], self.substream(block, group)
-            gen.standard_normal(pos * dim)
-            later = (per_key - pos - 1) * dim  # the group's rows after this one
-            while norms[i] == 0.0:
-                row[...] = gen.standard_normal(row.shape)
-                norms[i] = np.sqrt(np.add.reduce(row * row, axis=1))[0]
-                gen.standard_normal(later)
-                later = 0
-        # divided in place, not into a second array of the rows' shape
-        rows /= norms[:, None]
-        return rows
 
     def _fill_rows(self, gen: np.random.Generator, rows: np.ndarray, block: int, start: int):
         """Fill ``rows``, rows ``start``... of ``block``; ``gen`` has drawn the group's rows before.
@@ -208,6 +187,23 @@ class RngState:
         block = self.counter
         self.counter += 1
         return block
+
+
+def _normalize(rows: np.ndarray) -> np.ndarray:
+    """Scale ``rows`` to unit length in place; a row of norm zero becomes e0 = (1, 0, ..., 0).
+
+    Its normals would all have to be exactly 0.0, which numpy's ziggurat
+    draws only from a 52-bit draw of 0: at most 2**-52 per row, reached only
+    at dim 1, and by no known input. So no generator is opened for it.
+    """
+    # the sum of squares np.linalg.norm(rows, axis=1) takes for float64,
+    # without the copy of the rows its conj() makes
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    zero = norms == 0.0
+    rows[zero, 0] = norms[zero] = 1.0
+    # divided in place, not into a second array of the rows' shape
+    rows /= norms[:, None]
+    return rows
 
 
 def _fresh_philox(key: list[int]) -> dict:
@@ -250,7 +246,7 @@ def _row_worker():
         return _row_pool[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamVector:
     """Dense parameter vector with an optional perturbation-scope mask.
 
@@ -346,8 +342,8 @@ class ParamVector:
         """``fn(self.values, *args)``, computed once per ``(fn, *args)`` and kept.
 
         ``fn`` and ``args`` key the table, so they must be hashable. The
-        table is made on first use and is no dataclass field, so eq and repr
-        ignore it. The vector is immutable, so a kept value cannot go stale,
+        table is made on first use and is no dataclass field, so repr
+        ignores it. The vector is immutable, so a kept value cannot go stale,
         and it is freed with the vector. An oracle asks about one base point
         m times per batch; its base values are computed here once.
         """

@@ -140,7 +140,7 @@ class IterationRecord:
     grad_norm: float | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Per-iteration records plus the final iterate and its diagnostics."""
 
@@ -149,8 +149,8 @@ class Trajectory:
     final_f: float | None = None
     final_grad_norm: float | None = None
     # seconds in measure_bits and in the estimator, timed per batch
-    measure_seconds: float = field(default=0.0, compare=False)
-    estimate_seconds: float = field(default=0.0, compare=False)
+    measure_seconds: float = 0.0
+    estimate_seconds: float = 0.0
 
     @property
     def total_oracle_calls(self) -> int:
@@ -210,34 +210,36 @@ def _descend(
     whose true gradient norm (synthetic runs only) falls below it.
     """
     traj = Trajectory()
-    for t in range(1, iterations + 1):
-        f_val, grad_norm = _diagnostics(objective, theta)
-        if stop_grad_norm is not None and grad_norm is not None and grad_norm < stop_grad_norm:
-            break
-        started = time.perf_counter()
-        try:
-            batch = measure_bits(oracle_at(t), theta, radius, m, rng)
-        except OracleError as exc:
-            raise OracleError(f"iteration {t}: {exc}") from exc
-        traj.measure_seconds += (measured := time.perf_counter()) - started
-        rho = batch.negative_fraction()
-        step, skipped, degenerate = 0.0, rho <= skip_threshold, False
-        if not skipped:
+    # numpy's overflow warnings are off, once per loop: compare_function raises instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, iterations + 1):
+            f_val, grad_norm = _diagnostics(objective, theta)
+            if stop_grad_norm is not None and grad_norm is not None and grad_norm < stop_grad_norm:
+                break
+            started = time.perf_counter()
             try:
-                direction = estimate(batch).direction
-            except DegenerateMeasurementError:
-                skipped = degenerate = True
-            traj.estimate_seconds += time.perf_counter() - measured
+                batch = measure_bits(oracle_at(t), theta, radius, m, rng)
+            except OracleError as exc:
+                raise OracleError(f"iteration {t}: {exc}") from exc
+            traj.measure_seconds += (measured := time.perf_counter()) - started
+            rho = batch.negative_fraction()
+            step, skipped, degenerate = 0.0, rho <= skip_threshold, False
             if not skipped:
-                step = stepsize(rho)
-                theta = theta.with_scope_values(theta.scope_values() - step * direction)
-        traj.records.append(IterationRecord(
-            iteration=t, oracle_calls=batch.m, negative_fraction=rho,
-            stepsize_applied=step, skipped=skipped, degenerate=degenerate,
-            theta_hash=theta.content_hash(), f_value=f_val, grad_norm=grad_norm,
-        ))
-    traj.final_theta = theta
-    traj.final_f, traj.final_grad_norm = _diagnostics(objective, theta)
+                try:
+                    direction = estimate(batch).direction
+                except DegenerateMeasurementError:
+                    skipped = degenerate = True
+                traj.estimate_seconds += time.perf_counter() - measured
+                if not skipped:
+                    step = stepsize(rho)
+                    theta = theta.with_scope_values(theta.scope_values() - step * direction)
+            traj.records.append(IterationRecord(
+                iteration=t, oracle_calls=batch.m, negative_fraction=rho,
+                stepsize_applied=step, skipped=skipped, degenerate=degenerate,
+                theta_hash=theta.content_hash(), f_value=f_val, grad_norm=grad_norm,
+            ))
+        traj.final_theta = theta
+        traj.final_f, traj.final_grad_norm = _diagnostics(objective, theta)
     return traj
 
 

@@ -34,7 +34,7 @@ class Sign(enum.IntEnum):
     PLUS = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitMeasurementBatch:
     """m one-bit measurements: the oracle signs and their signed direction sum.
 
@@ -134,16 +134,17 @@ def compare_function(
 ) -> Sign:
     """Sign of ``f(theta_prime) - f(theta)``: MINUS iff strictly smaller.
 
-    Ties (including a constant objective) fall through to PLUS. ``f(theta)``
-    comes from ``theta.evaluate(objective)``, so a batch of queries about one
-    base point evaluates it once.
+    Ties (including a constant objective) fall through to PLUS; a value that
+    is not finite raises ``OracleError``. ``f(theta)`` comes from
+    ``theta.evaluate(objective)``, so a batch of queries about one base point
+    evaluates it once.
     """
     if theta.dim != theta_prime.dim:
         raise DimensionError("points must share a dimension")
     f_base = float(theta.evaluate(objective))
     f_cand = float(objective(theta_prime.values))
-    if math.isnan(f_base) or math.isnan(f_cand):
-        raise OracleError("objective evaluated to NaN")
+    if not (math.isfinite(f_base) and math.isfinite(f_cand)):
+        raise OracleError(f"objective evaluated to {f_cand if math.isfinite(f_base) else f_base}")
     return Sign.MINUS if f_cand < f_base else Sign.PLUS
 
 

@@ -279,16 +279,6 @@ def log_likelihood(policy: ToyPolicy, prompt: Sequence[int], response: Sequence[
     return policy.sequence_log_likelihood(prompt, response)
 
 
-def _pair_margin(policy: ToyPolicy, ref: ToyPolicy, pair: PreferencePair) -> float:
-    return (
-        policy.sequence_log_likelihood(pair.prompt, pair.preferred)
-        - ref.sequence_log_likelihood(pair.prompt, pair.preferred)
-    ) - (
-        policy.sequence_log_likelihood(pair.prompt, pair.dispreferred)
-        - ref.sequence_log_likelihood(pair.prompt, pair.dispreferred)
-    )
-
-
 def dpo_loss(
     policy: ToyPolicy, ref_policy: ToyPolicy, batch: Sequence[PreferencePair], beta: float
 ) -> float:
@@ -296,15 +286,17 @@ def dpo_loss(
 
     The margin is the reference-adjusted log-likelihood gap between preferred
     and dispreferred responses; equal policies give exactly log 2 per pair.
+    Each policy's values come from one ``log_likelihood_at`` pass.
     """
     if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     if len(batch) == 0:
         raise InvalidBatchError("batch must be nonempty")
+    own = policy.log_likelihood_at(policy.weights, batch)
+    ref = ref_policy.log_likelihood_at(ref_policy.weights, batch)
     total = 0.0
-    for pair in batch:
-        h = _pair_margin(policy, ref_policy, pair)
-        total += float(np.logaddexp(0.0, -beta * h))
+    for pp, pd, rp, rd in zip(own[::2], own[1::2], ref[::2], ref[1::2]):
+        total += float(np.logaddexp(0.0, -beta * ((pp - rp) - (pd - rd))))
     return total / len(batch)
 
 

@@ -25,7 +25,7 @@ from .errors import DegenerateMeasurementError
 from .oracles import BitMeasurementBatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientEstimate:
     """A direction estimate with its feasibility certificates."""
 

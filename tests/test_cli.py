@@ -506,6 +506,21 @@ def test_cli_practical_dataset_log_likelihood_overflow_is_an_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("payload, iteration", [
+    # every candidate's value overflows
+    ({"mode": "practical", "r": 1e200, "T": 2, "m": 10}, 1),
+    # the first step overflows the value at the next iterate
+    ({"mode": "practical", "gamma": 1e308, "T": 3, "m": 10}, 2),
+])
+def test_cli_synthetic_objective_overflow_is_an_error(tmp_path, capsys, payload, iteration):
+    path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = one_line_error(capsys, ["run", "--config", str(path)])
+    assert line == f"error: iteration {iteration}: objective evaluated to inf"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_scope_mask_out_of_range_is_an_error(tmp_path, capsys):
     path = write_config(tmp_path, {
         "mode": "pipeline", "dataset": str(BUNDLED_DATASET), "scope_mask": [5000],
@@ -599,6 +614,18 @@ def test_seeds_at_the_ends_of_their_ranges_are_accepted():
     build_config({"mode": "pipeline", "feature_seed": -(2**63)})
     build_config({"mode": "pipeline", "feature_seed": 2**63 - 1})
     build_config({"mode": "bench-sweep", "seed": 3, "bench_seeds": [-3, top - 3]})
+
+
+def test_bench_sweep_bounds_s_by_its_grid_not_d():
+    raw = {"mode": "bench-sweep", "s": 300, "dims": [400, 800], "bench_seeds": [0], "epsilon": 0.5}
+    assert build_config(raw).s == 300 > build_config(raw).d
+    with pytest.raises(RangeError, match=r"'s' = 0 outside bounds \[1, min\(dims\)=400\]"):
+        build_config(dict(raw, s=0))
+    with pytest.raises(RangeError, match=r"'dims' = \(400, 800\) outside bounds entries in \[s=500"):
+        build_config(dict(raw, s=500))
+    # every other mode keeps s within [1, d]
+    with pytest.raises(RangeError, match=r"\[1, d=200\]"):
+        build_config({"mode": "basic", "s": 300})
 
 
 def test_closed_ends_of_ranges_are_accepted():

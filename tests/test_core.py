@@ -49,7 +49,7 @@ def test_sphere_rotational_symmetry_monte_carlo():
 
 
 def test_sphere_rejects_zero_dim():
-    # a row of no floats has norm zero, so its redraw would never end
+    # a row of no floats has no direction
     rng = RngState(1)
     for dim in (0, -1):
         with pytest.raises(DimensionError):
@@ -423,109 +423,43 @@ def test_a_forked_child_splits_its_draws_with_a_worker_of_its_own(monkeypatch):
     assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
 
 
-@pytest.mark.parametrize("zero_row", [0, 2, 4])
-def test_sphere_rows_redraws_a_zero_row_from_its_own_substream(monkeypatch, zero_row):
-    # rows this long have a key each; ``sphere_rows`` fills them one at a time
-    dim = core._SPLIT_MIN_DIM
-    rng = RngState(11)
-    expected = rng.sphere_rows(3, 7, dim)
+@pytest.mark.parametrize("ahead", [False, True])
+@pytest.mark.parametrize("zero_row", [0, 1, 4])
+@pytest.mark.parametrize("dim", [4, core._SPLIT_MIN_DIM])
+def test_a_zero_row_becomes_the_first_axis(monkeypatch, dim, zero_row, ahead):
+    # chunks of five short rows, one key group, or of three long rows, a key each
+    per_key, size = (5, 5) if dim < core._SPLIT_MIN_DIM else (1, 3)
+    monkeypatch.setattr(core, "_CHUNK_FLOATS", size * dim + 3)
+    seed, block, count = 11, 3, 12
+    expected = [row.tobytes() for row in RngState(seed).sphere_rows(block, count, dim)]
+    expected[zero_row] = np.eye(1, dim).tobytes()
+    fill_rows, substream, opened = RngState._fill_rows, RngState.substream, []
 
-    class ZeroRow(np.random.Generator):
-        """Fills the ``zero_row``-th row drawn into ``out`` with zeros."""
-
-        drawn = 0
-
-        def standard_normal(self, *args, out=None, **kwargs):
-            result = super().standard_normal(*args, out=out, **kwargs)
-            if out is not None:
-                if self.drawn == zero_row:
-                    out[...] = 0.0
-                self.drawn += 1
-            return result
-
-    opened = []
-
-    def substream(self, block, index=0):
-        opened.append(index)
-        return ZeroRow(np.random.Philox(key=self._key(block, index)))
-
-    monkeypatch.setattr(RngState, "substream", substream)
-    for start in (0, 2):
-        opened.clear()
-        got = rng.sphere_rows(3, 5, dim, start)
-        assert opened == [start, start + zero_row]
-        assert got.tobytes() == expected[start:start + 5].tobytes()
-    # drawn in chunks of 3, the caller and the worker fill rows with generators
-    # of their own, so row ``zero_row`` of the block is zeroed on either thread
-    fill_rows = RngState._fill_rows
-
-    def zeroing_fill_rows(self, gen, rows, block, start):
-        fill_rows(self, gen, rows, block, start)
-        if start <= zero_row < start + len(rows):
+    def zeroing_fill_rows(self, gen, rows, blk, start):  # on whichever thread fills the row
+        fill_rows(self, gen, rows, blk, start)
+        if blk == block and start <= zero_row < start + len(rows):
             rows[zero_row - start] = 0.0
 
-    def recording_substream(self, block, index=0):
-        opened.append(index)
-        return np.random.Generator(np.random.Philox(key=self._key(block, index)))
+    def recording_substream(self, blk, index=0):
+        opened.append((blk, index))
+        return substream(self, blk, index)
 
-    monkeypatch.setattr(RngState, "substream", recording_substream)
     monkeypatch.setattr(RngState, "_fill_rows", zeroing_fill_rows)
-    monkeypatch.setattr(core, "_CHUNK_FLOATS", 3 * dim)
-    opened.clear()
-    rows, _ = chunked(rng, 3, 7, dim)
-    # the zero row is redrawn by its index in the block
-    assert opened == [0, zero_row]
-    assert rows == [row.tobytes() for row in expected]
-
-
-# blocks from the drawn one to the state's counter: at 1 the next block is
-# due, and the worker also fills its chunk 0 while the last chunk is yielded
-@pytest.mark.parametrize("lead", [1, 2])
-@pytest.mark.parametrize("zero_row", [0, 1, 4])
-def test_a_zero_short_row_is_redrawn_past_its_key_group(monkeypatch, lead, zero_row):
-    # five rows of 4 floats per key; rows 0 to 4 share substream (block, 0)
-    monkeypatch.setattr(core, "_CHUNK_FLOATS", 5 * 4 + 3)
-    seed, block, dim = 11, 3, 4
-
-    class ZeroRun(np.random.Generator):
-        """Draws zeros for run ``zero_row`` of ``dim`` normals of its stream."""
-
-        drawn = 0
-
-        def standard_normal(self, size=None, dtype=np.float64, out=None):
-            result = super().standard_normal(size, dtype=dtype, out=out)
-            flat = np.reshape(result, -1)  # a view of the contiguous draw
-            low, high = zero_row * dim - self.drawn, (zero_row + 1) * dim - self.drawn
-            flat[max(low, 0):max(high, 0)] = 0.0
-            self.drawn += flat.size
-            return result
-
-    opened = []
-
-    def substream(self, block, index=0):
-        opened.append(index)
-        made = ZeroRun if index == 0 else np.random.Generator
-        return made(np.random.Philox(key=self._key(block, index)))
-
-    monkeypatch.setattr(RngState, "substream", substream)
-    expected = reference_grouped_rows(lambda c: substream(RngState(seed), block, c), 5, 12, dim)
-    # the zero row takes the first run past its group: run 5 of the substream
-    past = np.random.Generator(np.random.Philox(key=RngState(seed)._key(block, 0)))
-    run = past.standard_normal((6, dim))[5:]
-    assert expected[zero_row].tobytes() == (run / np.linalg.norm(run, axis=1)[:, None]).tobytes()
-    rng = RngState(seed, counter=block + lead)
+    monkeypatch.setattr(RngState, "substream", recording_substream)
     for start in (0, zero_row):
         opened.clear()
-        got = rng.sphere_rows(block, 12 - start, dim, start)
-        # its own group's substream, opened again: from the row's own run on
-        assert opened == [0, 0]
-        assert got.tobytes() == expected[start:].tobytes()
+        rows = RngState(seed).sphere_rows(block, count - start, dim, start)
+        assert [row.tobytes() for row in rows] == expected[start:]
+        assert opened == [(block, start // per_key)]
+    # with ``ahead``, the draw of the block before fills this block's chunk 0
+    rng = RngState(seed, counter=block - ahead)
+    if ahead:
+        chunked(rng, rng.next_block(), count, dim)
     opened.clear()
-    rows, chunks = chunked(rng, block, 12, dim)
-    assert chunks == [(0, 5), (5, 5), (10, 2)]  # one key group each
-    assert opened == [0, 0]
-    assert rows == [row.tobytes() for row in expected]
-    assert (rng._ahead is not None) == (lead == 1)
+    rows, chunks = chunked(rng, rng.next_block(), count, dim)
+    assert chunks == chunk_layout(count, dim)
+    assert rows == expected
+    assert opened == ([] if ahead else [(block, 0)])
 
 
 def test_embed_with_mask_matches_example():
@@ -668,3 +602,23 @@ def test_scope_roundtrip():
     replaced = theta.with_scope_values(np.array([-1.0, -2.0]))
     assert np.array_equal(replaced.values, [1.0, -1.0, 3.0, -2.0])
     assert replaced.values[0] == theta.values[0]
+
+
+def test_records_holding_arrays_compare_by_identity():
+    from duelopt import (
+        BitMeasurementBatch, EstimatorErrorReport, GradientEstimate, Trajectory,
+        make_sparse_quadratic,
+    )
+
+    theta = ParamVector(np.zeros(3))
+    frozen = [
+        theta,
+        BitMeasurementBatch(np.array([1, -1]), np.ones(3), 0.5, 0),
+        GradientEstimate(np.zeros(3), 0.0, 0.0, 0),
+        make_sparse_quadratic(10, 2, seed=0),
+    ]
+    for record in [*frozen, EstimatorErrorReport(np.zeros(3)), Trajectory(final_theta=theta)]:
+        assert (record == record) is True
+        assert (record == copy.copy(record)) is False
+        assert (record != copy.copy(record)) is True
+    assert len({*frozen, *frozen}) == len(frozen)

@@ -62,8 +62,11 @@ def test_compare_function_constant_is_plus():
 
 
 def test_compare_function_nan_raises():
-    with pytest.raises(OracleError):
-        compare_function(lambda _t: float("nan"), pv(0.0), pv(1.0))
+    # and so does an infinite value: at the base point, the candidate or both
+    for bad in (math.nan, math.inf, -math.inf):
+        for at in ({0.0}, {1.0}, {0.0, 1.0}):
+            with pytest.raises(OracleError, match=f"objective evaluated to {bad}$"):
+                compare_function(lambda t: bad if t[0] in at else 0.0, pv(0.0), pv(1.0))
 
 
 def test_compare_function_anti_consistency():
@@ -446,13 +449,10 @@ def test_measure_bits_checks_a_chunks_candidates_before_asking_about_any(bad):
     values[j] = np.finfo(np.float64).max - radius * (rows[bad, j] + others) / 2
     asked = []
 
-    def total(v):
-        with np.errstate(over="ignore"):  # the earlier chunks' candidates sum past the max
-            return float(v.sum())
-
     def oracle(a, b):
         asked.append(b)
-        return compare_function(total, a, b)
+        # finite at every candidate that is built; a sum would overflow past the max
+        return compare_function(lambda v: float(v.max()), a, b)
 
     with pytest.raises(ValueError, match="NaN or Inf"):
         measure_bits(oracle, ParamVector(values), radius, m, RngState(6))

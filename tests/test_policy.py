@@ -202,6 +202,17 @@ def test_preference_oracle_does_not_keep_the_base_point_alive():
 # ----- margin loss -----------------------------------------------------------
 
 
+def pair_margin(policy, ref, pair):
+    """The reference-adjusted margin of ``pair``, in the order ``dpo_loss`` forms it."""
+    return (
+        log_likelihood(policy, pair.prompt, pair.preferred)
+        - log_likelihood(ref, pair.prompt, pair.preferred)
+    ) - (
+        log_likelihood(policy, pair.prompt, pair.dispreferred)
+        - log_likelihood(ref, pair.prompt, pair.dispreferred)
+    )
+
+
 def test_dpo_loss_at_reference_is_log_two():
     policy = small_policy()
     pairs = [PreferencePair((0, 1), (2,), (3, 1)), PreferencePair((2,), (1, 1), (0,))]
@@ -239,6 +250,24 @@ def test_dpo_loss_matches_raw_probability_recomputation():
     assert dpo_loss(policy, ref, [pair], beta) == pytest.approx(expected, rel=1e-10)
 
 
+def test_dpo_loss_keeps_the_bits_of_per_pair_margins():
+    # one stacked pass per policy gives each margin the bits of per-pair calls
+    gen = np.random.default_rng(5)
+    for vocab, feat in ((2, 1), (5, 7)):
+        policy, ref = (make_toy_policy(vocab_size=vocab, feature_dim=feat, max_context=4,
+                                       weight_seed=seed) for seed in (1, 2))
+        batch = [
+            PreferencePair(*(tuple(int(t) for t in gen.integers(0, vocab, size=n))
+                             for n in gen.integers(1, 9, size=3)))
+            for _ in range(17)
+        ]
+        for beta in (0.1, 3.0):
+            total = 0.0
+            for pair in batch:
+                total += float(np.logaddexp(0.0, -beta * pair_margin(policy, ref, pair)))
+            assert dpo_loss(policy, ref, batch, beta) == total / len(batch)
+
+
 def test_dpo_grad_zero_for_identical_responses():
     policy = small_policy()
     pair = PreferencePair((0,), (1, 2), (1, 2))
@@ -256,7 +285,7 @@ def test_dpo_grad_saturates_where_exp_overflows():
     # gradient is that limit instead of an OverflowError
     policy, ref = small_policy(seed=3), small_policy(seed=4)
     pair = PreferencePair((0,), (1, 2), (3, 0))
-    h = policy_mod._pair_margin(policy, ref, pair)
+    h = pair_margin(policy, ref, pair)
     if h < 0:
         pair = PreferencePair(pair.prompt, pair.dispreferred, pair.preferred)
         h = -h
@@ -443,13 +472,13 @@ def test_dpo_grad_bit_equal_to_per_pair_reference_at_batch_sizes_up_to_40():
             ref = make_toy_policy(vocab_size=vocab, feature_dim=feat, max_context=4,
                                   weight_seed=50 + trial)
             pair = PreferencePair(seq(1, 4), seq(1, 13), seq(1, 13))
-            if policy_mod._pair_margin(policy, ref, pair) < 0:
+            if pair_margin(policy, ref, pair) < 0:
                 pair = PreferencePair(pair.prompt, pair.dispreferred, pair.preferred)
             same = seq(1, 13)
             batch = [PreferencePair(seq(1, 4), same, same), pair, pair]
             batch += [PreferencePair(seq(1, 4), seq(1, 13), seq(1, 13)) for _ in range(size - 3)]
             batch = [batch[i] for i in gen.permutation(size)]
-            margins = [policy_mod._pair_margin(policy, ref, pair) for pair in batch]
+            margins = [pair_margin(policy, ref, pair) for pair in batch]
             saturating = 1000.0 / max(margins)
             if size > 3:
                 assert min(margins) < 0
