@@ -39,7 +39,9 @@ TOY_PAIRS = ROOT / "src" / "duelopt" / "data" / "toy_pairs.jsonl"
 # the benchmark's three workload configs, the two other bench suites at
 # reduced size, the cosine objective's oracle, a masked synthetic practical
 # run, the masked preference path, a dataset pipeline, a pipeline whose
-# oracle compares two pairs per query, a narrow pipeline whose large beta
+# oracle compares two pairs per query, one that compares three pairs per
+# query over builds of 512 candidates (about 82k floats of logits each, so
+# a build's likelihood pass splits), a narrow pipeline whose large beta
 # pushes most DPO pairs past exp's range within one batch, and the narrowest
 # policy (V x F = 2 x 1) through all three stages
 BASE_CONFIGS = {
@@ -56,6 +58,10 @@ BASE_CONFIGS = {
     "pipeline-dataset": {"mode": "pipeline", "dataset": str(TOY_PAIRS)},
     "pipeline-pairs2": {
         "mode": "pipeline", "n_clean": 40, "n_noisy": 20, "pairs_per_batch": 2,
+        "skip_threshold": 0.0,
+    },
+    "pipeline-pairs3": {
+        "mode": "pipeline", "n_clean": 40, "n_noisy": 20, "pairs_per_batch": 3, "m": 1000,
         "skip_threshold": 0.0,
     },
     "pipeline-saturated": {
