@@ -324,17 +324,22 @@ class ParamVector:
         parent's checked read-only mask, which each of them shares. So only
         finiteness is checked, once for the whole array, and the array is
         made read-only instead of copied. ``ParamVector(...)`` keeps every
-        check for input from outside.
+        check for input from outside. Vectors of a build of two or more
+        rows share one record, ``(values, table)``, through which
+        ``evaluate`` runs a row form once for all of them; the record holds
+        no vector, so the array is freed with the last of them.
         """
         # the reduction ``.all()`` runs, without the method's Python wrapper
         if not np.logical_and.reduce(np.isfinite(values), axis=None):
             raise ValueError("parameter vector contains NaN or Inf")
         values.setflags(write=False)
+        # one row is evaluated per vector: a row form costs more than the point form there
+        build = (values, {}) if len(values) > 1 else None
         vectors = []
-        for row in values:
+        for i, row in enumerate(values):
             vec = object.__new__(cls)
             # the instance dict a frozen dataclass's fields live in, set without its __setattr__
-            vars(vec).update(values=row, scope_mask=scope_mask)
+            vars(vec).update(values=row, scope_mask=scope_mask, _build=build, _row=i)
             vectors.append(vec)
         return vectors
 
@@ -346,9 +351,23 @@ class ParamVector:
         ignores it. The vector is immutable, so a kept value cannot go stale,
         and it is freed with the vector. An oracle asks about one base point
         m times per batch; its base values are computed here once.
+
+        A candidate of a build of two or more (``embed_perturbation``) reads
+        its row of ``fn.rows(values, *args)`` when ``fn`` has that row form:
+        one call for the build's whole (n, dim) array, made at the first
+        candidate asked and kept in the build's table, which must give one
+        result per row, each equal to ``fn``'s at that row. Any other ``fn``
+        is called per vector.
         """
-        memo = self.__dict__.setdefault("_evaluated", {})
         key = (fn, *args)
+        build = self.__dict__.get("_build")
+        if build is not None and hasattr(fn, "rows"):
+            values, table = build
+            rows = table.get(key)
+            if rows is None:
+                rows = table[key] = fn.rows(values, *args)
+            return rows[self._row]
+        memo = self.__dict__.setdefault("_evaluated", {})
         value = memo.get(key, _MISSING)  # one hash of the key on a hit
         if value is _MISSING:
             value = memo[key] = fn(self.values, *args)
@@ -371,7 +390,10 @@ def embed_perturbation(theta: ParamVector, rows: np.ndarray, radius: float) -> l
     new on every call, never a reused buffer: an oracle may keep a
     candidate, and a ``ParamVector``'s values never change. The caller
     bounds its n * dim floats; ``measure_bits`` passes about 65,536. One
-    row ``z`` is ``embed_perturbation(theta, z[None], radius)[0]``.
+    row ``z`` is ``embed_perturbation(theta, z[None], radius)[0]``. The n
+    candidates of one call share the array and a table of row-form results
+    (``ParamVector.evaluate``), so an evaluator with a row form runs once
+    for the whole build.
     """
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")

@@ -148,9 +148,11 @@ class Trajectory:
     final_theta: ParamVector | None = None
     final_f: float | None = None
     final_grad_norm: float | None = None
-    # seconds in measure_bits and in the estimator, timed per batch
+    # seconds in measure_bits, in the estimator, and in the step, hash and
+    # record that follow, each timed once per iteration
     measure_seconds: float = 0.0
     estimate_seconds: float = 0.0
+    update_seconds: float = 0.0
 
     @property
     def total_oracle_calls(self) -> int:
@@ -184,15 +186,24 @@ def loop_profile(trajectories: Sequence[Trajectory]) -> dict:
         "wasted_queries": sum(rec.oracle_calls for rec in skipped),
         "measure_seconds": sum(traj.measure_seconds for traj in trajectories),
         "estimate_seconds": sum(traj.estimate_seconds for traj in trajectories),
+        "update_seconds": sum(traj.update_seconds for traj in trajectories),
     }
 
 
-def _diagnostics(objective, theta: ParamVector) -> tuple[float | None, float | None]:
+def _diagnostics(objective, theta: ParamVector, where: str) -> tuple[float | None, float | None]:
+    """f and the gradient norm at ``theta`` (synthetic runs only).
+
+    A value that is not finite raises ``OracleError`` naming ``where``, the
+    iterate it was taken at.
+    """
     if objective is None:
         return None, None
     f_val = float(objective.value(theta.values))
-    grad = np.asarray(objective.gradient(theta.values))
-    return f_val, float(np.linalg.norm(grad))
+    grad_norm = float(np.linalg.norm(np.asarray(objective.gradient(theta.values))))
+    for name, value in (("objective", f_val), ("gradient norm", grad_norm)):
+        if not math.isfinite(value):
+            raise OracleError(f"{where}: {name} evaluated to {value}")
+    return f_val, grad_norm
 
 
 def _descend(
@@ -207,13 +218,15 @@ def _descend(
     improving fraction rho strictly exceeds ``skip_threshold``; otherwise,
     and on a degenerate batch, the iterate is kept and the iteration is
     flagged as skipped. ``stop_grad_norm`` ends the run at the first iterate
-    whose true gradient norm (synthetic runs only) falls below it.
+    whose true gradient norm (synthetic runs only) falls below it. A value
+    or gradient norm that is not finite, at an iterate or at the final
+    point, raises ``OracleError``.
     """
     traj = Trajectory()
     # numpy's overflow warnings are off, once per loop: compare_function raises instead
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, iterations + 1):
-            f_val, grad_norm = _diagnostics(objective, theta)
+            f_val, grad_norm = _diagnostics(objective, theta, f"iteration {t}")
             if stop_grad_norm is not None and grad_norm is not None and grad_norm < stop_grad_norm:
                 break
             started = time.perf_counter()
@@ -224,12 +237,13 @@ def _descend(
             traj.measure_seconds += (measured := time.perf_counter()) - started
             rho = batch.negative_fraction()
             step, skipped, degenerate = 0.0, rho <= skip_threshold, False
+            estimated = measured
             if not skipped:
                 try:
                     direction = estimate(batch).direction
                 except DegenerateMeasurementError:
                     skipped = degenerate = True
-                traj.estimate_seconds += time.perf_counter() - measured
+                traj.estimate_seconds += (estimated := time.perf_counter()) - measured
                 if not skipped:
                     step = stepsize(rho)
                     theta = theta.with_scope_values(theta.scope_values() - step * direction)
@@ -238,8 +252,9 @@ def _descend(
                 stepsize_applied=step, skipped=skipped, degenerate=degenerate,
                 theta_hash=theta.content_hash(), f_value=f_val, grad_norm=grad_norm,
             ))
+            traj.update_seconds += time.perf_counter() - estimated
         traj.final_theta = theta
-        traj.final_f, traj.final_grad_norm = _diagnostics(objective, theta)
+        traj.final_f, traj.final_grad_norm = _diagnostics(objective, theta, "final iterate")
     return traj
 
 

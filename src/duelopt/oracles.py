@@ -161,9 +161,10 @@ def compare_preference(
     reversal anywhere yields PLUS, and a NaN value raises ``OracleError``.
     Comparisons happen in log space, which is monotone-equivalent to raw
     likelihoods and safe for long sequences.
-    ``policy_at`` gives every pair's two values in one call; the base values
-    come from ``theta.evaluate``, so a batch of queries about one base point
-    evaluates them once.
+    ``policy_at`` gives every pair's two values in one call. Both points'
+    values come from ``evaluate``: a batch of queries about one base point
+    evaluates it once, and when ``policy_at`` has a row form, as the one
+    ``refine`` passes does, a candidate build's values come from one pass.
     """
     if len(batch) == 0:
         raise InvalidBatchError("preference batch must be nonempty")
@@ -171,7 +172,7 @@ def compare_preference(
         raise DimensionError("points must share a dimension")
     pairs = tuple(batch)
     base = theta.evaluate(policy_at, pairs)
-    cand = policy_at(theta_prime.values, pairs)
+    cand = theta_prime.evaluate(policy_at, pairs)
     # entries 2j and 2j + 1 are pair j's preferred and dispreferred values
     for j in range(0, len(cand), 2):
         if not (cand[j] > base[j] and cand[j + 1] < base[j + 1]):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ParamVector, _fresh_philox
+from .core import ParamVector, _fresh_philox, _rows_per_chunk
 from .errors import InvalidBatchError, InvalidScheduleError, VocabularyError
 from .optimizer import PracticalConfig, Trajectory, run_practical
 from .oracles import compare_preference
@@ -90,6 +90,40 @@ def _log_likelihoods(W: np.ndarray, stack: tuple) -> list[float]:
     return totals
 
 
+def _log_likelihood_rows(W: np.ndarray, stack: tuple) -> list[list[float]]:
+    """``_log_likelihoods`` of each of the (n, 1, V, F) weights ``W``, value for value.
+
+    The rows run in groups whose (rows, positions, V) logits take about
+    ``core._CHUNK_FLOATS`` floats. A group's logits are one stacked matmul, one
+    ``W @ phi`` gemv per row and position as in ``_response_logits``; the
+    exp-sums are the same per-row reduction, and each norm is a
+    ``math.log``, since ``np.log`` differs from it in some last bits. The
+    peak is taken as V strided maxima, which is exact in any order (a
+    peak's zero sign cancels in every use) and faster than a reduction of
+    V floats per row. Each response's terms are added in token order from
+    +0.0, as ``_log_likelihoods`` adds them.
+    """
+    _, _, picks, columns, lengths = stack
+    step = _rows_per_chunk(len(picks) * W.shape[2])
+    out = []
+    for lo in range(0, len(W), step):
+        logits = np.matmul(W[lo:lo + step], columns)[..., 0]
+        peak = logits[..., 0].copy()
+        for v in range(1, logits.shape[2]):
+            np.maximum(peak, logits[..., v], out=peak)
+        sums = np.add.reduce(np.exp(logits - peak[..., None]), axis=2)
+        norms = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
+        terms = logits.reshape(len(logits), -1).take(picks, axis=1)
+        terms -= peak + norms.reshape(sums.shape)
+        totals = np.zeros((len(lengths), len(terms)))
+        positions = iter(terms.T)
+        for total, length in zip(totals, lengths):
+            for _, term in zip(range(length), positions):
+                total += term
+        out += totals.T.tolist()
+    return out
+
+
 def _responses(pairs: Sequence[PreferencePair]) -> list[tuple]:
     """(prompt, response) items: pair j's preferred one is item 2j, its dispreferred 2j + 1."""
     return [(pair.prompt, resp) for pair in pairs for resp in (pair.preferred, pair.dispreferred)]
@@ -116,10 +150,11 @@ class ToyPolicy:
     ``sequence_log_likelihood`` caches its value per (prompt, response):
     the weights are a read-only copy and ``with_weights`` builds a new
     instance, so the value can never go stale. The preference oracle keeps a
-    base point's values on the base ``ParamVector``. ``_context_cache``,
-    shared by ``with_weights`` like the feature cache, keeps what depends
-    only on the feature map: the ``_stack`` of each (prompt, response) and
-    each pair batch, and each DPO batch's token-major layout.
+    base point's values on the base ``ParamVector``, and a candidate build's
+    on the record its candidates share. ``_context_cache``, shared by
+    ``with_weights`` like the feature cache, keeps what depends only on the
+    feature map: the ``_stack`` of each (prompt, response) and each pair
+    batch, and each DPO batch's token-major layout.
     """
 
     def __init__(
@@ -241,12 +276,28 @@ class ToyPolicy:
 
         One stacked pass gives each value the bits ``sequence_log_likelihood``
         gives it. This is the preference oracle's evaluator; the oracle asks
-        for a base point's values once, through ``ParamVector.evaluate``.
+        for a base point's values once, through ``ParamVector.evaluate``,
+        and for a candidate build's through ``log_likelihood_rows``, which
+        costs less per row for a build but more for one point.
         """
         W = np.asarray(theta_values, dtype=np.float64).reshape(self.vocab_size, self.feature_dim)
         pairs = tuple(pairs)
         stack = self._context_cache.get(pairs) or self._stack(pairs, _responses(pairs))
         return _log_likelihoods(W, stack)
+
+    def log_likelihood_rows(self, theta_rows: np.ndarray, pairs: Sequence) -> list[list[float]]:
+        """``log_likelihood_at`` of each row of the (n, V * F) ``theta_rows``, in one stacked pass.
+
+        Every value has the bits ``log_likelihood_at`` gives its row. This
+        is the row form ``ParamVector.evaluate`` runs once for a whole
+        candidate build; ``refine`` hands it to the preference oracle. At
+        one row it costs more than ``log_likelihood_at``.
+        """
+        W = np.asarray(theta_rows, dtype=np.float64)
+        W = W.reshape(len(W), 1, self.vocab_size, self.feature_dim)
+        pairs = tuple(pairs)
+        stack = self._context_cache.get(pairs) or self._stack(pairs, _responses(pairs))
+        return _log_likelihood_rows(W, stack)
 
     def _check_token(self, tok: int) -> None:
         if not (0 <= int(tok) < self.vocab_size):
@@ -568,7 +619,10 @@ def refine(
         if not math.isfinite(value):
             key = _pair_token_key(pairs[j // 2])
             raise InvalidBatchError(f"starting log-likelihood of pair {key} is {value}")
-    oracle = partial(compare_preference, policy.log_likelihood_at)
+    # an evaluator with a row form: each candidate build is evaluated in one pass
+    evaluator = partial(policy.log_likelihood_at)
+    evaluator.rows = policy.log_likelihood_rows
+    oracle = partial(compare_preference, evaluator)
     start = ParamVector(policy.flat_params)
     trajectory = run_practical(oracle, start, practical, data_stream=pairs)
     return trajectory, policy.with_flat_params(trajectory.final_theta.values), values

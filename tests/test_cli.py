@@ -245,7 +245,7 @@ def test_pipeline_manifest_profiles_its_stages(tmp_path, raw, refined):
 
 
 LOOP_PROFILE = ("oracle_queries", "skipped_iterations", "degenerate_iterations",
-                "wasted_queries", "measure_seconds", "estimate_seconds")
+                "wasted_queries", "measure_seconds", "estimate_seconds", "update_seconds")
 
 
 @pytest.mark.parametrize("raw", [
@@ -286,7 +286,7 @@ def test_every_mode_profiles_its_descent_loops(tmp_path, monkeypatch, raw):
         assert profile["degenerate_iterations"] <= len(skipped)
         if raw["mode"] == "practical" and "dataset" not in raw:
             assert 0 < len(skipped) < len(columns)
-    seconds = profile["measure_seconds"] + profile["estimate_seconds"]
+    seconds = profile["measure_seconds"] + profile["estimate_seconds"] + profile["update_seconds"]
     assert all(profile[name] >= 0 for name in LOOP_PROFILE)
     assert seconds <= manifest.wall_clock_seconds
     assert (profile["measure_seconds"] > 0) == (profile["oracle_queries"] > 0)
@@ -506,18 +506,20 @@ def test_cli_practical_dataset_log_likelihood_overflow_is_an_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("payload, iteration", [
+@pytest.mark.parametrize("payload, where", [
     # every candidate's value overflows
-    ({"mode": "practical", "r": 1e200, "T": 2, "m": 10}, 1),
+    ({"mode": "practical", "r": 1e200, "T": 2, "m": 10}, "iteration 1"),
     # the first step overflows the value at the next iterate
-    ({"mode": "practical", "gamma": 1e308, "T": 3, "m": 10}, 2),
+    ({"mode": "practical", "gamma": 1e308, "T": 3, "m": 10}, "iteration 2"),
+    # the last step overflows the value at the final iterate, which no query compares
+    ({"mode": "practical", "gamma": 1e308, "T": 1, "m": 10}, "final iterate"),
 ])
-def test_cli_synthetic_objective_overflow_is_an_error(tmp_path, capsys, payload, iteration):
+def test_cli_synthetic_objective_overflow_is_an_error(tmp_path, capsys, payload, where):
     path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         line = one_line_error(capsys, ["run", "--config", str(path)])
-    assert line == f"error: iteration {iteration}: objective evaluated to inf"
+    assert line == f"error: {where}: objective evaluated to inf"
     assert not (tmp_path / "out").exists()
 
 

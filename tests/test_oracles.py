@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -127,6 +129,87 @@ def test_compare_preference_requires_all_pairs():
 def test_compare_preference_empty_batch():
     with pytest.raises(InvalidBatchError):
         compare_preference(direct_evaluator, pv(0.0, 0.0), pv(1.0, 0.0), [])
+
+
+def with_rows(point, rows):
+    """``point`` as an evaluator with the row form ``rows``."""
+    evaluator = partial(point)
+    evaluator.rows = rows
+    return evaluator
+
+
+def test_a_nan_row_raises_at_its_own_query_after_every_earlier_answer():
+    # one build of 12 candidates; candidate 5's values are NaN
+    pair, bad, passes, asked = PreferencePair((0,), (0,), (1,)), 5, [], []
+
+    def rows(values, pairs):
+        passes.append(len(values))
+        out = [direct_evaluator(v, pairs) for v in values]
+        out[bad] = [math.nan, math.nan]
+        return out
+
+    evaluator = with_rows(direct_evaluator, rows)
+
+    def oracle(theta, candidate):
+        asked.append(candidate.values.copy())
+        return compare_preference(evaluator, theta, candidate, [pair])
+
+    theta = pv(0.3, -0.2)
+    with pytest.raises(OracleError, match="NaN"):
+        measure_bits(oracle, theta, 0.5, 12, RngState(0))
+    assert passes == [12] and len(asked) == bad + 1
+    # the rows before it were answered from the pass, as the point values answer them
+    signs = [compare_preference(direct_evaluator, theta, pv(*v), [pair]) for v in asked[:bad]]
+    expected = measure_bits(partial(compare_preference, direct_evaluator, batch=[pair]),
+                            theta, 0.5, bad, RngState(0))
+    assert signs == expected.signs.tolist()
+
+
+def test_dropping_a_builds_candidates_frees_its_array():
+    # with a mask, 5,000 rows at dim 24 make two builds of 2,730 and 2,270 candidates
+    policy = make_toy_policy(4, 6, weight_seed=3)
+    evaluator = with_rows(policy.log_likelihood_at, policy.log_likelihood_rows)
+    pairs = (PreferencePair((0, 1), (2, 3), (1,)),)
+    theta = ParamVector(policy.flat_params, scope_mask=np.arange(0, 24, 2))
+    builds = []
+
+    def oracle(theta, candidate):
+        if not builds or builds[-1]() is not candidate.values.base:
+            # the build before is freed before this one was made
+            assert not builds or builds[-1]() is None
+            builds.append(weakref.ref(candidate.values.base))
+        return compare_preference(evaluator, theta, candidate, pairs)
+
+    gc.disable()
+    try:
+        measure_bits(oracle, theta, 0.5, 5000, RngState(1))
+        assert len(builds) == 2 and [ref() for ref in builds] == [None] * 2
+    finally:
+        gc.enable()
+
+
+def test_a_point_form_evaluator_is_called_once_per_candidate():
+    calls, passes = [], []
+
+    def point(values, pairs):
+        calls.append(values.copy())
+        return direct_evaluator(values, pairs)
+
+    def rows(values, pairs):
+        passes.append(len(values))
+        return [direct_evaluator(v, pairs) for v in values]
+
+    pair, theta = PreferencePair((0,), (0,), (1,)), pv(0.3, -0.2)
+    plain = measure_bits(partial(compare_preference, point, batch=[pair]), theta, 0.5, 40,
+                         RngState(4))
+    # the base point once, then each of the build's 40 candidates once
+    assert len(calls) == 41 and passes == []
+    calls.clear()
+    stacked = measure_bits(partial(compare_preference, with_rows(point, rows), batch=[pair]),
+                           theta, 0.5, 40, RngState(4))
+    # with a row form, the point form serves only the base point
+    assert len(calls) == 1 and passes == [40]
+    assert stacked.signs.tobytes() == plain.signs.tobytes()
 
 
 @pytest.mark.parametrize("nan_at", range(4))

@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from functools import partial
@@ -25,6 +26,7 @@ from duelopt import (
     compare_preference,
     dpo_grad,
     dpo_loss,
+    embed_perturbation,
     generate_preference_data,
     likelihood_report,
     load_preference_dataset,
@@ -413,6 +415,86 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
                 np.matmul(W, phi, out=per_position[i])
             logits, _, _ = policy_mod._response_logits(W, features[:, :, None])
             assert logits.tobytes() == per_position.tobytes()
+
+
+def row_evaluator(policy):
+    """``log_likelihood_at`` with its row form, as ``refine`` hands it to the oracle."""
+    evaluator = partial(policy.log_likelihood_at)
+    evaluator.rows = policy.log_likelihood_rows
+    return evaluator
+
+
+@st.composite
+def row_pass_cases(draw):
+    """A candidate build and a pair batch: random weights, radius and mask.
+
+    The build has the rows one ``measure_bits`` build of m rows has:
+    min(m, max(1, 65,536 // dim)). Policies go down to V x F = 2 x 1 and
+    responses to one token. A long case (8 x 16, 512 rows, 8 pairs of 2 to
+    12 tokens) has at least 512 * 32 * 8 floats of logits, so its pass runs
+    in several row groups.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    long = draw(st.booleans())
+    if long:
+        (V, F), m, n_pairs, shortest, longest = (8, 16), 512, 8, 2, 12
+    else:
+        V, F = draw(st.sampled_from([(2, 1), (3, 2), (4, 3), (8, 16)]))
+        m, n_pairs, shortest = draw(st.integers(2, 600)), draw(st.integers(1, 8)), 1
+        longest = draw(st.sampled_from([1, 3, 6]))  # 1: every response is one token
+    policy = make_toy_policy(V, F, weight_seed=draw(st.integers(0, 999)),
+                             weight_scale=draw(st.sampled_from([0.1, 1.0, 30.0])))
+
+    def tokens():
+        size = int(gen.integers(shortest, longest + 1))
+        return tuple(int(t) for t in gen.integers(0, V, size=size))
+
+    pairs = tuple(PreferencePair(tokens(), tokens(), tokens()) for _ in range(n_pairs))
+    mask = None
+    if draw(st.booleans()):
+        mask = np.sort(gen.choice(V * F, size=int(gen.integers(1, V * F + 1)), replace=False))
+    theta = ParamVector(gen.standard_normal(V * F), scope_mask=mask)
+    n = min(m, max(1, 65536 // theta.dim))
+    rows = RngState(draw(st.integers(0, 2**64 - 1))).sphere_rows(0, n, theta.scope_dim)
+    positions = sum(len(p.preferred) + len(p.dispreferred) for p in pairs)
+    # the rows of one group of the pass, whose (rows, positions, V) logits take about 65,536 floats
+    assert (n > policy_mod._rows_per_chunk(positions * V)) >= long
+    return policy, pairs, theta, rows, draw(st.floats(1e-3, 3.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(row_pass_cases())
+def test_row_pass_equals_the_one_point_values(case):
+    policy, pairs, theta, rows, radius = case
+    candidates = embed_perturbation(theta, rows, radius)
+    evaluator = row_evaluator(policy)
+    # every candidate reads its row of the build's one pass
+    got = np.array([candidate.evaluate(evaluator, pairs) for candidate in candidates])
+    want = np.array([policy.log_likelihood_at(c.values, pairs) for c in candidates])
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_a_long_build_runs_in_row_groups_of_bounded_memory():
+    # 512 candidates over 8 pairs of 12-token responses: 192 positions, whose
+    # logits at once would take 512 * 192 * 8 floats (6 MiB) in each temporary
+    policy = make_toy_policy(weight_seed=4)
+    gen = np.random.default_rng(0)
+
+    def tokens(n):
+        return tuple(int(t) for t in gen.integers(0, 8, size=n))
+
+    pairs = tuple(PreferencePair(tokens(3), tokens(12), tokens(12)) for _ in range(8))
+    rows = policy.flat_params + 0.1 * RngState(0).sphere_rows(0, 512, 128)
+    policy.log_likelihood_rows(rows[:2], pairs)  # the pairs' stack, kept from here on
+    tracemalloc.start()
+    try:
+        got = policy.log_likelihood_rows(rows, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # groups of about 65,536 floats keep it near 2 MiB (18.8 MiB in one group)
+    assert peak < 4 * 2**20
+    assert [got[0], got[-1]] == [policy.log_likelihood_at(rows[i], pairs) for i in (0, -1)]
 
 
 def test_dpo_grad_batch_mean_of_duplicates():
