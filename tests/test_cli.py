@@ -506,19 +506,20 @@ def test_cli_practical_dataset_log_likelihood_overflow_is_an_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("payload, where", [
+@pytest.mark.parametrize("payload, iteration", [
     # every candidate's value overflows
-    ({"mode": "practical", "r": 1e200, "T": 2, "m": 10}, "iteration 1"),
+    ({"mode": "practical", "r": 1e200, "T": 2, "m": 10}, 1),
     # the first step overflows the value at the next iterate
-    ({"mode": "practical", "gamma": 1e308, "T": 3, "m": 10}, "iteration 2"),
+    ({"mode": "practical", "gamma": 1e308, "T": 3, "m": 10}, 2),
     # the last step overflows the value at the final iterate, which no query compares
-    ({"mode": "practical", "gamma": 1e308, "T": 1, "m": 10}, "final iterate"),
+    ({"mode": "practical", "gamma": 1e308, "T": 1, "m": 10}, None),
 ])
-def test_cli_synthetic_objective_overflow_is_an_error(tmp_path, capsys, payload, where):
+def test_cli_synthetic_objective_overflow_is_an_error(tmp_path, capsys, payload, iteration):
     path = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         line = one_line_error(capsys, ["run", "--config", str(path)])
+    where = "final iterate" if iteration is None else f"iteration {iteration}"
     assert line == f"error: {where}: objective evaluated to inf"
     assert not (tmp_path / "out").exists()
 

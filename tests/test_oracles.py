@@ -26,6 +26,7 @@ from duelopt import (
     Sign,
     compare_function,
     compare_preference,
+    embed_perturbation,
     make_nonconvex_sparse,
     make_sparse_quadratic,
     make_toy_policy,
@@ -157,12 +158,10 @@ def test_a_nan_row_raises_at_its_own_query_after_every_earlier_answer():
     theta = pv(0.3, -0.2)
     with pytest.raises(OracleError, match="NaN"):
         measure_bits(oracle, theta, 0.5, 12, RngState(0))
-    assert passes == [12] and len(asked) == bad + 1
-    # the rows before it were answered from the pass, as the point values answer them
-    signs = [compare_preference(direct_evaluator, theta, pv(*v), [pair]) for v in asked[:bad]]
-    expected = measure_bits(partial(compare_preference, direct_evaluator, batch=[pair]),
-                            theta, 0.5, bad, RngState(0))
-    assert signs == expected.signs.tolist()
+    # one pass for the build, then the candidates in index order, up to the NaN one
+    assert passes == [12]
+    candidates = embed_perturbation(theta, RngState(0).sphere_rows(0, 12, 2), 0.5)
+    assert np.array_equal(asked, [c.values for c in candidates[:bad + 1]])
 
 
 def test_dropping_a_builds_candidates_frees_its_array():
