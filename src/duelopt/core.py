@@ -22,6 +22,7 @@ import threading
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -326,8 +327,8 @@ class ParamVector:
         made read-only instead of copied. ``ParamVector(...)`` keeps every
         check for input from outside. Vectors of a build of two or more
         rows share one record, ``(values, table)``, through which
-        ``evaluate`` runs a row form once for all of them; the record holds
-        no vector, so the array is freed with the last of them.
+        ``evaluate`` runs a row form once per group of rows; the record
+        holds no vector, so the array is freed with the last of them.
         """
         # the reduction ``.all()`` runs, without the method's Python wrapper
         if not np.logical_and.reduce(np.isfinite(values), axis=None):
@@ -353,20 +354,23 @@ class ParamVector:
         m times per batch; its base values are computed here once.
 
         A candidate of a build of two or more (``embed_perturbation``) reads
-        its row of ``fn.rows(values, *args)`` when ``fn`` has that row form:
-        one call for the build's whole (n, dim) array, made at the first
-        candidate asked and kept in the build's table, which must give one
-        result per row, each equal to ``fn``'s at that row. Any other ``fn``
-        is called per vector.
+        its row of ``fn.rows`` when ``fn`` has that row form
+        (``with_row_form``): the first candidate asked runs it on the
+        build's rows from its own on, and the build's table keeps the group
+        of results it gives until a candidate outside that group is asked.
+        In index order every group is evaluated once, and only one group's
+        results are held. Any other ``fn`` is called per vector.
         """
         key = (fn, *args)
         build = self.__dict__.get("_build")
         if build is not None and hasattr(fn, "rows"):
             values, table = build
-            rows = table.get(key)
-            if rows is None:
-                rows = table[key] = fn.rows(values, *args)
-            return rows[self._row]
+            start, rows = table.get(key, (0, ()))
+            i = self._row - start
+            if not 0 <= i < len(rows):
+                start, rows = table[key] = self._row, fn.rows(values[self._row:], *args)
+                i = 0
+            return rows[i]
         memo = self.__dict__.setdefault("_evaluated", {})
         value = memo.get(key, _MISSING)  # one hash of the key on a hit
         if value is _MISSING:
@@ -376,6 +380,18 @@ class ParamVector:
     def content_hash(self) -> str:
         """SHA-256 of the raw float64 bytes (mask excluded)."""
         return hashlib.sha256(np.ascontiguousarray(self.values).tobytes()).hexdigest()
+
+
+def with_row_form(point: Callable, rows: Callable) -> Callable:
+    """The evaluator ``point`` with the row form ``rows``, for ``ParamVector.evaluate``.
+
+    ``rows(values, *args)`` takes an (n, dim) array of rows and returns the
+    results of a leading group of them, at least one, each equal to
+    ``point(row, *args)``; the group's size is its own to choose.
+    """
+    evaluator = partial(point)
+    evaluator.rows = rows
+    return evaluator
 
 
 def embed_perturbation(theta: ParamVector, rows: np.ndarray, radius: float) -> list[ParamVector]:
@@ -393,7 +409,7 @@ def embed_perturbation(theta: ParamVector, rows: np.ndarray, radius: float) -> l
     row ``z`` is ``embed_perturbation(theta, z[None], radius)[0]``. The n
     candidates of one call share the array and a table of row-form results
     (``ParamVector.evaluate``), so an evaluator with a row form runs once
-    for the whole build.
+    per group of rows, not once per candidate.
     """
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")

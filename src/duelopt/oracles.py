@@ -163,8 +163,9 @@ def compare_preference(
     likelihoods and safe for long sequences.
     ``policy_at`` gives every pair's two values in one call. Both points'
     values come from ``evaluate``: a batch of queries about one base point
-    evaluates it once, and when ``policy_at`` has a row form, as the one
-    ``refine`` passes does, a candidate build's values come from one pass.
+    evaluates it once, and when ``policy_at`` has a row form, as
+    ``ToyPolicy.preference_evaluator`` does, a candidate build's values come
+    from one pass per group of its rows.
     """
     if len(batch) == 0:
         raise InvalidBatchError("preference batch must be nonempty")

@@ -21,14 +21,14 @@ import json
 import math
 import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import ParamVector, _fresh_philox, _rows_per_chunk
+from .core import ParamVector, _fresh_philox, _rows_per_chunk, with_row_form
 from .errors import InvalidBatchError, InvalidScheduleError, VocabularyError
 from .optimizer import PracticalConfig, Trajectory, run_practical
 from .oracles import compare_preference
@@ -91,37 +91,33 @@ def _log_likelihoods(W: np.ndarray, stack: tuple) -> list[float]:
 
 
 def _log_likelihood_rows(W: np.ndarray, stack: tuple) -> list[list[float]]:
-    """``_log_likelihoods`` of each of the (n, 1, V, F) weights ``W``, value for value.
+    """``_log_likelihoods`` of a leading group of the (n, 1, V, F) weights ``W``, value for value.
 
-    The rows run in groups whose (rows, positions, V) logits take about
-    ``core._CHUNK_FLOATS`` floats. A group's logits are one stacked matmul, one
-    ``W @ phi`` gemv per row and position as in ``_response_logits``; the
-    exp-sums are the same per-row reduction, and each norm is a
-    ``math.log``, since ``np.log`` differs from it in some last bits. The
-    peak is taken as V strided maxima, which is exact in any order (a
-    peak's zero sign cancels in every use) and faster than a reduction of
-    V floats per row. Each response's terms are added in token order from
-    +0.0, as ``_log_likelihoods`` adds them.
+    The group is the first rows whose (rows, positions, V) logits take about
+    ``core._CHUNK_FLOATS`` floats, at least one. Its logits are one stacked
+    matmul, one ``W @ phi`` gemv per row and position as in
+    ``_response_logits``; the exp-sums are the same per-row reduction, and
+    each norm is a ``math.log``, since ``np.log`` differs from it in some
+    last bits. The peak is taken as V strided maxima, which is exact in any
+    order (a peak's zero sign cancels in every use) and faster than a
+    reduction of V floats per row. Each response's terms are added in token
+    order from +0.0, as ``_log_likelihoods`` adds them.
     """
     _, _, picks, columns, lengths = stack
-    step = _rows_per_chunk(len(picks) * W.shape[2])
-    out = []
-    for lo in range(0, len(W), step):
-        logits = np.matmul(W[lo:lo + step], columns)[..., 0]
-        peak = logits[..., 0].copy()
-        for v in range(1, logits.shape[2]):
-            np.maximum(peak, logits[..., v], out=peak)
-        sums = np.add.reduce(np.exp(logits - peak[..., None]), axis=2)
-        norms = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
-        terms = logits.reshape(len(logits), -1).take(picks, axis=1)
-        terms -= peak + norms.reshape(sums.shape)
-        totals = np.zeros((len(lengths), len(terms)))
-        positions = iter(terms.T)
-        for total, length in zip(totals, lengths):
-            for _, term in zip(range(length), positions):
-                total += term
-        out += totals.T.tolist()
-    return out
+    logits = np.matmul(W[:_rows_per_chunk(max(len(picks), 1) * W.shape[2])], columns)[..., 0]
+    peak = logits[..., 0].copy()
+    for v in range(1, logits.shape[2]):
+        np.maximum(peak, logits[..., v], out=peak)
+    sums = np.add.reduce(np.exp(logits - peak[..., None]), axis=2)
+    norms = np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size)
+    terms = logits.reshape(len(logits), -1).take(picks, axis=1)
+    terms -= peak + norms.reshape(sums.shape)
+    totals = np.zeros((len(lengths), len(terms)))
+    positions = iter(terms.T)
+    for total, length in zip(totals, lengths):
+        for _, term in zip(range(length), positions):
+            total += term
+    return totals.T.tolist()
 
 
 def _responses(pairs: Sequence[PreferencePair]) -> list[tuple]:
@@ -275,29 +271,42 @@ class ToyPolicy:
         """``[pref_0, disp_0, pref_1, ...]``, the pairs' log-likelihoods at ``theta_values``.
 
         One stacked pass gives each value the bits ``sequence_log_likelihood``
-        gives it. This is the preference oracle's evaluator; the oracle asks
-        for a base point's values once, through ``ParamVector.evaluate``,
-        and for a candidate build's through ``log_likelihood_rows``, which
-        costs less per row for a build but more for one point.
+        gives it. This is the point form of ``preference_evaluator``: the
+        oracle asks for a base point's values once, through
+        ``ParamVector.evaluate``, and for a candidate build's through
+        ``log_likelihood_rows``, which costs less per row for a build but
+        more for one point.
         """
         W = np.asarray(theta_values, dtype=np.float64).reshape(self.vocab_size, self.feature_dim)
-        pairs = tuple(pairs)
-        stack = self._context_cache.get(pairs) or self._stack(pairs, _responses(pairs))
-        return _log_likelihoods(W, stack)
+        return _log_likelihoods(W, self._pairs_stack(pairs))
 
     def log_likelihood_rows(self, theta_rows: np.ndarray, pairs: Sequence) -> list[list[float]]:
-        """``log_likelihood_at`` of each row of the (n, V * F) ``theta_rows``, in one stacked pass.
+        """``log_likelihood_at`` of a leading group of the rows of the (n, V * F) ``theta_rows``.
 
-        Every value has the bits ``log_likelihood_at`` gives its row. This
-        is the row form ``ParamVector.evaluate`` runs once for a whole
-        candidate build; ``refine`` hands it to the preference oracle. At
-        one row it costs more than ``log_likelihood_at``.
+        One stacked pass evaluates the first rows whose logits take about
+        ``core._CHUNK_FLOATS`` floats, at least one, and returns one list
+        per row, each with the bits ``log_likelihood_at`` gives its row, so
+        a large batch of pairs makes neither a large temporary nor a large
+        result. This is the row form of ``preference_evaluator``, which
+        ``ParamVector.evaluate`` runs once per group of a candidate build.
+        At one row it costs more than ``log_likelihood_at``.
         """
         W = np.asarray(theta_rows, dtype=np.float64)
         W = W.reshape(len(W), 1, self.vocab_size, self.feature_dim)
+        return _log_likelihood_rows(W, self._pairs_stack(pairs))
+
+    def preference_evaluator(self) -> Callable:
+        """``log_likelihood_at`` with its row form ``log_likelihood_rows``.
+
+        This is the evaluator ``refine`` hands the preference oracle: a
+        candidate build's values come from one pass per group of rows, and
+        a single point's from the point form.
+        """
+        return with_row_form(self.log_likelihood_at, self.log_likelihood_rows)
+
+    def _pairs_stack(self, pairs: Sequence) -> tuple:
         pairs = tuple(pairs)
-        stack = self._context_cache.get(pairs) or self._stack(pairs, _responses(pairs))
-        return _log_likelihood_rows(W, stack)
+        return self._context_cache.get(pairs) or self._stack(pairs, _responses(pairs))
 
     def _check_token(self, tok: int) -> None:
         if not (0 <= int(tok) < self.vocab_size):
@@ -619,10 +628,7 @@ def refine(
         if not math.isfinite(value):
             key = _pair_token_key(pairs[j // 2])
             raise InvalidBatchError(f"starting log-likelihood of pair {key} is {value}")
-    # an evaluator with a row form: each candidate build is evaluated in one pass
-    evaluator = partial(policy.log_likelihood_at)
-    evaluator.rows = policy.log_likelihood_rows
-    oracle = partial(compare_preference, evaluator)
+    oracle = partial(compare_preference, policy.preference_evaluator())
     start = ParamVector(policy.flat_params)
     trajectory = run_practical(oracle, start, practical, data_stream=pairs)
     return trajectory, policy.with_flat_params(trajectory.final_theta.values), values

@@ -132,13 +132,6 @@ def test_compare_preference_empty_batch():
         compare_preference(direct_evaluator, pv(0.0, 0.0), pv(1.0, 0.0), [])
 
 
-def with_rows(point, rows):
-    """``point`` as an evaluator with the row form ``rows``."""
-    evaluator = partial(point)
-    evaluator.rows = rows
-    return evaluator
-
-
 def test_a_nan_row_raises_at_its_own_query_after_every_earlier_answer():
     # one build of 12 candidates; candidate 5's values are NaN
     pair, bad, passes, asked = PreferencePair((0,), (0,), (1,)), 5, [], []
@@ -149,7 +142,7 @@ def test_a_nan_row_raises_at_its_own_query_after_every_earlier_answer():
         out[bad] = [math.nan, math.nan]
         return out
 
-    evaluator = with_rows(direct_evaluator, rows)
+    evaluator = core.with_row_form(direct_evaluator, rows)
 
     def oracle(theta, candidate):
         asked.append(candidate.values.copy())
@@ -167,7 +160,7 @@ def test_a_nan_row_raises_at_its_own_query_after_every_earlier_answer():
 def test_dropping_a_builds_candidates_frees_its_array():
     # with a mask, 5,000 rows at dim 24 make two builds of 2,730 and 2,270 candidates
     policy = make_toy_policy(4, 6, weight_seed=3)
-    evaluator = with_rows(policy.log_likelihood_at, policy.log_likelihood_rows)
+    evaluator = policy.preference_evaluator()
     pairs = (PreferencePair((0, 1), (2, 3), (1,)),)
     theta = ParamVector(policy.flat_params, scope_mask=np.arange(0, 24, 2))
     builds = []
@@ -204,7 +197,7 @@ def test_a_point_form_evaluator_is_called_once_per_candidate():
     # the base point once, then each of the build's 40 candidates once
     assert len(calls) == 41 and passes == []
     calls.clear()
-    stacked = measure_bits(partial(compare_preference, with_rows(point, rows), batch=[pair]),
+    stacked = measure_bits(partial(compare_preference, core.with_row_form(point, rows), batch=[pair]),
                            theta, 0.5, 40, RngState(4))
     # with a row form, the point form serves only the base point
     assert len(calls) == 1 and passes == [40]

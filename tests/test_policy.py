@@ -417,11 +417,12 @@ def test_likelihoods_and_dpo_grad_bit_equal_to_token_log_probs_recomputation():
             assert logits.tobytes() == per_position.tobytes()
 
 
-def row_evaluator(policy):
-    """``log_likelihood_at`` with its row form, as ``refine`` hands it to the oracle."""
-    evaluator = partial(policy.log_likelihood_at)
-    evaluator.rows = policy.log_likelihood_rows
-    return evaluator
+def test_an_empty_response_has_log_likelihood_plus_zero():
+    # a layout with no positions: the sum over no tokens, as the per-token loop gives it
+    policy = make_toy_policy(weight_seed=1)
+    total = policy.sequence_log_likelihood((1, 2), ())
+    assert total == reference_log_likelihood(policy, (1, 2), ()) and math.copysign(1.0, total) == 1.0
+    assert policy.log_likelihood_at(policy.flat_params, []) == []
 
 
 @st.composite
@@ -467,34 +468,47 @@ def row_pass_cases(draw):
 def test_row_pass_equals_the_one_point_values(case):
     policy, pairs, theta, rows, radius = case
     candidates = embed_perturbation(theta, rows, radius)
-    evaluator = row_evaluator(policy)
-    # every candidate reads its row of the build's one pass
+    evaluator = policy.preference_evaluator()
+    # every candidate reads its row of its group's one pass
     got = np.array([candidate.evaluate(evaluator, pairs) for candidate in candidates])
     want = np.array([policy.log_likelihood_at(c.values, pairs) for c in candidates])
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
-def test_a_long_build_runs_in_row_groups_of_bounded_memory():
-    # 512 candidates over 8 pairs of 12-token responses: 192 positions, whose
-    # logits at once would take 512 * 192 * 8 floats (6 MiB) in each temporary
-    policy = make_toy_policy(weight_seed=4)
+@pytest.mark.parametrize("shape, n_pairs, lengths, m", [
+    # 8 pairs of 12-token responses: 192 positions, whose logits for the
+    # whole build take 512 * 192 * 8 floats (6 MiB) in each temporary
+    ((8, 16), 8, (3, 12), 512),
+    # 20 pairs of 1-token responses at V x F = 2 x 1: a build of 32,768
+    # candidates, whose results held at once take about 44 MiB
+    ((2, 1), 20, (1, 1), 32768),
+], ids=["long-responses", "narrow-policy"])
+def test_a_build_is_evaluated_one_row_group_at_a_time(shape, n_pairs, lengths, m):
+    (V, F), (prompt, response) = shape, lengths
+    policy = make_toy_policy(V, F, weight_seed=4)
     gen = np.random.default_rng(0)
 
     def tokens(n):
-        return tuple(int(t) for t in gen.integers(0, 8, size=n))
+        return tuple(int(t) for t in gen.integers(0, V, size=n))
 
-    pairs = tuple(PreferencePair(tokens(3), tokens(12), tokens(12)) for _ in range(8))
-    rows = policy.flat_params + 0.1 * RngState(0).sphere_rows(0, 512, 128)
-    policy.log_likelihood_rows(rows[:2], pairs)  # the pairs' stack, kept from here on
+    pairs = tuple(PreferencePair(tokens(prompt), tokens(response), tokens(response))
+                  for _ in range(n_pairs))
+    theta = ParamVector(policy.flat_params)
+    candidates = embed_perturbation(theta, RngState(0).sphere_rows(0, m, V * F), 0.1)
+    evaluator = policy.preference_evaluator()
+    want = [policy.log_likelihood_at(candidates[i].values, pairs) for i in (0, -1)]
     tracemalloc.start()
     try:
-        got = policy.log_likelihood_rows(rows, pairs)
+        got = [candidates[0].evaluate(evaluator, pairs)]
+        for candidate in candidates[1:]:  # in index order, as measure_bits asks
+            last = candidate.evaluate(evaluator, pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # groups of about 65,536 floats keep it near 2 MiB (18.8 MiB in one group)
-    assert peak < 4 * 2**20
-    assert [got[0], got[-1]] == [policy.log_likelihood_at(rows[i], pairs) for i in (0, -1)]
+    # one group's temporaries and results, and the results of the group
+    # before, keep it near 1.6 and 3.9 MiB
+    assert peak < 6 * 2**20, peak
+    assert got + [last] == want
 
 
 def test_dpo_grad_batch_mean_of_duplicates():
