@@ -43,13 +43,17 @@ TOY_PAIRS = ROOT / "src" / "duelopt" / "data" / "toy_pairs.jsonl"
 # query over builds of 512 candidates (about 82k floats of logits each, so
 # a build's likelihood pass splits), a narrow pipeline whose large beta
 # pushes most DPO pairs past exp's range within one batch, and the narrowest
-# policy (V x F = 2 x 1) through all three stages
+# policy (V x F = 2 x 1) through all three stages, and the two bench suites
+# at d = 10,000, where each direction row has a key of its own, so the
+# sampler's worker fills their rows split by key
 BASE_CONFIGS = {
     "sweep": {"mode": "bench-sweep"},
     "basic-10k": {"mode": "basic", "d": 10000, "s": 5, "c_m": 4, "epsilon": 0.1},
     "pipeline": {"mode": "pipeline", "n_clean": 40, "n_noisy": 20},
     "bench-lemma": {"mode": "bench-lemma", "n_samples": 20000},
     "bench-proposition": {"mode": "bench-proposition", "trials": 30},
+    "bench-lemma-long": {"mode": "bench-lemma", "d": 10000, "n_samples": 3000},
+    "bench-proposition-long": {"mode": "bench-proposition", "d": 10000, "trials": 3},
     "basic-nonconvex": {"mode": "basic", "objective": "nonconvex"},
     "practical-masked": {"mode": "practical", "scope_mask": list(range(0, 200, 17))},
     "practical-dataset-masked": {
