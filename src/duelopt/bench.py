@@ -5,13 +5,13 @@ support of size s, which makes ``||grad||_1 <= sqrt(s) * ||grad||_2`` hold by
 construction. The checks below probe the three quantitative claims backing
 the optimizer: sign agreement of one-bit measurements with the true gradient,
 recovery error of the exact direction solver under sign flips, and
-oracle-call scaling of the full loop as the dimension grows.
+oracle-call scaling of the full loop as the dimension grows. Every sign they
+read comes from ``measure_bits``, the path the descent measures with.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import astuple, dataclass, field
 from functools import partial
 from typing import Callable
@@ -21,7 +21,7 @@ import numpy as np
 from .core import ParamVector, RngState
 from .errors import DegenerateMeasurementError, InvalidTestError
 from .optimizer import loop_profile, run_basic, schedule_from_theorem
-from .oracles import BitMeasurementBatch, compare_function
+from .oracles import compare_function, measure_bits
 from .sparse_grad import _bisect_upper, solve_1bge_exact
 
 
@@ -35,7 +35,6 @@ class SyntheticObjective:
     f_min: float
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    value_batch: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         sup = np.asarray(self.support, dtype=np.intp).copy()
@@ -77,12 +76,9 @@ def make_sparse_quadratic(
         g[support] = coeffs * theta[support]
         return g
 
-    def value_batch(thetas: np.ndarray) -> np.ndarray:
-        return 0.5 * (thetas[:, support] ** 2) @ coeffs
-
     return SyntheticObjective(
         dim=d, support=support, ell=float(coeffs.max()), f_min=0.0,
-        value=value, gradient=gradient, value_batch=value_batch,
+        value=value, gradient=gradient,
     )
 
 
@@ -119,13 +115,8 @@ def make_nonconvex_sparse(
         g[support] = 2.0 * x - a * np.sin(x)
         return g
 
-    def value_batch(thetas: np.ndarray) -> np.ndarray:
-        x = thetas[:, support]
-        return np.sum(x * x + a * np.cos(x), axis=1)
-
     return SyntheticObjective(
-        dim=d, support=support, ell=2.0 + a, f_min=f_min,
-        value=value, gradient=gradient, value_batch=value_batch,
+        dim=d, support=support, ell=2.0 + a, f_min=f_min, value=value, gradient=gradient,
     )
 
 
@@ -142,8 +133,6 @@ def point_with_gradient_norm(
         raise ValueError("target gradient norm must be > 0")
     direction = np.zeros(objective.dim)
     v = gen.standard_normal(objective.support.size)
-    while np.linalg.norm(v) == 0.0:
-        v = gen.standard_normal(objective.support.size)
     direction[objective.support] = v / np.linalg.norm(v)
 
     def norm_at(scale: float) -> float:
@@ -179,6 +168,10 @@ def check_sign_agreement(
     Compares ``sign(f(theta + r z) - f(theta))`` against ``sign(z . grad f)``
     over ``n_samples`` directions, with r following the smoothness-scaled
     schedule unless overridden. Requires ``||grad f(theta)|| > epsilon / 2``.
+    Both sign sets are ``measure_bits`` batches of one block, the next of
+    ``rng``: the objective's comparison oracle at theta and radius r, on a
+    copy of ``rng``, and the linearization's oracle at the origin and radius
+    1, where each candidate is its direction.
     """
     theta = np.asarray(theta, dtype=np.float64)
     grad = objective.gradient(theta)
@@ -189,17 +182,22 @@ def check_sign_agreement(
         )
     if radius is None:
         radius = epsilon / (40.0 * objective.ell * math.sqrt(objective.dim))
-    f_base = objective.value(theta)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvalidTestError("n_samples must be >= 1")
-    agree, block = 0, rng.next_block()
-    with closing(rng.sphere_chunks(block, n_samples, objective.dim)) as chunks:
-        for _, Z in chunks:
-            measured = np.where(objective.value_batch(theta + radius * Z) < f_base, -1, 1)
-            linear = np.where(Z @ grad < 0.0, -1, 1)
-            agree += int(np.count_nonzero(measured == linear))
-    return agree / float(n_samples)
+    measured = measure_bits(
+        objective.comparison_oracle(), ParamVector(theta), radius, n_samples,
+        RngState(rng.seed, rng.counter),
+    )
+    linear = measure_bits(
+        partial(_sign_along, grad), ParamVector(np.zeros(objective.dim)), 1.0, n_samples, rng
+    )
+    return int(np.count_nonzero(measured.signs == linear.signs)) / n_samples
+
+
+def _sign_along(direction: np.ndarray, _origin: ParamVector, z: ParamVector) -> int:
+    """-1 if ``z . direction < 0``, else 1: at the origin and radius 1, z is the row itself."""
+    return -1 if z.values @ direction < 0.0 else 1
 
 
 @dataclass(eq=False)
@@ -222,24 +220,25 @@ def check_estimator_error(
 
     The planted direction is s-sparse with unit l2 norm, so its l1 norm is at
     most sqrt(s) automatically. Signs flip independently with ``flip_prob``
-    (the kept-probability must stay above one half).
+    (the kept-probability must stay above one half). Each trial's batch comes
+    from ``measure_bits`` at the origin and radius 1, where each candidate is
+    its direction: the oracle answers the planted direction's sign times the
+    trial's flip, read in index order. So no (m, d) direction matrix is held.
     """
     if not (0.0 <= flip_prob < 0.5):
         raise InvalidTestError(f"flip probability must be in [0, 0.5), got {flip_prob}")
     if trials < 1 or m < 1:
         raise InvalidTestError("trials and m must be >= 1")
-    errors = np.empty(trials)
+    errors, origin = np.empty(trials), ParamVector(np.zeros(d))
     for trial in range(trials):
         gen = rng.substream(rng.next_block())
         planted = np.zeros(d)
         v = gen.standard_normal(s)
-        while np.linalg.norm(v) == 0.0:  # retry a degenerate draw
-            v = gen.standard_normal(s)
         planted[np.sort(gen.choice(d, size=s, replace=False))] = v / np.linalg.norm(v)
-        Z = rng.sphere_rows(rng.next_block(), m, d)
-        signs = np.where(Z @ planted < 0.0, -1, 1)
-        flips = np.where(gen.random(m) < flip_prob, -1, 1)
-        batch = BitMeasurementBatch.from_directions(Z, signs * flips, radius=1.0, iteration=trial)
+        flips = iter(np.where(gen.random(m) < flip_prob, -1, 1))
+        batch = measure_bits(
+            lambda theta, z: _sign_along(planted, theta, z) * next(flips), origin, 1.0, m, rng
+        )
         try:
             estimate = solve_1bge_exact(batch, s)
             errors[trial] = float(np.linalg.norm(estimate.direction - planted))

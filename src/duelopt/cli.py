@@ -5,11 +5,9 @@ Subcommands:
   bench  -- run the validation suites with their default operating points
   split  -- partition a preference dataset by reference log-likelihood margin
 
-Configs are flat JSON objects; unknown keys are rejected. A ``"preset"`` key
-fills in the practical-scheme hyperparameters used at large scale; everything
-here runs at desk scale regardless. All CSV artifacts are byte-deterministic
-given (config, seed). The DUELOPT_OUT environment variable selects the default
-output directory.
+Configs are flat JSON objects; unknown keys are rejected. All CSV artifacts
+are byte-deterministic given (config, seed). The DUELOPT_OUT environment
+variable selects the default output directory.
 """
 
 from __future__ import annotations
@@ -41,13 +39,6 @@ from .errors import (
     VocabularyError,
 )
 from .optimizer import PracticalConfig, loop_profile, run_basic, run_practical, schedule_from_theorem
-
-# practical-scheme hyperparameters published for the large-model runs; kept as
-# documentation presets, not reproduced at this scale
-PRESETS = {
-    "mistral-7b": {"r": 0.0005, "m": 1600, "lambda_g": 0.00022, "skip_threshold": 0.2, "delta": 3.0},
-    "llama-3-8b": {"r": 0.00075, "m": 1800, "lambda_g": 0.00008, "skip_threshold": 0.2, "delta": 3.0},
-}
 
 SIGN_AGREEMENT_FLOOR = 0.69
 RECOVERY_TOLERANCE = 0.5
@@ -204,25 +195,19 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a flat config dict and layer it over the field defaults.
 
     Layering order: the operating point in the mode's ``_MODES`` entry, then
-    the preset named by the ``"preset"`` key, then the remaining keys, then
-    ``overrides`` (command-line flags). Unknown keys are rejected.
+    the keys of ``raw``, then ``overrides`` (command-line flags). Unknown keys
+    are rejected.
     """
-    raw = dict(raw)
-    preset = raw.pop("preset", None)
     unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "mode" not in raw:
         raise MissingFieldError(["mode"])
 
-    # a list or dict mode or preset is never in the tuples, and is never hashed
+    # a list or dict mode is never in the tuple, and is never hashed
     if raw["mode"] not in MODES:
         raise RangeError("mode", raw["mode"], f"one of {MODES}")
     values = dict(_MODES[raw["mode"]][1])
-    if preset is not None:
-        if preset not in tuple(PRESETS):
-            raise RangeError("preset", preset, f"one of {sorted(PRESETS)}")
-        values.update(PRESETS[preset])
     values.update(raw)
     values.update(overrides or {})
     config = RunConfig(**values)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duelopt import (
+    BitMeasurementBatch,
     ParamVector,
     RngState,
     SyntheticObjective,
@@ -18,6 +20,7 @@ from duelopt import (
     make_sparse_quadratic,
     measure_bits,
     point_with_gradient_norm,
+    solve_1bge_exact,
     sweep_convergence,
 )
 from duelopt import core
@@ -89,16 +92,6 @@ def test_sparse_gradient_inequality_at_sampled_points():
             for _ in range(50):
                 g = obj.gradient(gen.standard_normal(30) * 2)
                 assert np.abs(g).sum() <= np.sqrt(obj.support.size) * np.linalg.norm(g) + 1e-12
-
-
-def test_value_batch_matches_scalar_value():
-    for factory in (make_sparse_quadratic, make_nonconvex_sparse):
-        obj = factory(9, 4, seed=8)
-        gen = np.random.default_rng(9)
-        thetas = gen.standard_normal((20, 9))
-        batch = obj.value_batch(thetas)
-        for row, expected in zip(thetas, batch):
-            assert obj.value(row) == pytest.approx(expected, rel=1e-12)
 
 
 # ----- comparison oracle ----------------------------------------------------
@@ -193,13 +186,9 @@ def linear_objective(d, direction):
     def gradient(_theta):
         return direction.copy()
 
-    def value_batch(thetas):
-        return thetas @ direction
-
     # ell is an upper bound on the gradient Lipschitz constant (0 for linear)
     return SyntheticObjective(
-        dim=d, support=support, ell=1.0, f_min=-np.inf,
-        value=value, gradient=gradient, value_batch=value_batch,
+        dim=d, support=support, ell=1.0, f_min=-np.inf, value=value, gradient=gradient,
     )
 
 
@@ -221,7 +210,7 @@ def test_sign_agreement_draws_its_directions_as_rows_of_one_block():
     assert rng.counter == block + 1
     # the same rows drawn in one piece
     Z = RngState(18).sphere_rows(block, n, obj.dim)
-    measured = np.where(obj.value_batch(theta + Z) < obj.value(theta), -1, 1)
+    measured = np.array([-1 if obj.value(theta + z) < obj.value(theta) else 1 for z in Z])
     linear = np.where(Z @ obj.gradient(theta) < 0.0, -1, 1)
     assert agreement == np.count_nonzero(measured == linear) / n
 
@@ -259,6 +248,35 @@ def test_estimator_error_decreases_with_m():
         report = check_estimator_error(d=50, s=3, flip_prob=0.0, m=m, trials=30, rng=RngState(3))
         medians.append(float(np.median(report.errors)))
     assert medians[2] < medians[0]
+
+
+def test_estimator_error_measures_each_trial_on_the_rows_of_one_block():
+    d, s, m, trials, flip_prob = 30, 3, 700, 4, 0.2
+    report = check_estimator_error(d, s, flip_prob, m, trials, RngState(9, counter=2))
+    # each trial: one block plants its direction and flips, the next gives its rows
+    rng = RngState(9, counter=2)
+    for trial in range(trials):
+        gen = rng.substream(rng.next_block())
+        planted = np.zeros(d)
+        v = gen.standard_normal(s)
+        planted[np.sort(gen.choice(d, size=s, replace=False))] = v / np.linalg.norm(v)
+        Z = rng.sphere_rows(rng.next_block(), m, d)
+        signs = np.where(Z @ planted < 0.0, -1, 1) * np.where(gen.random(m) < flip_prob, -1, 1)
+        batch = BitMeasurementBatch.from_directions(Z, signs, radius=1.0, iteration=trial)
+        error = np.linalg.norm(solve_1bge_exact(batch, s).direction - planted)
+        assert report.errors[trial] == error
+
+
+def test_estimator_error_holds_no_direction_matrix():
+    # one trial's (m, d) rows would take 30.5 MiB
+    tracemalloc.start()
+    try:
+        report = check_estimator_error(d=20_000, s=5, flip_prob=0.1, m=200, trials=1, rng=RngState(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(report.errors[0])
+    assert peak < 8 * 2**20
 
 
 def test_estimator_error_deterministic():

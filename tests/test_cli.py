@@ -42,34 +42,10 @@ def test_empty_config_lists_required_fields(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = write_config(tmp_path, {"mode": "basic", "typo_field": 1})
-    with pytest.raises(ConfigError, match="typo_field"):
-        parse_config(path)
-
-
-def test_mistral_preset_values(tmp_path):
-    path = write_config(tmp_path, {"mode": "practical", "preset": "mistral-7b"})
-    config = parse_config(path)
-    assert config.r == 0.0005
-    assert config.m == 1600
-    assert config.lambda_g == 0.00022
-    assert config.skip_threshold == 0.2
-    assert config.delta == 3.0
-
-
-def test_llama_preset_values(tmp_path):
-    path = write_config(tmp_path, {"mode": "practical", "preset": "llama-3-8b"})
-    config = parse_config(path)
-    assert config.r == 0.00075
-    assert config.m == 1800
-    assert config.lambda_g == 0.00008
-    assert config.skip_threshold == 0.2
-
-
-def test_file_values_override_preset(tmp_path):
-    path = write_config(tmp_path, {"mode": "practical", "preset": "mistral-7b", "m": 32})
-    config = parse_config(path)
-    assert config.m == 32
+    for key, value in (("typo_field", 1), ("preset", "mistral-7b")):
+        path = write_config(tmp_path, {"mode": "basic", key: value})
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
 
 
 def test_range_errors_name_field_and_bounds(tmp_path):
@@ -646,7 +622,7 @@ def test_every_numeric_field_has_a_range():
 @pytest.mark.parametrize("payload, field", [
     ({"mode": ["basic"]}, "mode"),
     ({"mode": {"basic": 1}}, "mode"),
-    ({"mode": "basic", "preset": ["mistral-7b"]}, "preset"),
+    ({"mode": "basic", "objective": ["quadratic"]}, "objective"),
     ({"mode": "basic", "d": "10"}, "d"),
     ({"mode": "basic", "d": True}, "d"),
     ({"mode": "basic", "T": 2.0}, "T"),
