@@ -227,6 +227,9 @@ def _validate_config(config: RunConfig) -> None:
     # rules that involve more than one field
     if config.objective not in ("quadratic", "nonconvex"):
         raise RangeError("objective", config.objective, "quadratic or nonconvex")
+    # sweep_convergence builds only sparse quadratics, and SWEEP_MAX_RATIO is set on them
+    if config.mode == "bench-sweep" and config.objective != "quadratic":
+        raise RangeError("objective", config.objective, "quadratic for bench-sweep")
     if not config.dims:
         raise RangeError("dims", config.dims, "nonempty list")
     if config.mode == "bench-sweep" and not all(config.s <= d < 2**63 for d in config.dims):
@@ -487,7 +490,7 @@ def _run_pipeline_mode(config: RunConfig, out_dir: Path):
 
 
 def _run_bench_lemma(config: RunConfig, out_dir: Path):
-    objective = bench_mod.make_sparse_quadratic(config.d, config.s, seed=config.objective_seed)
+    objective = _make_objective(config)
     rng = RngState(config.seed)
     theta = bench_mod.point_with_gradient_norm(objective, 1.0, rng.substream(rng.next_block()))
     agreement = bench_mod.check_sign_agreement(

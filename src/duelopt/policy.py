@@ -149,8 +149,9 @@ class ToyPolicy:
     base point's values on the base ``ParamVector``, and a candidate build's
     on the record its candidates share. ``_context_cache``, shared by
     ``with_weights`` like the feature cache, keeps what depends only on the
-    feature map: the ``_stack`` of each (prompt, response) and each pair
-    batch, and each DPO batch's token-major layout.
+    feature map and is read again: the ``_stack`` of each pair batch that
+    ``log_likelihood_at`` or ``log_likelihood_rows`` is asked about, and
+    each DPO batch's token-major layout.
     """
 
     def __init__(
@@ -160,8 +161,6 @@ class ToyPolicy:
         weights: np.ndarray | None = None,
         max_context: int = 16,
         feature_seed: int = 7,
-        _feature_cache: dict | None = None,
-        _context_cache: dict | None = None,
     ):
         if vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
@@ -180,8 +179,8 @@ class ToyPolicy:
             raise ValueError(f"weights must have shape {(vocab_size, feature_dim)}")
         self.weights = weights.copy()
         self.weights.setflags(write=False)
-        self._feature_cache = _feature_cache if _feature_cache is not None else {}
-        self._context_cache = _context_cache if _context_cache is not None else {}
+        self._feature_cache: dict = {}
+        self._context_cache: dict = {}
         self._loglik_memo: dict = {}
 
     # ----- parameters ---------------------------------------------------
@@ -192,15 +191,12 @@ class ToyPolicy:
         return self.weights.ravel().copy()
 
     def with_weights(self, weights: np.ndarray) -> "ToyPolicy":
-        return ToyPolicy(
-            self.vocab_size,
-            self.feature_dim,
-            weights,
-            max_context=self.max_context,
-            feature_seed=self.feature_seed,
-            _feature_cache=self._feature_cache,
-            _context_cache=self._context_cache,
+        policy = ToyPolicy(
+            self.vocab_size, self.feature_dim, weights, self.max_context, self.feature_seed
         )
+        policy._feature_cache = self._feature_cache
+        policy._context_cache = self._context_cache
+        return policy
 
     def with_flat_params(self, theta: np.ndarray) -> "ToyPolicy":
         theta = np.asarray(theta, dtype=np.float64)
@@ -228,14 +224,14 @@ class ToyPolicy:
         """Log-softmax over the vocabulary for the next token."""
         return _log_softmax(self.weights @ self.features(prompt, prefix))
 
-    def _stack(self, key, responses: Sequence[tuple]) -> tuple:
+    def _stack(self, responses: Sequence[tuple]) -> tuple:
         """Tokens, features, picks, columns and lengths of (prompt, response) items.
 
         Positions are stacked in item order: ``features`` row i is position
         i's context feature, ``columns`` its (n, F, 1) view, and ``picks``
         holds ``i * V + tokens[i]``, the flat index of each token's logit.
-        The stack is kept in ``_context_cache`` under ``key``; callers look
-        it up there first, so a kept stack costs one lookup.
+        The stack is not kept: ``_pairs_stack`` keeps a pair batch's, the one
+        kind of stack that is read again.
         """
         rows, tokens, lengths = [], [], []
         for prompt, response in responses:
@@ -253,17 +249,13 @@ class ToyPolicy:
         picks = np.arange(tokens.size) * self.vocab_size + tokens
         for array in (tokens, features, picks):
             array.setflags(write=False)
-        stack = self._context_cache[key] = (
-            tokens, features, picks, features[:, :, None], tuple(lengths)
-        )
-        return stack
+        return tokens, features, picks, features[:, :, None], tuple(lengths)
 
     def sequence_log_likelihood(self, prompt: Sequence[int], response: Sequence[int]) -> float:
         key = (tuple(prompt), tuple(response))
         total = self._loglik_memo.get(key)
         if total is None:
-            stack = self._context_cache.get(key) or self._stack(key, (key,))
-            (total,) = _log_likelihoods(self.weights, stack)
+            (total,) = _log_likelihoods(self.weights, self._stack((key,)))
             self._loglik_memo[key] = total
         return total
 
@@ -306,7 +298,10 @@ class ToyPolicy:
 
     def _pairs_stack(self, pairs: Sequence) -> tuple:
         pairs = tuple(pairs)
-        return self._context_cache.get(pairs) or self._stack(pairs, _responses(pairs))
+        stack = self._context_cache.get(pairs)
+        if stack is None:
+            stack = self._context_cache[pairs] = self._stack(_responses(pairs))
+        return stack
 
     def _check_token(self, tok: int) -> None:
         if not (0 <= int(tok) < self.vocab_size):
@@ -369,7 +364,8 @@ def dpo_grad(
     operations of a per-pair loop in the same order. The positions are laid
     out token-major, longest response first, so the responses still running
     at token t are a prefix; the layout depends only on the feature map, so
-    it is kept per batch in ``_context_cache``. One ``_response_logits``
+    it is kept per batch in ``_context_cache``, and the item-order
+    ``_stack`` it is gathered from is not. One ``_response_logits``
     call gives every position's log-softmax (``math.log`` per row, as
     ``_log_softmax`` takes it). Each response's log-likelihood and its
     gradient, the sum over tokens of ``outer(onehot(tok) - softmax, phi)``,
@@ -385,8 +381,7 @@ def dpo_grad(
     layout = policy._context_cache.get(("dpo", batch))
     if layout is None:
         responses = _responses(batch)
-        stack = policy._context_cache.get(batch) or policy._stack(batch, responses)
-        tokens, features, _, _, lengths = stack
+        tokens, features, _, _, lengths = policy._stack(responses)
         # sorted, not np.argsort: its first call pages in sort kernels (~0.4 MiB of peak RSS)
         order = np.array(sorted(range(len(lengths)), key=lambda i: -lengths[i]))
         by_length = np.array(lengths)[order]

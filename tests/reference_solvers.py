@@ -173,13 +173,14 @@ def reference_scale_reaching(fn, target: float) -> float:
 
 def reference_sphere_rows(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
     # normalized Gaussian rows are uniform on the sphere by rotational invariance
-    rows = gen.standard_normal((count, dim))
+    return _unit_rows(gen.standard_normal((count, dim)))
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` scaled to unit length; a row of norm zero becomes e0, as the sampler makes it."""
     norms = np.linalg.norm(rows, axis=1)
-    # a zero draw has probability zero but would poison the normalization
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        rows[bad] = gen.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(rows, axis=1)
+    zero = norms == 0.0
+    rows[zero, 0] = norms[zero] = 1.0
     return rows / norms[:, None]
 
 
@@ -187,8 +188,8 @@ def reference_grouped_rows(substream, per_key: int, count: int, dim: int, start:
     """Rows ``start``... of a block whose rows share keys in groups of ``per_key``.
 
     Row i is run ``i % per_key`` of ``dim`` normals of ``substream(i // per_key)``,
-    each group drawn whole by a fresh generator. A run of norm zero is
-    replaced by the first nonzero run past its group.
+    each group drawn whole by a fresh generator. A run of norm zero becomes
+    e0 = (1, 0, ..., 0).
     """
     runs, raw = {}, np.empty((count, dim))
     for j, i in enumerate(range(start, start + count)):
@@ -196,12 +197,7 @@ def reference_grouped_rows(substream, per_key: int, count: int, dim: int, start:
         if group not in runs:
             runs[group] = substream(group).standard_normal((per_key, dim))
         raw[j] = runs[group][pos]
-        if not np.linalg.norm(raw[j:j + 1], axis=1)[0] > 0.0:
-            past = substream(group)
-            past.standard_normal((per_key, dim))
-            while not np.linalg.norm(raw[j:j + 1], axis=1)[0] > 0.0:
-                raw[j] = past.standard_normal(dim)
-    return raw / np.linalg.norm(raw, axis=1)[:, None]
+    return _unit_rows(raw)
 
 
 def reference_candidate_values(theta, rows, radius: float) -> list[np.ndarray]:

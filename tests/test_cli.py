@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import duelopt
-from duelopt import ParamVector, RngState, Trajectory
+from duelopt import ParamVector, RngState, Trajectory, bench
 from duelopt.cli import (
     FIELD_TYPES, RANGES, _csv_cell, _is_json_type, _write_json, build_config, export_results, main,
     parse_config, run_experiment,
@@ -174,6 +174,25 @@ def test_basic_mode_runs_the_nonconvex_objective_byte_for_byte(tmp_path):
         assert manifest.summary["min_grad_norm"] < 0.1
         written.append((tmp_path / out / "trajectory.csv").read_bytes())
     assert written[0] == written[1]
+
+
+def test_bench_lemma_checks_the_configured_objective(tmp_path):
+    raw = {"mode": "bench-lemma", "d": 20, "n_samples": 2000, "objective": "nonconvex"}
+    config = build_config(dict(raw, out_dir=str(tmp_path / "out")))
+    objective = bench.make_nonconvex_sparse(config.d, config.s, seed=config.objective_seed)
+    rng = RngState(config.seed)
+    theta = bench.point_with_gradient_norm(objective, 1.0, rng.substream(rng.next_block()))
+    expected = bench.check_sign_agreement(objective, theta, config.epsilon, config.n_samples, rng)
+    agreement = run_experiment(config).summary["agreement"]
+    quadratic = build_config(dict(raw, objective="quadratic", out_dir=str(tmp_path / "q")))
+    assert agreement == expected != run_experiment(quadratic).summary["agreement"]
+
+
+def test_bench_sweep_refuses_a_nonquadratic_objective():
+    # sweep_convergence builds only sparse quadratics
+    with pytest.raises(RangeError, match=r"'objective' = 'nonconvex' outside bounds quadratic"):
+        build_config({"mode": "bench-sweep", "objective": "nonconvex"})
+    assert build_config({"mode": "bench-sweep", "objective": "quadratic"}).objective == "quadratic"
 
 
 def test_run_experiment_pipeline_on_bundled_dataset(tmp_path):
@@ -421,6 +440,31 @@ def test_console_script_help():
     )
     assert out.returncode == 0
     assert "--suite {lemma,proposition,sweep,all}" in out.stdout
+
+
+IMPORT_CHILD = """
+import json, sys, threading
+import numpy
+before = {"threads": threading.active_count(), "numpy.random": "numpy.random" in sys.modules}
+import duelopt, duelopt.cli
+print(json.dumps({"before": before, "threads": threading.active_count(),
+                  "modules": [m for m in ("concurrent.futures", "numpy.random") if m in sys.modules]}))
+"""
+
+
+def test_importing_the_package_starts_no_thread_and_loads_no_generator_module():
+    # the row worker and the feature generator are made on first use, not at import
+    src = str(Path(duelopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHILD], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    child = json.loads(out.stdout)
+    assert child["threads"] == child["before"]["threads"]
+    # numpy may load numpy.random itself; duelopt must not be what loads it
+    allowed = ["numpy.random"] if child["before"]["numpy.random"] else []
+    assert child["modules"] == allowed
 
 
 QUIET_RUNS = {

@@ -38,6 +38,18 @@ def test_sphere_norm_holds_for_consecutive_draws():
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
+def test_reference_rows_make_a_zero_row_e0_as_the_sampler_does():
+    class Zeros:  # a generator whose normals are all 0.0
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    e0 = core._normalize(np.zeros((1, 3)))
+    assert e0.tolist() == [[1.0, 0.0, 0.0]]
+    assert reference_sphere_rows(Zeros(), 2, 3).tobytes() == np.tile(e0, (2, 1)).tobytes()
+    grouped = reference_grouped_rows(lambda group: Zeros(), 2, 3, 3)
+    assert grouped.tobytes() == np.tile(e0, (3, 1)).tobytes()
+
+
 def test_sphere_rotational_symmetry_monte_carlo():
     # coordinate means of 1e5 uniform sphere points in 3-D stay near zero
     rng = RngState(2024)

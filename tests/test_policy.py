@@ -547,6 +547,31 @@ def test_dpo_grad_from_a_kept_layout_equals_a_fresh_policy():
     assert dpo_grad(policy, ref, batch, 0.3).tobytes() != dpo_grad(moved, ref, batch, 0.3).tobytes()
 
 
+def test_context_cache_keeps_only_pair_batch_stacks_and_dpo_layouts():
+    """The context cache keeps only what is read again.
+
+    A pair batch's stack and a DPO batch's token-major layout are kept; a
+    single response's stack, and the item-order stack a layout is gathered
+    from, are built and dropped. ``with_weights`` shares both caches by
+    identity and starts an empty likelihood memo.
+    """
+    pairs = (PreferencePair((0, 1), (2, 3), (1,)), PreferencePair((2,), (0, 1, 3), (3,)))
+    dpo_batch = (PreferencePair((3,), (1, 2), (0, 0, 2)),)
+    policy, ref = small_policy(seed=3), small_policy(seed=4)
+    policy.sequence_log_likelihood((0, 1), (2, 3))
+    policy.log_likelihood_at(policy.weights, pairs[:1])
+    policy.log_likelihood_rows(policy.flat_params[None, :], pairs)
+    dpo_grad(policy, ref, dpo_batch, 0.3)
+    assert set(policy._context_cache) == {pairs[:1], pairs, ("dpo", dpo_batch)}
+    # the reference answered only sequence_log_likelihood calls
+    assert ref._context_cache == {} and len(ref._loglik_memo) == 2
+
+    moved = policy.with_flat_params(policy.flat_params + 0.5)
+    assert moved._feature_cache is policy._feature_cache
+    assert moved._context_cache is policy._context_cache
+    assert moved._loglik_memo == {} and policy._loglik_memo
+
+
 def test_dpo_grad_bit_equal_to_per_pair_reference_at_batch_sizes_up_to_40():
     """The stacked pass keeps every bit of the per-pair loop over whole batches.
 
